@@ -41,8 +41,7 @@ from .sampler import (
     SphericalHarmonic,
     sample_field,
 )
-from .specfn import faber_krahn_floor
-from .stats import EmpiricalCdf, ks_distance, sandwich_check_many
+from .stats import EmpiricalCdf, fold_faber_krahn, ks_distance, sandwich_check_many
 from .svg import step_plot_svg
 
 __all__ = ["main", "parse_length"]
@@ -275,40 +274,25 @@ def cmd_faber_krahn(args) -> int:
     if not (0.0 < args.margin < 1.0):
         raise UsageError("--margin must be in (0, 1)")
     cfg = _ensemble_config(args, checks=(), default_window=parse_length(DESK_WINDOW))
+    if not isinstance(cfg.grid, PlanarWindow):
+        raise UsageError("the minimum-area check runs on planar windows (--model rpw)")
     rep = run_ensemble(cfg)
-    floor = faber_krahn_floor(2)
+    ids = [(cfg.master_seed, r["index"]) for r in rep.records]
+    fk = fold_faber_krahn(rep.records, ids, args.margin)
+    min_area, floor = fk["min_area"], fk["floor"]
     bound = (1.0 - args.margin) * floor
-    min_area = None
-    violations = []
-    for i in range(cfg.realizations):
-        sidecar_path = rep.output_dir / "realizations" / f"{i:05d}.json"
-        if not sidecar_path.exists():
-            continue
-        payload = read_json(sidecar_path)["payload"]
-        for area, touches, label in zip(
-            payload["areas"], payload["touches"], range(len(payload["areas"]))
-        ):
-            if touches:
-                continue
-            if min_area is None or area < min_area:
-                min_area = area
-            if area < bound:
-                violations.append([cfg.master_seed, i, label, area])
-    summary = {
-        "min_area": min_area,
-        "floor": floor,
-        "margin": args.margin,
-        "bound": bound,
-        "violations": violations,
-        "realizations": rep.report["realizations_completed"],
-        "out": str(rep.output_dir),
-    }
+    summary = dict(
+        fk,
+        bound=bound,
+        realizations=rep.report["realizations_completed"],
+        out=str(rep.output_dir),
+    )
     if min_area is None:
         human = ["no interior domains observed"]
     else:
         human = [
             f"minimum interior area {min_area:.6f} (floor {floor:.6f}, bound {bound:.6f})",
-            f"violations: {len(violations)}",
+            f"violations: {len(fk['violations'])}",
         ]
     _emit(args, summary, human)
     return 0

@@ -2,11 +2,13 @@
 
 A run directory holds `manifest.json` (config echo, config hash, version),
 `realizations/#####.csv` (the pinned per-domain tables), `realizations/
-#####.json` (per-realization sidecars carrying the table checksum and the
-numbers the aggregator folds), `report.json`, and the CSV exports.  The
-report payload is a pure fold of the per-realization sidecars sorted by
-index, so it is byte-identical across execution orders, worker counts, and
-fresh-vs-resumed runs; wall-clock numbers live only under the "timing" key.
+#####.json` (per-realization sidecars carrying the table checksum and, as
+payload, the census record of `stats.census_record` plus the check results),
+`report.json`, and the CSV exports.  The report payload is a pure fold of the
+sidecar payloads sorted by index, through the same `stats` estimators the
+library calls, so it is byte-identical across execution orders, worker
+counts, and fresh-vs-resumed runs; wall-clock numbers live only under the
+"timing" key.
 
 The config hash deliberately excludes `output_dir`: it identifies what was
 computed, not where it landed, which is what both resume validation and the
@@ -15,7 +17,6 @@ cross-directory determinism contract need.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -40,13 +41,7 @@ from .io import (
     write_field,
     write_json,
 )
-from .nodal import (
-    default_center,
-    domain_distance_extrema,
-    label_domains,
-    measure_domains,
-    perturbation_stability,
-)
+from .nodal import label_domains, measure_domains, perturbation_stability
 from .sampler import (
     PlaneWave2D,
     RngStream,
@@ -58,8 +53,19 @@ from .sampler import (
     sample_field,
     spherical_laplacian_residual,
 )
-from .specfn import faber_krahn_floor
-from .stats import EmpiricalCdf, NsEstimate, SandwichVerdict, _ball_volume, sandwich_check_many
+from .stats import (
+    EmpiricalCdf,
+    NsEstimate,
+    SandwichVerdict,
+    census_record,
+    fold_boundary,
+    fold_faber_krahn,
+    fold_nodal_length,
+    fold_ns,
+    fold_psi,
+    mean_stderr,
+    sandwich_check_many,
+)
 
 __all__ = [
     "CHECK_NAMES",
@@ -218,6 +224,8 @@ class EnsembleReport:
     boundary: EmpiricalCdf
     ns: NsEstimate | None
     output_dir: Path
+    # the census records the report folded, in index order, each with its "index"
+    records: list[dict]
 
 
 def worker_count() -> int:
@@ -235,23 +243,8 @@ def _realization_paths(outdir: Path, index: int) -> tuple[Path, Path]:
     return base / f"{index:05d}.csv", base / f"{index:05d}.json"
 
 
-def _reference_volume(grid) -> float:
-    if isinstance(grid, LatLongSphere):
-        return 4.0 * math.pi
-    if isinstance(grid, Torus):
-        return grid.side**grid.dim
-    return grid.side**2
-
-
 def _run_checks(config: EnsembleConfig, sample, dec, index: int, basis) -> dict:
     out = {}
-    if "faber_krahn" in config.checks:
-        bound = (1.0 - FK_MARGIN) * faber_krahn_floor(dec.labels.ndim)
-        interior = [rec for rec in dec.domains if not rec.touches_window]
-        out["faber_krahn"] = {
-            "min_interior_area": min((rec.area for rec in interior), default=None),
-            "violations": [[rec.label, rec.area] for rec in interior if rec.area < bound],
-        }
     if "sandwich" in config.checks:
         thresholds = [parse_float_token(t) for t in config.thresholds]
         verdicts = sandwich_check_many(dec, config.sandwich_geometries, thresholds)
@@ -273,7 +266,7 @@ def _run_checks(config: EnsembleConfig, sample, dec, index: int, basis) -> dict:
         )
         medians = []
         for b in PERTURBATION_B:
-            matches = perturbation_stability(sample, direction, b)
+            matches = perturbation_stability(dec, direction, b)
             deltas = [m[2] for m in matches]
             medians.append(float(np.median(deltas)) if deltas else None)
         ratio = None
@@ -291,17 +284,7 @@ def _realize(config: EnsembleConfig, index: int, basis) -> tuple[str, dict]:
     sample = sample_field(config.model, config.grid, stream, **kw)
     dec = label_domains(sample)
     measure_domains(dec)
-    center = default_center(config.grid)
-    _, dmax = domain_distance_extrema(dec, center)
-    payload = {
-        "n_domains": dec.n_domains,
-        "areas": dec.areas().tolist(),
-        "perimeters": [rec.perimeter for rec in dec.domains],
-        "dmax": dmax.tolist(),
-        "touches": [rec.touches_window for rec in dec.domains],
-        "nodal_length": float(dec.total_nodal_length),
-        "checks": _run_checks(config, sample, dec, index, basis),
-    }
+    payload = dict(census_record(dec), checks=_run_checks(config, sample, dec, index, basis))
     csv_text = domain_table_csv(dec)
     if config.keep_fields:
         fields_dir = Path(config.output_dir) / "fields"
@@ -355,27 +338,11 @@ def _execute(config: EnsembleConfig, outdir: Path, reuse: dict) -> tuple[dict, l
     return payloads, failures
 
 
-def _mean_stderr(values) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=np.float64)
-    err = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return float(arr.mean()), err
-
-
 def _summarize_checks(config: EnsembleConfig, payloads: list[dict]) -> dict:
     out = {}
     if "faber_krahn" in config.checks:
-        mins = [p["checks"]["faber_krahn"]["min_interior_area"] for p in payloads]
-        mins = [m for m in mins if m is not None]
-        violations = []
-        for p in payloads:
-            for label, area in p["checks"]["faber_krahn"]["violations"]:
-                violations.append([config.master_seed, p["index"], label, area])
-        out["faber_krahn"] = {
-            "floor": faber_krahn_floor(config.grid_dim()),
-            "margin": FK_MARGIN,
-            "min_area": min(mins) if mins else None,
-            "violations": violations,
-        }
+        ids = [(config.master_seed, p["index"]) for p in payloads]
+        out["faber_krahn"] = fold_faber_krahn(payloads, ids, FK_MARGIN, config.grid_dim())
     if "sandwich" in config.checks:
         total = holding = 0
         for p in payloads:
@@ -384,16 +351,10 @@ def _summarize_checks(config: EnsembleConfig, payloads: list[dict]) -> dict:
                 holding += bool(v["holds"])
         out["sandwich"] = {"total": total, "holding": holding, "all_hold": holding == total}
     if "helmholtz" in config.checks:
-        mean, err = _mean_stderr([p["checks"]["helmholtz"]["residual"] for p in payloads])
+        mean, err = mean_stderr([p["checks"]["helmholtz"]["residual"] for p in payloads])
         out["helmholtz"] = {"mean_residual": mean, "stderr": err}
     if "covariance" in config.checks:
-        probe = np.array([p["checks"]["covariance"]["probe_means"] for p in payloads])
-        means = probe.mean(axis=0)
-        errs = (
-            probe.std(axis=0, ddof=1) / math.sqrt(probe.shape[0])
-            if probe.shape[0] > 1
-            else np.zeros(probe.shape[1])
-        )
+        means, errs = mean_stderr([p["checks"]["covariance"]["probe_means"] for p in payloads])
         out["covariance"] = {
             "lags": list(COVARIANCE_LAGS),
             "means": means.tolist(),
@@ -410,7 +371,7 @@ def _summarize_checks(config: EnsembleConfig, payloads: list[dict]) -> dict:
             for p in payloads
             if p["checks"]["perturbation"]["ratio"] is not None
         ]
-        rmean, rerr = _mean_stderr(ratios) if ratios else (None, None)
+        rmean, rerr = mean_stderr(ratios) if ratios else (None, None)
         out["perturbation"] = {
             "b": list(PERTURBATION_B),
             "median_means": np.array(rows).mean(axis=0).tolist() if rows else None,
@@ -427,50 +388,14 @@ def _assemble(
         raise EnsembleFailure("no realizations completed")
     ordered = [dict(payloads[i], index=i) for i in sorted(payloads)]
     psi_r = config.effective_psi_radius()
-    areas_parts, perim_parts, pairs = [], [], []
-    for p in ordered:
-        areas = np.asarray(p["areas"], dtype=np.float64)
-        perims = np.asarray(p["perimeters"], dtype=np.float64)
-        dmax = np.asarray(p["dmax"], dtype=np.float64)
-        keep = ~np.asarray(p["touches"], dtype=bool)
-        if psi_r is not None:
-            keep &= dmax < psi_r
-        areas_parts.append(areas[keep])
-        perim_parts.append(perims[keep])
-        pairs.extend(zip(areas[keep].tolist(), perims[keep].tolist()))
-    all_areas = np.concatenate(areas_parts)
-    if all_areas.size == 0:
-        raise EnsembleFailure("no interior domains in any realization")
-    psi = EmpiricalCdf.from_values(all_areas)
-    boundary = EmpiricalCdf.from_values(np.concatenate(perim_parts))
+    try:
+        psi = fold_psi(ordered, psi_r)
+    except ValueError:
+        raise EnsembleFailure("no interior domains in any realization") from None
+    boundary, pairs = fold_boundary(ordered, psi_r)
     largest_jump = float(np.max(np.diff(np.concatenate([[0.0], psi.fractions]))))
-
-    ns = None
-    if config.radii and not isinstance(config.grid, LatLongSphere):
-        dim = config.grid_dim()
-        radii = sorted(float(r) for r in config.radii)
-        ratios = np.empty((len(ordered), len(radii)))
-        for i, p in enumerate(ordered):
-            dmax = np.asarray(p["dmax"], dtype=np.float64)
-            for j, radius in enumerate(radii):
-                ratios[i, j] = np.count_nonzero(dmax < radius) / _ball_volume(dim, radius)
-        means = ratios.mean(axis=0)
-        errs = (
-            ratios.std(axis=0, ddof=1) / math.sqrt(len(ordered))
-            if len(ordered) > 1
-            else np.zeros(len(radii))
-        )
-        ns = NsEstimate(
-            radii=radii,
-            ratio_means=means.tolist(),
-            ratio_stderrs=errs.tolist(),
-            pooled=float(means[-1]),
-            pooled_stderr=float(errs[-1]),
-        )
-
-    length_mean, length_err = _mean_stderr(
-        [p["nodal_length"] / _reference_volume(config.grid) for p in ordered]
-    )
+    ns = fold_ns(ordered, config.radii, config.grid_dim()) if config.radii else None
+    length_mean, length_err = fold_nodal_length(ordered, config.grid)
     report = {
         "version": ENGINE_VERSION,
         "config": config.to_dict(),
@@ -491,7 +416,7 @@ def _assemble(
     with open(outdir / "psi.csv", "w", newline="\n") as fh:
         fh.write(psi_csv(psi))
     with open(outdir / "joint.csv", "w", newline="\n") as fh:
-        fh.write(joint_csv(sorted(pairs)))
+        fh.write(joint_csv(pairs))
     if ns is not None:
         with open(outdir / "ns.csv", "w", newline="\n") as fh:
             fh.write(ns_csv(ns))
@@ -508,7 +433,8 @@ def _assemble(
         with open(outdir / "sandwich.csv", "w", newline="\n") as fh:
             fh.write(sandwich_csv(verdicts))
     return EnsembleReport(
-        config=config, report=report, psi=psi, boundary=boundary, ns=ns, output_dir=outdir
+        config=config, report=report, psi=psi, boundary=boundary, ns=ns, output_dir=outdir,
+        records=ordered,
     )
 
 

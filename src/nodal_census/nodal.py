@@ -61,8 +61,6 @@ class DomainRecord:
     area: float
     node_count: int
     touches_window: bool
-    bounding_box: tuple
-    diameter_hint: float
     perimeter: float = 0.0
     boundary_components: int = 0
     refined_area: float = 0.0
@@ -204,45 +202,16 @@ def _count_records(sample: FieldSample, labels: np.ndarray, pos: np.ndarray) -> 
         edge[0, :] = edge[-1, :] = edge[:, 0] = edge[:, -1] = True
         touches[np.unique(labels[edge])] = True
 
-    mins, maxs = [], []
-    for ax in range(labels.ndim):
-        coord = np.arange(labels.shape[ax])
-        coord = coord.reshape([-1 if a == ax else 1 for a in range(labels.ndim)])
-        coord = np.broadcast_to(coord, labels.shape).ravel()
-        lo = np.full(k, np.iinfo(np.int64).max)
-        hi = np.full(k, -1)
-        np.minimum.at(lo, flat, coord)
-        np.maximum.at(hi, flat, coord)
-        mins.append(lo)
-        maxs.append(hi)
-
-    records = []
-    for lab in range(k):
-        box = tuple((int(mins[ax][lab]), int(maxs[ax][lab])) for ax in range(labels.ndim))
-        records.append(
-            DomainRecord(
-                label=lab,
-                sign=int(signs[lab]),
-                area=float(areas[lab]),
-                node_count=int(counts[lab]),
-                touches_window=bool(touches[lab]),
-                bounding_box=box,
-                diameter_hint=_bbox_diagonal(grid, box),
-            )
+    return [
+        DomainRecord(
+            label=lab,
+            sign=int(signs[lab]),
+            area=float(areas[lab]),
+            node_count=int(counts[lab]),
+            touches_window=bool(touches[lab]),
         )
-    return records
-
-
-def _bbox_diagonal(grid: GridSpec, box) -> float:
-    """Physical diagonal of the index bounding box (a size hint; boxes that
-    straddle a periodic seam report the unwrapped index extent)."""
-    if isinstance(grid, LatLongSphere):
-        dth = math.pi / grid.n_lat
-        dph = 2.0 * math.pi / grid.n_lon
-        mid = (0.5 * (box[0][0] + box[0][1]) + 0.5) * dth
-        return math.hypot((box[0][1] - box[0][0]) * dth, (box[1][1] - box[1][0]) * dph * math.sin(mid))
-    h = grid.spacing
-    return math.sqrt(sum(((b - a) * h) ** 2 for a, b in box))
+        for lab in range(k)
+    ]
 
 
 def _cell_tables(grid: GridSpec):
@@ -650,9 +619,10 @@ def _combine_coeffs(model, c1: dict | None, c2: dict | None, b: float) -> dict |
 
 
 def perturbation_stability(
-    sample: FieldSample, direction: FieldSample, b: float
+    base: NodalDecomposition, direction: FieldSample, b: float
 ) -> list[tuple[int, int, float, float]]:
-    """Match interior domains of F against those of F + b*G.
+    """Match interior domains of F (the decomposition `base`) against those
+    of F + b*G.
 
     Matching is by maximal node overlap, ties to the smaller perturbed label.
     Returns (label, matched_label, |area change|, perimeter) per interior
@@ -661,9 +631,10 @@ def perturbation_stability(
     """
     if b < 0:
         raise ValueError("perturbation size must be >= 0")
+    sample = base.sample
     if direction.grid != sample.grid or direction.model != sample.model:
         raise ValueError("perturbation direction must share the sample's model and grid")
-    base = measure_domains(label_domains(sample))
+    measure_domains(base)
     pert_sample = FieldSample(
         values=sample.values + b * direction.values,
         grid=sample.grid,

@@ -5,6 +5,12 @@ whole study is about: the empirical distribution of domain areas, the domain
 density (count per unit ball volume), the integral-geometric sandwich bound,
 the minimum-area floor check, and boundary-length distributions.
 
+Every ensemble estimator is a fold over per-realization census records
+(`census_record`): per-domain area, perimeter, window contact and largest
+distance from the ball center, plus the total nodal length.  The public
+functions build records from decompositions; the engine folds the records it
+persisted as sidecars, so library, report and CLI numbers agree exactly.
+
 Counting conventions shared by everything in this module: a domain is
 "interior" when it does not touch the window edge, and it lies "in B(c, R)"
 when every one of its nodes does (strict inequality).  Both follow the node
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -43,6 +50,7 @@ from .nodal import (
 from .specfn import faber_krahn_floor
 
 __all__ = [
+    "RECORD_COLUMNS",
     "EmpiricalCdf",
     "NsEstimate",
     "SandwichVerdict",
@@ -54,6 +62,13 @@ __all__ = [
     "boundary_and_joint_distributions",
     "ks_distance",
     "nodal_length_density",
+    "census_record",
+    "fold_psi",
+    "fold_boundary",
+    "fold_ns",
+    "fold_nodal_length",
+    "fold_faber_krahn",
+    "mean_stderr",
 ]
 
 
@@ -68,11 +83,13 @@ class EmpiricalCdf:
 
     @classmethod
     def from_values(cls, values) -> "EmpiricalCdf":
-        values = np.asarray(values, dtype=np.float64)
+        values = np.sort(np.asarray(values, dtype=np.float64), axis=None)
         if values.size == 0:
             raise ValueError("cannot build an empirical CDF from zero values")
-        points, counts = np.unique(values, return_counts=True)
-        frac = np.cumsum(counts) / values.size
+        # the CDF at each distinct value is the share of values up to its last copy
+        last = np.append(values[1:] != values[:-1], True)
+        points = values[last]
+        frac = (np.flatnonzero(last) + 1) / values.size
         err = np.sqrt(frac * (1.0 - frac) / values.size)
         return cls(breakpoints=points, fractions=frac, total_count=int(values.size), stderr=err)
 
@@ -150,15 +167,153 @@ def _check_same_ensemble(decs: list[NodalDecomposition]) -> None:
             raise ValueError("decompositions come from different models or grids")
 
 
-def _interior_in_ball(dec: NodalDecomposition, window):
-    """Indices of interior domains, restricted to those fully in B(center, R)
-    when a window is given."""
-    keep = np.array([not d.touches_window for d in dec.domains])
+RECORD_COLUMNS = ("areas", "perimeters", "touches", "dmax", "nodal_length")
+
+
+def census_record(dec: NodalDecomposition, center=None, columns=RECORD_COLUMNS) -> dict:
+    """The per-realization census record every ensemble estimator folds.
+
+    Per-domain columns in label order -- `areas`, `perimeters`, `touches`
+    (the domain meets the window edge) and `dmax` (largest node distance
+    from `center`, the grid's default center when None) -- plus the scalar
+    `nodal_length`.  The engine persists the full record as a sidecar
+    payload; `columns` picks the keys to build, so a library estimator pays
+    only for the columns it reads.
+    """
+    if "perimeters" in columns or "nodal_length" in columns:
+        measure_domains(dec)
+    record = {}
+    if "areas" in columns:
+        record["areas"] = [d.area for d in dec.domains]
+    if "perimeters" in columns:
+        record["perimeters"] = [d.perimeter for d in dec.domains]
+    if "touches" in columns:
+        record["touches"] = [d.touches_window for d in dec.domains]
+    if "dmax" in columns:
+        if center is None:
+            center = default_center(dec.sample.grid)
+        record["dmax"] = domain_distance_extrema(dec, center)[1].tolist()
+    if "nodal_length" in columns:
+        record["nodal_length"] = float(dec.total_nodal_length)
+    return record
+
+
+def _records(decs: list[NodalDecomposition], columns, window=None) -> list[dict]:
+    _check_same_ensemble(decs)
+    center = None
     if window is not None:
-        center, radius = window
-        _, dmax = domain_distance_extrema(dec, center)
-        keep &= dmax < radius
-    return np.nonzero(keep)[0]
+        center = window[0]
+        columns += ("dmax",)
+    return [census_record(dec, center, columns) for dec in decs]
+
+
+def _interior(records, key: str, radius):
+    """The `key` column of the interior domains, restricted to those fully
+    in B(center, R) when a radius is given (`dmax` holds distances from that
+    center), in record then label order."""
+    for r in records:
+        if radius is None:
+            keep = [not t for t in r["touches"]]
+        else:
+            keep = [not t and d < radius for t, d in zip(r["touches"], r["dmax"])]
+        yield from compress(r[key], keep)
+
+
+def mean_stderr(values):
+    """Mean and standard error along the first axis (floats for 1-D input);
+    a single value has standard error 0."""
+    arr = np.asarray(values, dtype=np.float64)
+    mean = arr.mean(axis=0)
+    if len(arr) > 1:
+        err = arr.std(axis=0, ddof=1) / math.sqrt(len(arr))
+    else:
+        err = np.zeros(arr.shape[1:])
+    if arr.ndim == 1:
+        return float(mean), float(err)
+    return mean, err
+
+
+def _ball_volume(dim: int, radius: float) -> float:
+    if dim == 2:
+        return math.pi * radius * radius
+    return 4.0 * math.pi * radius**3 / 3.0
+
+
+def _reference_volume(grid) -> float:
+    if isinstance(grid, LatLongSphere):
+        return 4.0 * math.pi
+    if isinstance(grid, Torus):
+        return grid.side**grid.dim
+    return grid.side**2
+
+
+def fold_psi(records, radius=None, volume_scale: float = 1.0) -> EmpiricalCdf:
+    """Empirical CDF of (scaled) interior domain areas, within `radius` of
+    the records' center when given."""
+    values = np.fromiter(_interior(records, "areas", radius), np.float64) * volume_scale
+    if values.size == 0:
+        raise ValueError("no interior domains in the requested window; nothing to estimate")
+    return EmpiricalCdf.from_values(values)
+
+
+def fold_boundary(records, radius=None):
+    """Perimeter CDF and the sorted joint (area, perimeter) sample of the
+    interior domains, restricted like fold_psi."""
+    areas = list(_interior(records, "areas", radius))
+    perims = list(_interior(records, "perimeters", radius))
+    if not perims:
+        raise ValueError("no interior domains in the requested window; nothing to estimate")
+    return EmpiricalCdf.from_values(perims), sorted(zip(areas, perims))
+
+
+def fold_ns(records, radii, dim: int) -> NsEstimate:
+    """Mean of N(F; R) / Vol B(R) per radius, counting the domains whose
+    `dmax` is below R."""
+    radii = sorted(float(r) for r in radii)
+    ratios = np.empty((len(records), len(radii)))
+    for i, record in enumerate(records):
+        dmax = np.asarray(record["dmax"], dtype=np.float64)
+        for j, radius in enumerate(radii):
+            ratios[i, j] = np.count_nonzero(dmax < radius) / _ball_volume(dim, radius)
+    means, errs = mean_stderr(ratios)
+    return NsEstimate(
+        radii=radii,
+        ratio_means=means.tolist(),
+        ratio_stderrs=errs.tolist(),
+        pooled=float(means[-1]),
+        pooled_stderr=float(errs[-1]),
+    )
+
+
+def fold_nodal_length(records, grid) -> tuple[float, float]:
+    """Mean and stderr of total crossing length per unit grid volume."""
+    volume = _reference_volume(grid)
+    return mean_stderr([r["nodal_length"] / volume for r in records])
+
+
+def fold_faber_krahn(records, ids, margin: float = 0.10, dim: int = 2) -> dict:
+    """Minimum interior domain area against the eigenvalue-1 area floor.
+
+    `ids` holds one (master_seed, index) per record.  A violation is an
+    interior domain with area below (1 - margin) times the floor, listed as
+    [master_seed, index, label, area]; `min_area` is None when no domain is
+    interior.
+    """
+    if not (0.0 < margin < 1.0):
+        raise ValueError("margin must be in (0, 1)")
+    floor = faber_krahn_floor(dim)
+    bound = (1.0 - margin) * floor
+    min_area = None
+    violations = []
+    for (seed, index), record in zip(ids, records):
+        for label, (area, touches) in enumerate(zip(record["areas"], record["touches"])):
+            if touches:
+                continue
+            if min_area is None or area < min_area:
+                min_area = area
+            if area < bound:
+                violations.append([seed, index, label, area])
+    return {"floor": floor, "margin": margin, "min_area": min_area, "violations": violations}
 
 
 def psi_estimate(
@@ -172,22 +327,8 @@ def psi_estimate(
     """
     if volume_scale <= 0:
         raise ValueError("volume scale must be positive")
-    _check_same_ensemble(decs)
-    chunks = []
-    for dec in decs:
-        areas = dec.areas()
-        idx = _interior_in_ball(dec, window)
-        chunks.append(areas[idx])
-    values = np.concatenate(chunks) * volume_scale
-    if values.size == 0:
-        raise ValueError("no interior domains in the requested window; nothing to estimate")
-    return EmpiricalCdf.from_values(values)
-
-
-def _ball_volume(dim: int, radius: float) -> float:
-    if dim == 2:
-        return math.pi * radius * radius
-    return 4.0 * math.pi * radius**3 / 3.0
+    records = _records(decs, ("areas", "touches"), window)
+    return fold_psi(records, None if window is None else window[1], volume_scale)
 
 
 def ns_constant_estimate(
@@ -212,24 +353,8 @@ def ns_constant_estimate(
             for c in center:
                 if c - radius < -1e-9 or c + radius > grid.side + 1e-9:
                     raise ValueError(f"ball of radius {radius} does not fit in the window")
-    dim = decs[0].labels.ndim
-    ratios = np.empty((len(decs), len(radii)))
-    for i, dec in enumerate(decs):
-        _, dmax = domain_distance_extrema(dec, center)
-        for j, radius in enumerate(radii):
-            ratios[i, j] = np.count_nonzero(dmax < radius) / _ball_volume(dim, radius)
-    means = ratios.mean(axis=0)
-    if len(decs) > 1:
-        errs = ratios.std(axis=0, ddof=1) / math.sqrt(len(decs))
-    else:
-        errs = np.zeros(len(radii))
-    return NsEstimate(
-        radii=radii,
-        ratio_means=means.tolist(),
-        ratio_stderrs=errs.tolist(),
-        pooled=float(means[-1]),
-        pooled_stderr=float(errs[-1]),
-    )
+    records = [census_record(dec, center, ("dmax",)) for dec in decs]
+    return fold_ns(records, radii, decs[0].labels.ndim)
 
 
 def _lattice_offsets(grid, r: float):
@@ -335,46 +460,22 @@ def faber_krahn_check(decs: list[NodalDecomposition], margin: float = 0.10):
     area below (1 - margin) times the floor, reported as
     (master_seed, stream_id, label, area).
     """
-    if not (0.0 < margin < 1.0):
-        raise ValueError("margin must be in (0, 1)")
-    _check_same_ensemble(decs)
-    floor = faber_krahn_floor(decs[0].labels.ndim)
-    bound = (1.0 - margin) * floor
-    min_area = math.inf
-    violations = []
-    seen = 0
+    records = _records(decs, ("areas", "touches"))
+    ids = []
     for dec in decs:
         stream = dec.sample.stream
-        seed = stream.master_seed if stream else None
-        index = stream.stream_id if stream else None
-        for rec in dec.domains:
-            if rec.touches_window:
-                continue
-            seen += 1
-            min_area = min(min_area, rec.area)
-            if rec.area < bound:
-                violations.append((seed, index, rec.label, rec.area))
-    if seen == 0:
+        ids.append((stream.master_seed, stream.stream_id) if stream else (None, None))
+    fk = fold_faber_krahn(records, ids, margin, decs[0].labels.ndim)
+    if fk["min_area"] is None:
         raise ValueError("no interior domains; minimum area undefined")
-    return min_area, violations
+    return fk["min_area"], [tuple(v) for v in fk["violations"]]
 
 
 def boundary_and_joint_distributions(decs: list[NodalDecomposition], window=None):
     """Perimeter CDF and the joint (area, perimeter) sample, interior domains
     only, optionally restricted to a (center, R) ball like psi_estimate."""
-    _check_same_ensemble(decs)
-    perims = []
-    pairs = []
-    for dec in decs:
-        measure_domains(dec)
-        idx = _interior_in_ball(dec, window)
-        for i in idx.tolist():
-            rec = dec.domains[i]
-            perims.append(rec.perimeter)
-            pairs.append((rec.area, rec.perimeter))
-    if not perims:
-        raise ValueError("no interior domains in the requested window; nothing to estimate")
-    return EmpiricalCdf.from_values(perims), sorted(pairs)
+    records = _records(decs, ("areas", "perimeters", "touches"), window)
+    return fold_boundary(records, None if window is None else window[1])
 
 
 def ks_distance(a: EmpiricalCdf, b: EmpiricalCdf) -> float:
@@ -385,21 +486,6 @@ def ks_distance(a: EmpiricalCdf, b: EmpiricalCdf) -> float:
     return float(np.max(np.abs(a.evaluate(merged) - b.evaluate(merged))))
 
 
-def _reference_area(grid) -> float:
-    if isinstance(grid, LatLongSphere):
-        return 4.0 * math.pi
-    if isinstance(grid, Torus):
-        return grid.side**grid.dim
-    return grid.side**2
-
-
 def nodal_length_density(decs: list[NodalDecomposition]) -> tuple[float, float]:
     """Mean and stderr of total crossing length per unit area."""
-    _check_same_ensemble(decs)
-    vals = []
-    for dec in decs:
-        measure_domains(dec)
-        vals.append(dec.total_nodal_length / _reference_area(dec.sample.grid))
-    arr = np.asarray(vals)
-    err = arr.std(ddof=1) / math.sqrt(arr.size) if arr.size > 1 else 0.0
-    return float(arr.mean()), float(err)
+    return fold_nodal_length(_records(decs, ("nodal_length",)), decs[0].sample.grid)

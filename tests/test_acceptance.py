@@ -183,11 +183,11 @@ def test_criterion_09_labeling_matches_flood_fill():
 
 
 def test_criterion_10_perturbation_scaling(desk_grid, desk_ensemble):
-    sample = desk_ensemble[0].sample
+    dec = desk_ensemble[0]
     direction = sample_field(PlaneWave2D(), desk_grid, RngStream(DESK_SEED, 2**32))
     medians = []
     for b in (1e-3, 5e-4):
-        deltas = [delta for _, _, delta, _ in perturbation_stability(sample, direction, b)]
+        deltas = [delta for _, _, delta, _ in perturbation_stability(dec, direction, b)]
         medians.append(float(np.median(deltas)))
     ratio = medians[0] / medians[1]
     assert 1.5 <= ratio <= 2.5, f"median area-change ratio {ratio:.3f} (medians {medians})"

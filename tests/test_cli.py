@@ -4,9 +4,20 @@ import math
 
 import pytest
 
-from nodal_census import label_domains, load_field, measure_domains
+from nodal_census import (
+    PlanarWindow,
+    PlaneWave2D,
+    RngStream,
+    engine,
+    faber_krahn_check,
+    label_domains,
+    load_field,
+    measure_domains,
+    sample_field,
+)
 from nodal_census.cli import main, parse_length
-from nodal_census.io import domain_table_csv, read_json, write_json
+from nodal_census.io import domain_table_csv, read_json, text_sha256, write_json
+from nodal_census.sampler import build_plane_wave_basis
 
 ALL_COMMANDS = (
     "sample", "nodal", "psi", "ns", "sandwich", "faber-krahn", "sphere-compare", "report",
@@ -139,6 +150,56 @@ def test_faber_krahn_small_run(tmp_path, capsys):
 def test_faber_krahn_margin_guard(tmp_path):
     assert main(["faber-krahn", "--window", "9pi", "--M", "1",
                  "--out", str(tmp_path / "x"), "--margin", "1.5"]) == 2
+
+
+def test_faber_krahn_rejects_non_planar_models(tmp_path, capsys):
+    sphere, torus = tmp_path / "sphere", tmp_path / "torus"
+    assert main(["faber-krahn", "--model", "sphere", "--degree", "4", "--M", "1",
+                 "--out", str(sphere)]) == 2
+    assert main(["faber-krahn", "--model", "torus", "--window", "9pi", "--M", "1",
+                 "--out", str(torus)]) == 2
+    assert "planar windows" in capsys.readouterr().err
+    assert not sphere.exists() and not torus.exists()
+
+
+def test_faber_krahn_ignores_stale_sidecar(tmp_path, capsys, monkeypatch):
+    # Realization 1 fails, so the sidecar pair already on disk for it is not
+    # part of the report; its forged tiny area must not reach the minimum.
+    def hook(index):
+        if index == 1:
+            raise RuntimeError("injected")
+
+    monkeypatch.setattr(engine, "_TEST_FAILURE_HOOK", hook)
+    out = tmp_path / "run"
+    (out / "realizations").mkdir(parents=True)
+    stale = (
+        "label,sign,area,perimeter,boundary_components,touches_window\n"
+        "0,+,0.001,0.1,1,false\n"
+    )
+    (out / "realizations" / "00001.csv").write_text(stale)
+    write_json(out / "realizations" / "00001.json", {
+        "index": 1,
+        "master_seed": 3,
+        "csv_sha256": text_sha256(stale),
+        "payload": {"areas": [1e-3], "perimeters": [0.1], "touches": [False], "dmax": [1.0],
+                    "nodal_length": 0.1, "checks": {}},
+    })
+
+    assert main(["faber-krahn", "--window", "9pi", "--M", "10", "--seed", "3",
+                 "--out", str(out), "--json"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+
+    grid = PlanarWindow(side=parse_length("9pi"), spacing=parse_length("2pi/10"))
+    basis = build_plane_wave_basis(grid)
+    decs = [
+        label_domains(sample_field(PlaneWave2D(), grid, RngStream(3, i), basis=basis))
+        for i in range(10)
+        if i != 1
+    ]
+    min_area, violations = faber_krahn_check(decs, margin=0.10)
+    assert summary["realizations"] == 9
+    assert summary["min_area"] == min_area
+    assert summary["violations"] == [list(v) for v in violations]
 
 
 def test_report_reaggregates(tmp_path, capsys):

@@ -9,13 +9,24 @@ from nodal_census import (
     LatLongSphere,
     PlanarWindow,
     PlaneWave2D,
+    RngStream,
     SphericalHarmonic,
+    boundary_and_joint_distributions,
+    faber_krahn_check,
+    label_domains,
     load_field,
+    measure_domains,
+    nodal_length_density,
+    ns_constant_estimate,
+    psi_estimate,
     resume_ensemble,
     run_ensemble,
+    sample_field,
 )
 from nodal_census import engine
-from nodal_census.io import canonical_json, read_json
+from nodal_census.io import canonical_json, joint_csv, read_json
+from nodal_census.nodal import default_center
+from nodal_census.sampler import build_plane_wave_basis
 
 GRID = PlanarWindow(side=9 * math.pi, spacing=2 * math.pi / 10)
 
@@ -190,3 +201,29 @@ def test_psi_window_default_hugs_the_boundary(tmp_path):
     assert config.effective_psi_radius() == pytest.approx(
         0.5 * GRID.side - 2.0 * GRID.spacing
     )
+
+
+def test_report_folds_like_the_library(tmp_path):
+    # One fold behind both: the report and its exports equal the library
+    # estimators on the same decompositions, exactly.
+    a = tmp_path / "a"
+    config = _config(a, realizations=3, checks=("faber_krahn",), thresholds=())
+    run_ensemble(config)
+    report = read_json(a / "report.json")
+
+    basis = build_plane_wave_basis(GRID)
+    samples = [sample_field(config.model, GRID, RngStream(3, i), basis=basis) for i in range(3)]
+    decs = [measure_domains(label_domains(sample)) for sample in samples]
+    window = (default_center(GRID), config.effective_psi_radius())
+
+    psi = psi_estimate(decs, window=window).to_dict()
+    assert {key: report["psi"][key] for key in psi} == psi
+    perimeters, pairs = boundary_and_joint_distributions(decs, window=window)
+    assert report["boundary"] == perimeters.to_dict()
+    assert (a / "joint.csv").read_text() == joint_csv(pairs)
+    assert report["ns"] == ns_constant_estimate(decs, config.radii).to_dict()
+    mean, stderr = nodal_length_density(decs)
+    assert report["nodal_length_density"] == {"mean": mean, "stderr": stderr}
+    min_area, violations = faber_krahn_check(decs, margin=0.10)
+    assert report["checks"]["faber_krahn"]["min_area"] == min_area
+    assert report["checks"]["faber_krahn"]["violations"] == [list(v) for v in violations]

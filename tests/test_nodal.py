@@ -155,32 +155,32 @@ def test_nesting_boundary_cut_domains():
 
 
 def test_perturbation_zero_is_identity(mini_ensemble):
-    sample = mini_ensemble[0].sample
-    direction = sample_field(PlaneWave2D(), sample.grid, RngStream(3, 2**32))
-    for label, match, delta, perimeter in perturbation_stability(sample, direction, 0.0):
+    dec = mini_ensemble[0]
+    direction = sample_field(PlaneWave2D(), dec.sample.grid, RngStream(3, 2**32))
+    for label, match, delta, perimeter in perturbation_stability(dec, direction, 0.0):
         assert match == label
         assert delta == 0.0
         assert perimeter > 0.0
 
 
 def test_perturbation_small_shift_stays_subcell(mini_ensemble):
-    sample = mini_ensemble[0].sample
-    direction = sample_field(PlaneWave2D(), sample.grid, RngStream(3, 2**32))
-    result = perturbation_stability(sample, direction, 1e-3)
+    dec = mini_ensemble[0]
+    direction = sample_field(PlaneWave2D(), dec.sample.grid, RngStream(3, 2**32))
+    result = perturbation_stability(dec, direction, 1e-3)
     assert result
-    h = sample.grid.spacing
+    h = dec.sample.grid.spacing
     assert all(delta < h * h for _, _, delta, _ in result)
 
 
 def test_perturbation_rejects_bad_arguments(mini_ensemble):
-    sample = mini_ensemble[0].sample
-    direction = sample_field(PlaneWave2D(), sample.grid, RngStream(3, 2**32))
+    dec = mini_ensemble[0]
+    direction = sample_field(PlaneWave2D(), dec.sample.grid, RngStream(3, 2**32))
     with pytest.raises(ValueError, match=">= 0"):
-        perturbation_stability(sample, direction, -1e-3)
+        perturbation_stability(dec, direction, -1e-3)
     other = sample_field(PlaneWave2D(), PlanarWindow(side=2 * math.pi, spacing=2 * math.pi / 10),
                          RngStream(3, 2**32))
     with pytest.raises(ValueError, match="share"):
-        perturbation_stability(sample, other, 1e-3)
+        perturbation_stability(dec, other, 1e-3)
 
 
 def test_critical_cells_bound_domain_count(mini_ensemble):

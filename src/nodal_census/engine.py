@@ -2,8 +2,9 @@
 
 A run directory holds `manifest.json` (config echo, config hash, version),
 `realizations/#####.csv` (the pinned per-domain tables), `realizations/
-#####.json` (per-realization sidecars carrying the table checksum and, as
-payload, the census record of `stats.census_record` plus the check results),
+#####.json` (per-realization sidecars carrying the config hash, the table
+checksum and, as payload, the census record of `stats.census_record` plus
+the check results),
 `report.json`, and the CSV exports.  The report payload is a pure fold of the
 sidecar payloads sorted by index, through the same `stats` estimators the
 library calls, so it is byte-identical across execution orders, worker
@@ -40,6 +41,7 @@ from .io import (
     text_sha256,
     write_field,
     write_json,
+    write_text,
 )
 from .nodal import label_domains, measure_domains, perturbation_stability
 from .sampler import (
@@ -295,11 +297,11 @@ def _realize(config: EnsembleConfig, index: int, basis) -> tuple[str, dict]:
 
 def _persist(outdir: Path, config: EnsembleConfig, index: int, csv_text: str, payload: dict) -> None:
     csv_path, json_path = _realization_paths(outdir, index)
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write(csv_text)
+    write_text(csv_path, csv_text)
     sidecar = {
         "index": index,
         "master_seed": config.master_seed,
+        "config_hash": config.config_hash(),
         "csv_sha256": text_sha256(csv_text),
         "payload": payload,
     }
@@ -413,13 +415,10 @@ def _assemble(
         },
     }
     write_json(outdir / "report.json", report)
-    with open(outdir / "psi.csv", "w", newline="\n") as fh:
-        fh.write(psi_csv(psi))
-    with open(outdir / "joint.csv", "w", newline="\n") as fh:
-        fh.write(joint_csv(pairs))
+    write_text(outdir / "psi.csv", psi_csv(psi))
+    write_text(outdir / "joint.csv", joint_csv(pairs))
     if ns is not None:
-        with open(outdir / "ns.csv", "w", newline="\n") as fh:
-            fh.write(ns_csv(ns))
+        write_text(outdir / "ns.csv", ns_csv(ns))
     if "sandwich" in config.checks:
         verdicts = [
             SandwichVerdict(
@@ -430,8 +429,7 @@ def _assemble(
             for p in ordered
             for v in p["checks"]["sandwich"]["verdicts"]
         ]
-        with open(outdir / "sandwich.csv", "w", newline="\n") as fh:
-            fh.write(sandwich_csv(verdicts))
+        write_text(outdir / "sandwich.csv", sandwich_csv(verdicts))
     return EnsembleReport(
         config=config, report=report, psi=psi, boundary=boundary, ns=ns, output_dir=outdir,
         records=ordered,
@@ -455,9 +453,10 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleReport:
 def resume_ensemble(config: EnsembleConfig, partial_dir) -> EnsembleReport:
     """Complete a partial run: recompute only missing or corrupted realizations.
 
-    The partial directory must carry a manifest whose config hash matches;
-    a sidecar whose stored checksum disagrees with its table is treated as
-    missing, so tampered realizations are recomputed.
+    The partial directory must carry a manifest whose config hash matches.
+    A sidecar that cannot be parsed, that was written for another config, or
+    whose stored checksum disagrees with its table is treated as missing, so
+    torn, stale and tampered realizations are recomputed.
     """
     config.validate()
     outdir = Path(partial_dir)
@@ -465,18 +464,22 @@ def resume_ensemble(config: EnsembleConfig, partial_dir) -> EnsembleReport:
     if not manifest_path.exists():
         raise ValueError(f"{outdir} has no manifest.json to resume from")
     manifest = read_json(manifest_path)
-    if manifest.get("config_hash") != config.config_hash():
+    config_hash = config.config_hash()
+    if manifest.get("config_hash") != config_hash:
         raise ValueError(
             f"config hash mismatch: manifest has {manifest.get('config_hash')}, "
-            f"resume config hashes to {config.config_hash()}"
+            f"resume config hashes to {config_hash}"
         )
     reuse = {}
     for i in range(config.realizations):
         csv_path, json_path = _realization_paths(outdir, i)
         if not (csv_path.exists() and json_path.exists()):
             continue
-        sidecar = read_json(json_path)
-        if sidecar.get("index") != i:
+        try:
+            sidecar = read_json(json_path)
+        except ValueError:
+            continue
+        if sidecar.get("index") != i or sidecar.get("config_hash") != config_hash:
             continue
         if sidecar.get("csv_sha256") != file_sha256(csv_path):
             continue

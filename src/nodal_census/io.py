@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -24,6 +25,7 @@ __all__ = [
     "FNV_PRIME",
     "fnv1a64",
     "canonical_json",
+    "write_text",
     "write_json",
     "read_json",
     "parse_float_token",
@@ -83,11 +85,19 @@ def canonical_json(obj) -> str:
                       ensure_ascii=True, allow_nan=False)
 
 
-def write_json(path, obj) -> None:
-    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2,
-                      ensure_ascii=True, allow_nan=False) + "\n"
-    with open(path, "w", newline="\n") as fh:
+def write_text(path, text: str) -> None:
+    """Write `text` to a sibling temp file, then move it over `path`, so a
+    crash mid-write leaves either the old file or none, never a torn one."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", newline="\n") as fh:
         fh.write(text)
+    os.replace(tmp, path)
+
+
+def write_json(path, obj) -> None:
+    write_text(path, json.dumps(_jsonable(obj), sort_keys=True, indent=2,
+                                ensure_ascii=True, allow_nan=False) + "\n")
 
 
 def read_json(path):
@@ -188,8 +198,7 @@ def domain_table_csv(dec) -> str:
 
 
 def write_domain_table(dec, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(domain_table_csv(dec))
+    write_text(path, domain_table_csv(dec))
 
 
 def psi_csv(cdf) -> str:

@@ -2,7 +2,10 @@
 
 A decomposition labels every grid node with its connected sign component
 (4-connectivity, 6 in three dimensions; value exactly 0 counts as positive)
-and then measures each domain:
+and then measures each domain.  One connected-components routine,
+`_components`, finds both the domains (over same-sign node pairs) and the
+crossing contours (over the crossing points each segment joins), and also
+decides whether the nesting graph is a forest.  The measures:
 
 * area: member-node count times cell volume (exact per-cell solid angles on
   the sphere), the primary estimator;
@@ -110,37 +113,27 @@ def _wrap_axes(grid: GridSpec) -> tuple[bool, ...]:
     return (False, False)
 
 
-def _union_find_labels(shape, edges_u: np.ndarray, edges_v: np.ndarray) -> np.ndarray:
-    """Connected components over explicit edges; labels numbered 0..K-1 in
-    row-major order of first appearance."""
-    n = int(np.prod(shape))
-    parent = list(range(n))
-    size = [1] * n
-    for u, v in zip(edges_u.tolist(), edges_v.tolist()):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        if u == v:
-            continue
-        if size[u] < size[v]:
-            u, v = v, u
-        parent[v] = u
-        size[u] += size[v]
-    roots = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        r = i
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]
-            r = parent[r]
-        roots[i] = r
-    uniq, first = np.unique(roots, return_index=True)
-    rank = np.empty(uniq.shape[0], dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(uniq.shape[0])
-    labels = rank[np.searchsorted(uniq, roots)]
-    return labels.reshape(shape).astype(np.int32)
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Connected components of the graph on nodes 0..n-1 with edges (u, v).
+
+    Labels 0..K-1 number the components in order of their smallest node.
+    Hook and pointer jump (Shiloach & Vishkin, J. Algorithms 3, 1982): each
+    root hooks to the smallest root it touches, pointer jumping flattens the
+    trees, and the rounds repeat until every edge joins equal roots.  A
+    parent is never larger than its child, so each root ends as the smallest
+    node of its component.
+    """
+    root = np.arange(n)
+    ru, rv = u, v
+    while np.count_nonzero(ru != rv):
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        jumped = root[root]
+        while np.count_nonzero(jumped != root):
+            root = jumped
+            jumped = root[root]
+        ru, rv = root[u], root[v]
+    rank = (root == np.arange(n)).cumsum() - 1
+    return rank[root]
 
 
 def label_domains(sample: FieldSample) -> NodalDecomposition:
@@ -176,7 +169,8 @@ def label_domains(sample: FieldSample) -> NodalDecomposition:
             same = pos[tuple(last)] == pos[tuple(first)]
             us.append(idx[tuple(last)][same])
             vs.append(idx[tuple(first)][same])
-    labels = _union_find_labels(v.shape, np.concatenate(us), np.concatenate(vs))
+    labels = _components(v.size, np.concatenate(us), np.concatenate(vs))
+    labels = labels.reshape(v.shape).astype(np.int32)
     domains = _count_records(sample, labels, pos)
     conn = "6-connected" if v.ndim == 3 else "4-connected"
     return NodalDecomposition(sample=sample, labels=labels, domains=domains, connectivity=conn)
@@ -187,8 +181,10 @@ def _count_records(sample: FieldSample, labels: np.ndarray, pos: np.ndarray) -> 
     flat = labels.ravel()
     counts = np.bincount(flat)
     k = counts.shape[0]
-    first = np.unique(flat, return_index=True)[1]
-    signs = np.where(pos.ravel()[first], 1, -1)
+    # every node of a domain carries the domain's sign
+    positive = np.empty(k, dtype=bool)
+    positive[flat] = pos.ravel()
+    signs = np.where(positive, 1, -1)
 
     if isinstance(grid, LatLongSphere):
         w = np.broadcast_to(grid.row_cell_areas()[:, None], grid.shape)
@@ -200,7 +196,7 @@ def _count_records(sample: FieldSample, labels: np.ndarray, pos: np.ndarray) -> 
     if isinstance(grid, PlanarWindow):
         edge = np.zeros(labels.shape, dtype=bool)
         edge[0, :] = edge[-1, :] = edge[:, 0] = edge[:, -1] = True
-        touches[np.unique(labels[edge])] = True
+        touches[labels[edge]] = True
 
     return [
         DomainRecord(
@@ -322,24 +318,10 @@ def measure_domains(dec: NodalDecomposition) -> NodalDecomposition:
     perimeter = [0.0] * k
     ref = refined.tolist()
     total_len = 0.0
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        r = x
-        while parent.get(r, r) != r:
-            r = parent[r]
-        while parent.get(x, x) != r:
-            parent[x], x = r, parent[x]
-        return r
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-
-    segments: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+    # `ends` holds each segment's two crossing-point edge ids, `segments` its
+    # (positive labels, negative labels)
+    ends: list[int] = []
+    segments: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     hypot = math.hypot
 
     for i in range(len(pat)):
@@ -374,11 +356,11 @@ def measure_domains(dec: NodalDecomposition) -> NodalDecomposition:
                 perimeter[lab_i] += seg_len
                 for labc in channel:
                     perimeter[labc] += seg_len
-                union(e1, e2)
+                ends += (e1, e2)
                 if iso_positive:
-                    segments.append((e1, (lab_i,), channel))
+                    segments.append(((lab_i,), channel))
                 else:
-                    segments.append((e1, channel, (lab_i,)))
+                    segments.append((channel, (lab_i,)))
                 ref[lab_i] += tri * ca
                 tri_total += tri
             rest = (1.0 - tri_total) * ca
@@ -430,35 +412,37 @@ def measure_domains(dec: NodalDecomposition) -> NodalDecomposition:
         total_len += seg_len
         perimeter[one] += seg_len
         perimeter[other] += seg_len
-        union(e1, e2)
+        ends += (e1, e2)
         one_positive = p in (1, 2, 4, 8, 3, 9)
         # `one` is the label on the A/B/C/D-arc side listed above; its sign
         # follows from the pattern: cut-off patterns 1,2,4,8 isolate a positive
         # corner, 9 puts +A on the `one` side, 3 puts +A,B there.
         if one_positive:
-            segments.append((e1, (one,), (other,)))
+            segments.append(((one,), (other,)))
         else:
-            segments.append((e1, (other,), (one,)))
+            segments.append(((other,), (one,)))
         ref[one] += frac * ca
         ref[other] += (1.0 - frac) * ca
 
-    contour_of: dict[int, int] = {}
+    # contours are the components of the segments over their crossing
+    # points, numbered by smallest edge id
+    ids, point = np.unique(np.array(ends, dtype=np.int64), return_inverse=True)
+    contour = _components(ids.shape[0], point[0::2], point[1::2])
+    n_contours = int(contour.max(initial=-1)) + 1
     label_contours: list[set[int]] = [set() for _ in range(k)]
-    plus_by_contour: dict[int, set[int]] = {}
-    minus_by_contour: dict[int, set[int]] = {}
-    for e1, plus, minus in segments:
-        r = find(e1)
-        contour_of[r] = r
+    plus_by_contour: list[set[int]] = [set() for _ in range(n_contours)]
+    minus_by_contour: list[set[int]] = [set() for _ in range(n_contours)]
+    for c, (plus, minus) in zip(contour[point[0::2]].tolist(), segments):
         for lab_i in plus:
-            label_contours[lab_i].add(r)
-            plus_by_contour.setdefault(r, set()).add(lab_i)
+            label_contours[lab_i].add(c)
+            plus_by_contour[c].add(lab_i)
         for lab_i in minus:
-            label_contours[lab_i].add(r)
-            minus_by_contour.setdefault(r, set()).add(lab_i)
+            label_contours[lab_i].add(c)
+            minus_by_contour[c].add(lab_i)
 
     dec.contour_adjacency = [
-        (tuple(sorted(plus_by_contour.get(r, ()))), tuple(sorted(minus_by_contour.get(r, ()))))
-        for r in sorted(contour_of)
+        (tuple(sorted(plus)), tuple(sorted(minus)))
+        for plus, minus in zip(plus_by_contour, minus_by_contour)
     ]
     for rec in dec.domains:
         rec.perimeter = perimeter[rec.label]
@@ -589,23 +573,14 @@ def nesting_graph(dec: NodalDecomposition) -> NestingGraph:
 def nesting_is_forest(dec: NodalDecomposition) -> bool:
     """True when the nesting edges among interior domains contain no cycle."""
     graph = nesting_graph(dec)
-    interior = np.array([not d.touches_window for d in dec.domains])
-    parent = list(range(len(dec.domains)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in graph.edges:
-        if not (interior[a] and interior[b]):
-            continue
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[rb] = ra
-    return True
+    interior = [not d.touches_window for d in dec.domains]
+    edges = np.array(
+        [(a, b) for a, b in graph.edges if interior[a] and interior[b]], dtype=np.int64
+    ).reshape(-1, 2)
+    # a simple graph is a forest exactly when #edges == #nodes - #components
+    k = len(dec.domains)
+    n_components = int(_components(k, edges[:, 0], edges[:, 1]).max()) + 1
+    return edges.shape[0] == k - n_components
 
 
 def _combine_coeffs(model, c1: dict | None, c2: dict | None, b: float) -> dict | None:

@@ -2,13 +2,15 @@
 
 Everything here deliberately avoids the package's own numerics: Bessel
 values and zeros come from mpmath at 30 digits, integrals from scipy
-quadrature, and grid labeling from a recursive flood fill.
+quadrature, grid labeling from a recursive flood fill, and graph components
+from breadth-first search.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import deque
 
 import mpmath as mp
 import numpy as np
@@ -89,4 +91,27 @@ def flood_fill_labels(signs: np.ndarray) -> np.ndarray:
             if labels[i, j] == -1:
                 fill(i, j, nxt, signs[i, j])
                 nxt += 1
+    return labels
+
+
+def bfs_components(n: int, edges) -> np.ndarray:
+    """Component labels of the graph on nodes 0..n-1 by breadth-first search,
+    numbered in order of each component's smallest node."""
+    adjacent = [[] for _ in range(n)]
+    for a, b in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    labels = np.full(n, -1, dtype=np.int64)
+    nxt = 0
+    for start in range(n):
+        if labels[start] != -1:
+            continue
+        labels[start] = nxt
+        queue = deque([start])
+        while queue:
+            for y in adjacent[queue.popleft()]:
+                if labels[y] == -1:
+                    labels[y] = nxt
+                    queue.append(y)
+        nxt += 1
     return labels

@@ -207,6 +207,8 @@ def test_report_reaggregates(tmp_path, capsys):
     assert main(["psi", "--window", "9pi", "--M", "2", "--seed", "3",
                  "--out", str(out), "--format", "csv-only"]) == 0
     capsys.readouterr()
+    torn = out / "realizations" / "00001.json"
+    torn.write_bytes(torn.read_bytes()[: torn.stat().st_size // 2])
     assert main(["report", "--dir", str(out)]) == 0
     text = capsys.readouterr().out
     assert "realizations: 2" in text

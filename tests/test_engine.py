@@ -24,7 +24,7 @@ from nodal_census import (
     sample_field,
 )
 from nodal_census import engine
-from nodal_census.io import canonical_json, joint_csv, read_json
+from nodal_census.io import canonical_json, joint_csv, read_json, text_sha256, write_json
 from nodal_census.nodal import default_center
 from nodal_census.sampler import build_plane_wave_basis
 
@@ -98,12 +98,46 @@ def test_resume_recomputes_missing_and_tampered(tmp_path):
     (a / "realizations" / "00002.csv").unlink()
     tampered = a / "realizations" / "00001.csv"
     tampered.write_text(tampered.read_text() + "999,+,1.0,1.0,1,false\n")
+    # a sidecar torn by a crash mid-write counts as missing
+    torn = a / "realizations" / "00003.json"
+    torn.write_bytes(torn.read_bytes()[: torn.stat().st_size // 2])
 
     resume_ensemble(_config(a, realizations=4), a)
     assert _stripped(a) == _stripped(b)
     assert (a / "realizations" / "00001.csv").read_bytes() == (
         b / "realizations" / "00001.csv"
     ).read_bytes()
+
+
+def test_resume_ignores_sidecar_of_another_config(tmp_path, monkeypatch):
+    # Realization 1 fails, leaving its slot to a forged sidecar from another
+    # seed whose table checksum matches; resume must recompute it.
+    a, b = tmp_path / "a", tmp_path / "b"
+    config = _config(a, realizations=10, checks=(), radii=(), thresholds=())
+
+    def hook(index):
+        if index == 1:
+            raise RuntimeError("injected")
+
+    monkeypatch.setattr(engine, "_TEST_FAILURE_HOOK", hook)
+    run_ensemble(config)
+    monkeypatch.setattr(engine, "_TEST_FAILURE_HOOK", None)
+    stale = (
+        "label,sign,area,perimeter,boundary_components,touches_window\n"
+        "0,+,0.001,0.1,1,false\n"
+    )
+    (a / "realizations" / "00001.csv").write_text(stale)
+    write_json(a / "realizations" / "00001.json", {
+        "index": 1,
+        "master_seed": 99,
+        "csv_sha256": text_sha256(stale),
+        "payload": {"areas": [1e-3], "perimeters": [0.1], "touches": [False], "dmax": [1.0],
+                    "nodal_length": 0.1, "checks": {}},
+    })
+
+    resume_ensemble(config, a)
+    run_ensemble(_config(b, realizations=10, checks=(), radii=(), thresholds=()))
+    assert _stripped(a) == _stripped(b)
 
 
 def test_resume_complete_run_never_samples(tmp_path, monkeypatch):

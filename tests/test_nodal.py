@@ -5,6 +5,8 @@ import pytest
 
 import oracles
 from nodal_census import (
+    DomainRecord,
+    NodalDecomposition,
     PlanarWindow,
     PlaneWave2D,
     RngStream,
@@ -19,7 +21,30 @@ from nodal_census import (
     sample_field,
     synthetic_sample,
 )
-from nodal_census.nodal import default_center
+from nodal_census.nodal import _components, default_center
+
+
+def _graph_cases():
+    rng = np.random.default_rng(11)
+    for n, m in ((1, 0), (9, 0), (60, 40), (300, 200), (300, 600), (2000, 1900)):
+        yield pytest.param(n, rng.integers(0, n, size=(m, 2)), id=f"random-{n}-{m}")
+    n = 101
+    zigzag = [n - 1 - i // 2 if i % 2 else i // 2 for i in range(n)]  # 0, n-1, 1, n-2, ...
+    yield pytest.param(n, list(zip(zigzag, zigzag[1:])), id="zigzag-path")
+    yield pytest.param(40, [(39, i) for i in range(39)], id="star-largest-centre")
+    yield pytest.param(
+        13,
+        [(0, 1), (1, 2), (2, 0), (5, 5), (3, 4), (4, 3), (3, 4), (9, 7), (8, 9), (7, 8), (12, 12)],
+        id="cycles-loops-duplicates",
+    )
+    yield pytest.param(6, [(4, 1)], id="isolated-nodes")
+
+
+@pytest.mark.parametrize("n, edges", _graph_cases())
+def test_components_match_breadth_first_search(n, edges):
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    labels = _components(n, edges[:, 0], edges[:, 1])
+    np.testing.assert_array_equal(labels, oracles.bfs_components(n, edges.tolist()))
 
 
 def _sinsin_torus(side, spacing, dim=2):
@@ -142,6 +167,29 @@ def test_nesting_annuli_form_a_path():
     assert graph.edges == [(0, 1), (1, 2), (2, 3)]
     assert sorted(graph.degrees.tolist()) == [1, 1, 2, 2]
     assert not graph.interior
+    assert nesting_is_forest(dec)
+
+
+def test_nesting_cycle_is_not_a_forest():
+    # one contour between positive {0, 2} and negative {1, 3}: the nesting
+    # edges 0-1, 1-2, 2-3, 3-0 close a cycle among interior domains
+    grid = PlanarWindow(side=2.0, spacing=0.5)
+    domains = [
+        DomainRecord(label=i, sign=(-1) ** i, area=1.0, node_count=1, touches_window=False)
+        for i in range(4)
+    ]
+    dec = NodalDecomposition(
+        sample=synthetic_sample(np.ones((5, 5)), grid),
+        labels=np.zeros((5, 5), dtype=np.int32),
+        domains=domains,
+        connectivity="4-connected",
+        measured=True,
+        contour_adjacency=[((0, 2), (1, 3))],
+    )
+    assert nesting_graph(dec).edges == [(0, 1), (0, 3), (1, 2), (2, 3)]
+    assert not nesting_is_forest(dec)
+    # a domain on the window edge leaves the interior graph: a path remains
+    domains[3].touches_window = True
     assert nesting_is_forest(dec)
 
 

@@ -252,7 +252,6 @@ DESK_WINDOW = "40pi"
 def cmd_sandwich(args) -> int:
     sample = _single_sample(args, default_window=parse_length(DESK_WINDOW))
     dec = label_domains(sample)
-    measure_domains(dec)
     thresholds = args.t if args.t else (math.inf,)
     verdicts = sandwich_check_many(dec, [(args.r, args.R)], thresholds)
     csv_text = sandwich_csv(verdicts)

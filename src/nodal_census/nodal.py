@@ -32,6 +32,7 @@ node is within r.  Tori measure distance through the minimal image.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -210,55 +211,41 @@ def _count_records(sample: FieldSample, labels: np.ndarray, pos: np.ndarray) -> 
     ]
 
 
+@functools.lru_cache(maxsize=8)
 def _cell_tables(grid: GridSpec):
-    """Flattened corner node indices, edge ids, metric and center tables for
-    every marching cell of a 2-D grid."""
-    if isinstance(grid, PlanarWindow):
+    """Per-row metric and per-axis center tables of the marching cells of a
+    2-D grid: (d0, d1, area, cu, cv).
+
+    Cell (i, j) has corners A = (i, j), B = (i+1, j), C = (i+1, j+1) and
+    D = (i, j+1), indices taken modulo the node shape on a wrapped axis.
+    Its side lengths d0[i], d1[i] and its area[i] depend on its row alone,
+    and its center is (cu[i], cv[j]), so the tables grow with the side of
+    the grid, not its area.  They depend on the grid alone: built once per
+    grid and shared read-only by every measure_domains call on it.
+    """
+    if isinstance(grid, (PlanarWindow, Torus)):
         n = grid.n_intervals
-        n0 = n1 = n + 1
-        i0, j0 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        i1, j1 = i0 + 1, j0 + 1
         h = grid.spacing
-        d0 = np.full(i0.size, h)
-        d1 = np.full(i0.size, h)
-        area = np.full(i0.size, h * h)
-        cu = (i0.ravel() + 0.5) * h
-        cv = (j0.ravel() + 0.5) * h
-    elif isinstance(grid, Torus):
-        n = grid.n_intervals
-        n0 = n1 = n
-        i0, j0 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        i1, j1 = (i0 + 1) % n, (j0 + 1) % n
-        h = grid.spacing
-        d0 = np.full(i0.size, h)
-        d1 = np.full(i0.size, h)
-        area = np.full(i0.size, h * h)
-        cu = ((i0.ravel() + 1.0) * h) % grid.side
-        cv = ((j0.ravel() + 1.0) * h) % grid.side
+        d0 = np.full(n, h)
+        d1 = np.full(n, h)
+        area = np.full(n, h * h)
+        if isinstance(grid, PlanarWindow):
+            cu = (np.arange(n) + 0.5) * h
+        else:
+            cu = ((np.arange(n) + 1.0) * h) % grid.side
+        cv = cu
     else:
-        n0, n1 = grid.n_lat, grid.n_lon
-        i0, j0 = np.meshgrid(np.arange(n0 - 1), np.arange(n1), indexing="ij")
-        i1, j1 = i0 + 1, (j0 + 1) % n1
-        dth = math.pi / n0
-        dph = 2.0 * math.pi / n1
-        theta_mid = (i0.ravel() + 1.0) * dth
-        d0 = np.full(i0.size, dth)
+        dth = math.pi / grid.n_lat
+        dph = 2.0 * math.pi / grid.n_lon
+        theta_mid = (np.arange(grid.n_lat - 1) + 1.0) * dth
+        d0 = np.full(theta_mid.size, dth)
         d1 = np.sin(theta_mid) * dph
         area = dph * (np.cos(theta_mid - 0.5 * dth) - np.cos(theta_mid + 0.5 * dth))
         cu = theta_mid
-        cv = ((j0.ravel() + 1.0) * dph) % (2.0 * math.pi)
-    i0, j0, i1, j1 = i0.ravel(), j0.ravel(), i1.ravel(), j1.ravel()
-    fa = i0 * n1 + j0
-    fb = i1 * n1 + j0
-    fc = i1 * n1 + j1
-    fd = i0 * n1 + j1
-    e_base = n0 * n1
-    e_ab = i0 * n1 + j0
-    e_bc = e_base + i1 * n1 + j0
-    e_cd = i0 * n1 + j1
-    e_da = e_base + i0 * n1 + j0
-    centers = np.stack([cu, cv], axis=1)
-    return (fa, fb, fc, fd), (e_ab, e_bc, e_cd, e_da), d0, d1, area, centers
+        cv = ((np.arange(grid.n_lon) + 1.0) * dph) % (2.0 * math.pi)
+    for table in (d0, d1, area, cu, cv):
+        table.setflags(write=False)
+    return d0, d1, area, cu, cv
 
 
 def measure_domains(dec: NodalDecomposition) -> NodalDecomposition:
@@ -275,44 +262,71 @@ def measure_domains(dec: NodalDecomposition) -> NodalDecomposition:
         return dec
 
     grid = dec.sample.grid
-    vals = np.asarray(dec.sample.values, dtype=np.float64).ravel()
+    values = np.asarray(dec.sample.values, dtype=np.float64)
+    vals = values.ravel()
     labs = dec.labels.ravel()
+    n0, n1 = dec.labels.shape
     k = len(dec.domains)
-    (fa, fb, fc, fd), (e_ab, e_bc, e_cd, e_da), d0_all, d1_all, area_all, centers = _cell_tables(
-        grid
-    )
-    pos = vals >= 0
-    sa, sb, sc, sd = pos[fa], pos[fb], pos[fc], pos[fd]
-    pattern = sa * 1 + sb * 2 + sc * 4 + sd * 8
+    d0_row, d1_row, area_row, cu, cv = _cell_tables(grid)
+    rows, cols = area_row.size, cv.size
+    # node signs with the first row/column repeated past a wrapped edge, so
+    # the corners of every cell are four shifted slices
+    pos = values >= 0
+    wrap_rows, wrap_cols = _wrap_axes(grid)
+    if wrap_rows:
+        pos = np.concatenate([pos, pos[:1]], axis=0)
+    if wrap_cols:
+        pos = np.concatenate([pos, pos[:, :1]], axis=1)
+    pattern = (
+        pos[:rows, :cols] * 1
+        + pos[1 : rows + 1, :cols] * 2
+        + pos[1 : rows + 1, 1 : cols + 1] * 4
+        + pos[:rows, 1 : cols + 1] * 8
+    ).ravel()
     crossing = (pattern != 0) & (pattern != 15)
 
     refined = np.zeros(k)
     uniform = ~crossing
-    refined += np.bincount(labs[fa[uniform]], weights=area_all[uniform], minlength=k)
+    refined += np.bincount(
+        dec.labels[:rows, :cols].ravel()[uniform],
+        weights=np.repeat(area_row, cols)[uniform],
+        minlength=k,
+    )
 
     cidx = np.nonzero(crossing)[0]
+    ci, cj = np.divmod(cidx, cols)
+    # corner node indices; a node index is also the id of the edge to its
+    # +i neighbour, and n0 * n1 plus it the id of the edge to its +j one
+    ci1 = (ci + 1) % n0
+    cj1 = (cj + 1) % n1
+    fa = ci * n1 + cj
+    fb = ci1 * n1 + cj
+    fc = ci1 * n1 + cj1
+    fd = ci * n1 + cj1
+    e_base = n0 * n1
     # saddle resolution: field sign at the cell center when evaluable
     center_pos = np.ones(cidx.shape[0], dtype=bool)
     saddle = (pattern[cidx] == 5) | (pattern[cidx] == 10)
     if np.any(saddle) and dec.sample.coeffs is not None and dec.sample.model is not None:
-        center_pos[saddle] = evaluate_at(dec.sample, centers[cidx[saddle]]) >= 0
+        centers = np.stack([cu[ci[saddle]], cv[cj[saddle]]], axis=1)
+        center_pos[saddle] = evaluate_at(dec.sample, centers) >= 0
 
-    va = vals[fa[cidx]].tolist()
-    vb = vals[fb[cidx]].tolist()
-    vc = vals[fc[cidx]].tolist()
-    vd = vals[fd[cidx]].tolist()
-    la = labs[fa[cidx]].tolist()
-    lb = labs[fb[cidx]].tolist()
-    lc = labs[fc[cidx]].tolist()
-    ld = labs[fd[cidx]].tolist()
-    eab = e_ab[cidx].tolist()
-    ebc = e_bc[cidx].tolist()
-    ecd = e_cd[cidx].tolist()
-    eda = e_da[cidx].tolist()
+    va = vals[fa].tolist()
+    vb = vals[fb].tolist()
+    vc = vals[fc].tolist()
+    vd = vals[fd].tolist()
+    la = labs[fa].tolist()
+    lb = labs[fb].tolist()
+    lc = labs[fc].tolist()
+    ld = labs[fd].tolist()
+    eab = fa.tolist()
+    ebc = (e_base + fb).tolist()
+    ecd = fd.tolist()
+    eda = (e_base + fa).tolist()
     pat = pattern[cidx].tolist()
-    d0s = d0_all[cidx].tolist()
-    d1s = d1_all[cidx].tolist()
-    areas_c = area_all[cidx].tolist()
+    d0s = d0_row[ci].tolist()
+    d1s = d1_row[ci].tolist()
+    areas_c = area_row[ci].tolist()
     cpos = center_pos.tolist()
 
     perimeter = [0.0] * k

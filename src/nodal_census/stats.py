@@ -30,6 +30,20 @@ center is within r of x0, and those centers form a translate of the offset
 lattice).  Conversely every domain in B(c, R) is hit by at least the K
 centers x0 + m h, all of which lie in B(c, R + r).  The verdicts are
 therefore computed in integer arithmetic and must hold on every sample.
+
+The counts come from a hit matrix, one row per center in B(c, R + r) and one
+column per label found within reach of those centers.  The label image is
+padded by that reach (wrapped on a torus, a sentinel label outside a window)
+and each lattice offset m adds 1 to (u, label at u + m h) for every center u
+at once; a center meets exactly one node per offset, so no two additions of
+one offset land in the same cell.  The strict offsets (|m h| < r) go first:
+at that point a domain is inside the open disk around u exactly when its
+hits equal its node count, which gives N(t; u, r).  Then the offsets with
+|m h| = r are added, and a domain meets the closed disk exactly when its
+hits are positive, which gives N*(t; u, r).  Each threshold then sums the
+per-label column totals of the domains with area <= t.  Every step is an
+integer count of the same (center, offset, label) triples the bound speaks
+of, so the verdicts are exact.
 """
 
 from __future__ import annotations
@@ -43,6 +57,7 @@ import numpy as np
 from .grids import LatLongSphere, PlanarWindow, Torus
 from .nodal import (
     NodalDecomposition,
+    _node_distances,
     default_center,
     domain_distance_extrema,
     measure_domains,
@@ -358,14 +373,16 @@ def ns_constant_estimate(
 
 
 def _lattice_offsets(grid, r: float):
-    """Integer offsets m with |m h| <= r, plus the strict |m h| < r flag."""
+    """Integer offsets (mi, mj) with |m h| <= r, the K strict ones
+    (|m h| < r) first, then K and a bound `reach` on every |m_i|."""
     h = grid.spacing
     reach = int(math.floor(r / h)) + 1
     rng = np.arange(-reach, reach + 1)
     mi, mj = np.meshgrid(rng, rng, indexing="ij")
-    norm = np.hypot(mi, mj) * h
-    keep = norm <= r
-    return mi[keep], mj[keep], (norm[keep] < r)
+    norm = np.hypot(mi, mj).ravel() * h
+    strict = norm < r
+    keep = np.concatenate([np.flatnonzero(strict), np.flatnonzero(~strict & (norm <= r))])
+    return mi.ravel()[keep], mj.ravel()[keep], int(np.count_nonzero(strict)), reach
 
 
 def sandwich_check_many(
@@ -374,7 +391,8 @@ def sandwich_check_many(
     """Sandwich verdicts for every (r, R) geometry and threshold t.
 
     One pass of ball-count gathering per geometry serves all thresholds; see
-    the module docstring for why the verdicts are exact integer statements.
+    the module docstring for how the counts are made and why the verdicts
+    are exact integer statements.
     """
     grid = dec.sample.grid
     if not isinstance(grid, (PlanarWindow, Torus)) or dec.labels.ndim != 2:
@@ -382,14 +400,13 @@ def sandwich_check_many(
     if center is None:
         center = default_center(grid)
     labels = dec.labels
-    n0, n1 = labels.shape
-    flat = labels.ravel()
+    n1 = labels.shape[1]
     nlab = len(dec.domains)
-    node_count = np.bincount(flat, minlength=nlab)
+    # label nlab marks the padding outside a window; no threshold admits it
+    node_count = np.bincount(labels.ravel(), minlength=nlab + 1)
     areas = dec.areas()
-    from .nodal import _node_distances  # shared distance convention
-
     dist = _node_distances(grid, center).ravel()
+    dmax = domain_distance_extrema(dec, center)[1]
     verdicts = []
     for r, R in geometries:
         if not (0.0 < r < R):
@@ -401,39 +418,44 @@ def sandwich_check_many(
         else:
             if R + r > 0.5 * grid.side + 1e-9:
                 raise ValueError(f"R+r={R + r} exceeds half the torus side")
-        mi, mj, strict = _lattice_offsets(grid, r)
-        K = int(np.count_nonzero(strict))
-        centers_idx = np.nonzero(dist <= R + r)[0]
+        mi, mj, K, reach = _lattice_offsets(grid, r)
+        centers_idx = np.flatnonzero(dist <= R + r)
         in_lo = dist[centers_idx] <= R - r
         ci, cj = np.divmod(centers_idx, n1)
-        ti = ci[:, None] + mi[None, :]
-        tj = cj[:, None] + mj[None, :]
-        rows = np.broadcast_to(np.arange(centers_idx.shape[0])[:, None], ti.shape)
-        strict2 = np.broadcast_to(strict[None, :], ti.shape)
         if isinstance(grid, Torus):
-            ti = np.mod(ti, n0)
-            tj = np.mod(tj, n1)
-            valid = np.ones(ti.shape, dtype=bool)
+            padded = np.pad(labels, reach, mode="wrap")
         else:
-            valid = (ti >= 0) & (ti < n0) & (tj >= 0) & (tj < n1)
-        lab = flat[ti[valid] * n1 + tj[valid]]
-        keys = rows[valid].astype(np.int64) * nlab + lab
-        keys_any = np.unique(keys)
-        keys_strict, cnt = np.unique(keys[strict2[valid]], return_counts=True)
-        lab_any = keys_any % nlab
-        lab_str = keys_strict % nlab
-        row_str = keys_strict // nlab
-        full = cnt == node_count[lab_str]
-        full_in_lo = full & in_lo[row_str]
-        dmax_ok_cache = None
+            padded = np.pad(labels, reach, constant_values=nlab)
+        # the image the offsets reach from the centers, in local label ids
+        i0, j0 = ci.min(), cj.min()
+        box = padded[i0 : ci.max() + 2 * reach + 1, j0 : cj.max() + 2 * reach + 1]
+        present = np.zeros(nlab + 1, dtype=bool)
+        present[box] = True
+        glob = np.flatnonzero(present)
+        local = np.cumsum(present) - 1
+        nloc = glob.size
+        image = local[box].ravel()
+        width = box.shape[1]
+        base = (ci - i0 + reach) * width + (cj - j0 + reach)
+        rows = np.arange(centers_idx.size) * nloc
+        # counts[c, l]: offsets from center c whose node carries local label l
+        counts = np.zeros((centers_idx.size, nloc), dtype=np.int32)
+        hits = counts.reshape(-1)
+        offsets = mi * width + mj
+        for off in offsets[:K]:
+            hits[rows + image[base + off]] += 1
+        # N: the domains all of whose nodes lie in the open r-disk
+        lower_cols = np.count_nonzero(counts[in_lo] == node_count[glob], axis=0)
+        for off in offsets[K:]:
+            hits[rows + image[base + off]] += 1
+        # N*: the domains that meet the closed r-disk
+        upper_cols = np.count_nonzero(counts, axis=0)
         for t in thresholds:
             ok = areas <= t
-            lower_count = int(np.count_nonzero(full_in_lo & ok[lab_str]))
-            upper_count = int(np.count_nonzero(ok[lab_any]))
-            if dmax_ok_cache is None:
-                _, dmax = domain_distance_extrema(dec, center)
-                dmax_ok_cache = dmax < R
-            middle = int(np.count_nonzero(dmax_ok_cache & ok))
+            local_ok = np.append(ok, False)[glob]
+            lower_count = int(lower_cols[local_ok].sum())
+            upper_count = int(upper_cols[local_ok].sum())
+            middle = int(np.count_nonzero((dmax < R) & ok))
             holds = lower_count <= middle * K and middle * K <= upper_count
             verdicts.append(
                 SandwichVerdict(

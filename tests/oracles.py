@@ -3,7 +3,10 @@
 Everything here deliberately avoids the package's own numerics: Bessel
 values and zeros come from mpmath at 30 digits, integrals from scipy
 quadrature, grid labeling from a recursive flood fill, and graph components
-from breadth-first search.
+from breadth-first search.  The one exception is the sandwich oracle, which
+is the earlier key-sort implementation of `sandwich_check_many`: it shares
+the package's node-distance convention and verdict record, and counts every
+(center, label) pair by materialising and sorting their keys.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ from collections import deque
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
+
+from nodal_census import PlanarWindow, SandwichVerdict, Torus
+from nodal_census.nodal import _node_distances, default_center, domain_distance_extrema
 
 mp.mp.dps = 30
 
@@ -115,3 +121,89 @@ def bfs_components(n: int, edges) -> np.ndarray:
                     queue.append(y)
         nxt += 1
     return labels
+
+
+def _lattice_offsets(grid, r: float):
+    """Integer offsets m with |m h| <= r, plus the strict |m h| < r flag."""
+    h = grid.spacing
+    reach = int(math.floor(r / h)) + 1
+    rng = np.arange(-reach, reach + 1)
+    mi, mj = np.meshgrid(rng, rng, indexing="ij")
+    norm = np.hypot(mi, mj) * h
+    keep = norm <= r
+    return mi[keep], mj[keep], (norm[keep] < r)
+
+
+def sandwich_keys_oracle(dec, geometries, thresholds, center=None) -> list:
+    """Sandwich verdicts from sorted (center, label) keys: the reference the
+    per-offset counting of stats.sandwich_check_many must match exactly."""
+    grid = dec.sample.grid
+    if not isinstance(grid, (PlanarWindow, Torus)) or dec.labels.ndim != 2:
+        raise ValueError("sandwich checking runs on planar and 2-D torus grids")
+    if center is None:
+        center = default_center(grid)
+    labels = dec.labels
+    n0, n1 = labels.shape
+    flat = labels.ravel()
+    nlab = len(dec.domains)
+    node_count = np.bincount(flat, minlength=nlab)
+    areas = dec.areas()
+
+    dist = _node_distances(grid, center).ravel()
+    verdicts = []
+    for r, R in geometries:
+        if not (0.0 < r < R):
+            raise ValueError(f"need 0 < r < R, got r={r}, R={R}")
+        if isinstance(grid, PlanarWindow):
+            for c in center:
+                if c - (R + r) < -1e-9 or c + (R + r) > grid.side + 1e-9:
+                    raise ValueError(f"B(center, R+r) with R+r={R + r} leaves the window")
+        else:
+            if R + r > 0.5 * grid.side + 1e-9:
+                raise ValueError(f"R+r={R + r} exceeds half the torus side")
+        mi, mj, strict = _lattice_offsets(grid, r)
+        K = int(np.count_nonzero(strict))
+        centers_idx = np.nonzero(dist <= R + r)[0]
+        in_lo = dist[centers_idx] <= R - r
+        ci, cj = np.divmod(centers_idx, n1)
+        ti = ci[:, None] + mi[None, :]
+        tj = cj[:, None] + mj[None, :]
+        rows = np.broadcast_to(np.arange(centers_idx.shape[0])[:, None], ti.shape)
+        strict2 = np.broadcast_to(strict[None, :], ti.shape)
+        if isinstance(grid, Torus):
+            ti = np.mod(ti, n0)
+            tj = np.mod(tj, n1)
+            valid = np.ones(ti.shape, dtype=bool)
+        else:
+            valid = (ti >= 0) & (ti < n0) & (tj >= 0) & (tj < n1)
+        lab = flat[ti[valid] * n1 + tj[valid]]
+        keys = rows[valid].astype(np.int64) * nlab + lab
+        keys_any = np.unique(keys)
+        keys_strict, cnt = np.unique(keys[strict2[valid]], return_counts=True)
+        lab_any = keys_any % nlab
+        lab_str = keys_strict % nlab
+        row_str = keys_strict // nlab
+        full = cnt == node_count[lab_str]
+        full_in_lo = full & in_lo[row_str]
+        dmax_ok_cache = None
+        for t in thresholds:
+            ok = areas <= t
+            lower_count = int(np.count_nonzero(full_in_lo & ok[lab_str]))
+            upper_count = int(np.count_nonzero(ok[lab_any]))
+            if dmax_ok_cache is None:
+                _, dmax = domain_distance_extrema(dec, center)
+                dmax_ok_cache = dmax < R
+            middle = int(np.count_nonzero(dmax_ok_cache & ok))
+            holds = lower_count <= middle * K and middle * K <= upper_count
+            verdicts.append(
+                SandwichVerdict(
+                    r=float(r),
+                    R=float(R),
+                    t=float(t),
+                    lower=lower_count / K,
+                    middle=middle,
+                    upper=upper_count / K,
+                    holds=bool(holds),
+                )
+            )
+    return verdicts

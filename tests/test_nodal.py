@@ -6,10 +6,12 @@ import pytest
 import oracles
 from nodal_census import (
     DomainRecord,
+    LatLongSphere,
     NodalDecomposition,
     PlanarWindow,
     PlaneWave2D,
     RngStream,
+    SphericalHarmonic,
     Torus,
     critical_cell_count,
     label_domains,
@@ -21,7 +23,7 @@ from nodal_census import (
     sample_field,
     synthetic_sample,
 )
-from nodal_census.nodal import _components, default_center
+from nodal_census.nodal import _cell_tables, _components, default_center
 
 
 def _graph_cases():
@@ -45,6 +47,40 @@ def test_components_match_breadth_first_search(n, edges):
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     labels = _components(n, edges[:, 0], edges[:, 1])
     np.testing.assert_array_equal(labels, oracles.bfs_components(n, edges.tolist()))
+
+
+def _geometry(dec):
+    return (
+        [(d.perimeter, d.refined_area, d.boundary_components) for d in dec.domains],
+        dec.contour_adjacency,
+        dec.total_nodal_length,
+    )
+
+
+def test_cell_tables_are_shared_read_only():
+    samples = [
+        sample_field(PlaneWave2D(), PlanarWindow(side=4 * math.pi, spacing=2 * math.pi / 8),
+                     RngStream(2, 0)),
+        sample_field(PlaneWave2D(), PlanarWindow(side=4 * math.pi, spacing=2 * math.pi / 10),
+                     RngStream(2, 0)),
+        sample_field(SphericalHarmonic(degree=6), LatLongSphere(n_lat=24, n_lon=48),
+                     RngStream(2, 0)),
+    ]
+    fresh = []
+    for sample in samples:
+        _cell_tables.cache_clear()
+        fresh.append(_geometry(measure_domains(label_domains(sample))))
+    _cell_tables.cache_clear()
+    for _ in range(2):
+        for sample, expected in zip(samples, fresh):
+            assert _geometry(measure_domains(label_domains(sample))) == expected
+    for sample in samples:
+        grid = sample.grid
+        for table, expected in zip(_cell_tables(grid), _cell_tables.__wrapped__(grid)):
+            np.testing.assert_array_equal(table, expected)
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+    assert _cell_tables.cache_info().currsize == 3
 
 
 def _sinsin_torus(side, spacing, dim=2):

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from nodal_census import (
+    BandLimitedTorus,
     EmpiricalCdf,
     PlanarWindow,
+    PlaneWave2D,
+    RngStream,
     Torus,
     boundary_and_joint_distributions,
     critical_cell_count,
@@ -18,9 +22,13 @@ from nodal_census import (
     restrict_counts,
     sandwich_check,
     sandwich_check_many,
+    sample_field,
     synthetic_sample,
 )
+from nodal_census.engine import DEFAULT_SANDWICH_GEOMETRIES
 from nodal_census.nodal import default_center
+from nodal_census.sampler import build_plane_wave_basis
+from nodal_census.stats import _lattice_offsets
 
 FK_FLOOR = 18.168414535536805
 
@@ -137,6 +145,52 @@ def test_sandwich_threshold_cuts_counts():
     assert small.holds and big.holds
     assert small.middle == 0  # every quadrant has area pi^2 > 1
     assert small.upper <= big.upper
+
+
+def _sandwich_cases():
+    thresholds = (20.0, 50.0, math.inf)
+    desk = PlanarWindow(side=40 * math.pi, spacing=2 * math.pi / 10)
+    basis = build_plane_wave_basis(desk)
+    for i in range(2):
+        sample = sample_field(PlaneWave2D(), desk, RngStream(7, i), basis=basis)
+        yield f"desk-{i}", sample, DEFAULT_SANDWICH_GEOMETRIES, thresholds, None
+    torus = Torus(side=40 * math.pi, spacing=2 * math.pi / 8)
+    sample = sample_field(BandLimitedTorus(dim=2, alpha=0.0), torus, RngStream(5, 0))
+    # the balls around (0.5, 124.0) cross the wrap on both axes
+    yield "torus-wrap", sample, DEFAULT_SANDWICH_GEOMETRIES, thresholds, (0.5, 124.0)
+    small = PlanarWindow(side=18 * math.pi, spacing=2 * math.pi / 10)
+    sample = sample_field(PlaneWave2D(), small, RngStream(9, 0))
+    h = small.spacing
+    # B(c, R + r) reaches the window edge; r below h leaves K = 1; r = 5h
+    # puts the offsets (5, 0) and (3, 4) on the circle: closed, not strict
+    yield "window-edge", sample, ((math.pi, 8 * math.pi),), thresholds, None
+    yield "r-below-spacing", sample, ((0.5 * h, 10.0),), thresholds, None
+    yield "r-on-lattice", sample, ((5 * h, 12.0),), thresholds, None
+
+
+@pytest.fixture(scope="module")
+def sandwich_cases():
+    return {name: (label_domains(s), g, t, c) for name, s, g, t, c in _sandwich_cases()}
+
+
+@pytest.mark.parametrize(
+    "case", ["desk-0", "desk-1", "torus-wrap", "window-edge", "r-below-spacing", "r-on-lattice"]
+)
+def test_sandwich_matches_key_sort_oracle(sandwich_cases, case):
+    dec, geometries, thresholds, center = sandwich_cases[case]
+    grid = dec.sample.grid
+    if case == "r-below-spacing":
+        assert _lattice_offsets(grid, geometries[0][0])[2] == 1
+    if case == "r-on-lattice":
+        mi, _, K, _ = _lattice_offsets(grid, geometries[0][0])
+        assert mi.size - K == 12
+    if case == "window-edge":
+        (r, R), = geometries
+        assert R + r == pytest.approx(0.5 * grid.side, abs=1e-9)
+    verdicts = sandwich_check_many(dec, geometries, thresholds, center=center)
+    expected = oracles.sandwich_keys_oracle(dec, geometries, thresholds, center=center)
+    assert len(verdicts) == len(geometries) * len(thresholds)
+    assert verdicts == expected
 
 
 def test_sandwich_geometry_guards():

@@ -8,7 +8,7 @@ unit ball volume, count sandwich bounds, and minimum-area floor checks.
 
 from .engine import EnsembleConfig, EnsembleFailure, EnsembleReport, resume_ensemble, run_ensemble
 from .grids import LatLongSphere, PlanarWindow, Torus, grid_from_dict
-from .io import domain_table_csv, load_field, write_domain_table, write_field
+from .io import domain_table_csv, load_field, write_field
 from .nodal import (
     DomainRecord,
     NestingGraph,
@@ -101,7 +101,6 @@ __all__ = [
     "sandwich_check_many",
     "spherical_laplacian_residual",
     "synthetic_sample",
-    "write_domain_table",
     "write_field",
     "__version__",
 ]

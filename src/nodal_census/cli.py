@@ -121,10 +121,10 @@ def _build_grid(args, model, default_window: float | None = None):
 def _ensemble_config(
     args, checks=(), radii=(), thresholds=(), default_window: float | None = None
 ) -> EnsembleConfig:
-    if getattr(args, "config", None):
+    if args.config:
         d = read_json(args.config)
         cfg = EnsembleConfig.from_dict(d)
-        if getattr(args, "M", None):
+        if args.M is not None:
             cfg.realizations = args.M
         if args.seed is not None:
             cfg.master_seed = args.seed
@@ -140,7 +140,7 @@ def _ensemble_config(
         cfg = EnsembleConfig(
             model=model,
             grid=grid,
-            realizations=args.M if getattr(args, "M", None) else 1,
+            realizations=args.M if args.M is not None else 1,
             master_seed=args.seed if args.seed is not None else 0,
             radii=tuple(radii),
             thresholds=tuple(thresholds),
@@ -321,7 +321,7 @@ def cmd_sphere_compare(args) -> int:
     cfg = EnsembleConfig(
         model=model,
         grid=grid,
-        realizations=args.M if args.M else 50,
+        realizations=args.M if args.M is not None else 50,
         master_seed=args.seed if args.seed is not None else 0,
     )
     cfg.output_dir = args.out or f"ncrun-{cfg.config_hash()[:12]}"

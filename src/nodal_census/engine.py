@@ -14,6 +14,12 @@ counts, and fresh-vs-resumed runs; wall-clock numbers live only under the
 The config hash deliberately excludes `output_dir`: it identifies what was
 computed, not where it landed, which is what both resume validation and the
 cross-directory determinism contract need.
+
+The engine holds no per-grid table: each realization calls `sample_field`,
+and the sampler builds the grid's table on the first draw and shares it
+read-only across realizations, worker threads and later runs on the same
+grid.  A resume that reuses every realization never samples, so it builds
+no table.
 """
 
 from __future__ import annotations
@@ -45,10 +51,8 @@ from .io import (
 )
 from .nodal import label_domains, measure_domains, perturbation_stability
 from .sampler import (
-    PlaneWave2D,
     RngStream,
     SpectralModel,
-    build_plane_wave_basis,
     covariance_probe_means,
     helmholtz_residual,
     model_from_dict,
@@ -245,7 +249,7 @@ def _realization_paths(outdir: Path, index: int) -> tuple[Path, Path]:
     return base / f"{index:05d}.csv", base / f"{index:05d}.json"
 
 
-def _run_checks(config: EnsembleConfig, sample, dec, index: int, basis) -> dict:
+def _run_checks(config: EnsembleConfig, sample, dec, index: int) -> dict:
     out = {}
     if "sandwich" in config.checks:
         thresholds = [parse_float_token(t) for t in config.thresholds]
@@ -264,7 +268,6 @@ def _run_checks(config: EnsembleConfig, sample, dec, index: int, basis) -> dict:
         direction = sample_field(
             config.model, config.grid,
             RngStream(config.master_seed, PERTURBATION_STREAM_BASE + index),
-            **({"basis": basis} if basis is not None else {}),
         )
         medians = []
         for b in PERTURBATION_B:
@@ -278,15 +281,13 @@ def _run_checks(config: EnsembleConfig, sample, dec, index: int, basis) -> dict:
     return out
 
 
-def _realize(config: EnsembleConfig, index: int, basis) -> tuple[str, dict]:
+def _realize(config: EnsembleConfig, index: int) -> tuple[str, dict]:
     if _TEST_FAILURE_HOOK is not None:
         _TEST_FAILURE_HOOK(index)
-    stream = RngStream(config.master_seed, index)
-    kw = {"basis": basis} if basis is not None else {}
-    sample = sample_field(config.model, config.grid, stream, **kw)
+    sample = sample_field(config.model, config.grid, RngStream(config.master_seed, index))
     dec = label_domains(sample)
     measure_domains(dec)
-    payload = dict(census_record(dec), checks=_run_checks(config, sample, dec, index, basis))
+    payload = dict(census_record(dec), checks=_run_checks(config, sample, dec, index))
     csv_text = domain_table_csv(dec)
     if config.keep_fields:
         fields_dir = Path(config.output_dir) / "fields"
@@ -309,15 +310,11 @@ def _persist(outdir: Path, config: EnsembleConfig, index: int, csv_text: str, pa
 
 
 def _execute(config: EnsembleConfig, outdir: Path, reuse: dict) -> tuple[dict, list]:
-    basis = None
-    if isinstance(config.model, PlaneWave2D):
-        basis = build_plane_wave_basis(config.grid)
-
     def run_one(index: int):
         if index in reuse:
             return index, reuse[index], None
         try:
-            csv_text, payload = _realize(config, index, basis)
+            csv_text, payload = _realize(config, index)
             _persist(outdir, config, index, csv_text, payload)
             return index, payload, None
         except Exception as exc:  # noqa: BLE001 - failure isolation contract

@@ -33,7 +33,6 @@ __all__ = [
     "write_field",
     "load_field",
     "domain_table_csv",
-    "write_domain_table",
     "psi_csv",
     "ns_csv",
     "joint_csv",
@@ -195,10 +194,6 @@ def domain_table_csv(dec) -> str:
             f"{'true' if rec.touches_window else 'false'}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_domain_table(dec, path) -> None:
-    write_text(path, domain_table_csv(dec))
 
 
 def psi_csv(cdf) -> str:

@@ -597,7 +597,7 @@ def nesting_is_forest(dec: NodalDecomposition) -> bool:
     return edges.shape[0] == k - n_components
 
 
-def _combine_coeffs(model, c1: dict | None, c2: dict | None, b: float) -> dict | None:
+def _combine_coeffs(c1: dict | None, c2: dict | None, b: float) -> dict | None:
     if c1 is None or c2 is None:
         return None
     out = dict(c1)
@@ -629,7 +629,7 @@ def perturbation_stability(
         grid=sample.grid,
         model=sample.model,
         stream=None,
-        coeffs=_combine_coeffs(sample.model, sample.coeffs, direction.coeffs, b),
+        coeffs=_combine_coeffs(sample.coeffs, direction.coeffs, b),
     )
     pert = measure_domains(label_domains(pert_sample))
 

@@ -14,11 +14,19 @@ Three spectral models, all unit variance with wavenumber fixed at 1:
 Randomness comes from a counter-based Philox generator keyed by
 (master_seed, stream_id), so realization i of a run is reproducible in
 isolation and independent across i.
+
+Each model's per-grid table (the plane-wave basis, the Legendre matrix, the
+torus modes) is built once per grid per process, on the first draw, and
+shared read-only by every later draw on that grid, from any thread; no
+sampler takes a table argument.  The public builders
+(`build_plane_wave_basis`, `legendre_matrix`, `torus_modes`) stay uncached.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,7 +150,7 @@ def plane_wave_truncation(max_radius: float) -> int:
     return int(math.ceil(max_radius + 7.0 * max_radius ** (1.0 / 3.0) + 10.0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlaneWaveBasis:
     """Per-grid Bessel/angular basis so each realization is two mat-vecs.
 
@@ -151,7 +159,6 @@ class PlaneWaveBasis:
     center.  Rows are flattened grid nodes.
     """
 
-    grid: PlanarWindow
     n_trunc: int
     cos_basis: np.ndarray
     sin_basis: np.ndarray
@@ -186,75 +193,16 @@ def build_plane_wave_basis(grid: PlanarWindow) -> PlaneWaveBasis:
     dx = (xx - cx).ravel()
     dy = (yy - cy).ravel()
     cos_b, sin_b = _basis_block(np.hypot(dx, dy), np.arctan2(dy, dx), n_trunc)
-    return PlaneWaveBasis(grid=grid, n_trunc=n_trunc, cos_basis=cos_b, sin_basis=sin_b)
+    return PlaneWaveBasis(n_trunc=n_trunc, cos_basis=cos_b, sin_basis=sin_b)
 
 
-def sample_plane_wave_batch(
-    model: PlaneWave2D,
-    grid: PlanarWindow,
-    streams: list[RngStream],
-    max_block_bytes: int = 1 << 28,
-) -> list[FieldSample]:
-    """Draw several realizations without holding the full basis in memory.
-
-    Coefficients are drawn exactly as in sample_plane_wave; basis rows are
-    built in node chunks sized to max_block_bytes and applied to all
-    coefficient sets at once.  Intended for fine grids where one full basis
-    matrix would not fit; values agree with the unchunked path up to BLAS
-    blocking order (last-ulp differences at near-zero nodes are possible).
-    """
-    if not isinstance(grid, PlanarWindow):
-        raise ValueError("plane-wave sampling needs a PlanarWindow grid")
-    n_trunc = plane_wave_truncation(grid.max_radius())
-    coeff_a = np.empty((n_trunc + 1, len(streams)))
-    coeff_b = np.empty((n_trunc, len(streams)))
-    for k, stream in enumerate(streams):
-        gen = stream.generator()
-        coeff_a[:, k] = gen.standard_normal(n_trunc + 1)
-        coeff_b[:, k] = gen.standard_normal(n_trunc)
-    cx, cy = grid.center
-    xx, yy = grid.node_coords()
-    dx = (xx - cx).ravel()
-    dy = (yy - cy).ravel()
-    npts = dx.shape[0]
-    chunk = max(1, max_block_bytes // (16 * (n_trunc + 1)))
-    values = np.empty((npts, len(streams)))
-    for start in range(0, npts, chunk):
-        stop = min(start + chunk, npts)
-        r = np.hypot(dx[start:stop], dy[start:stop])
-        theta = np.arctan2(dy[start:stop], dx[start:stop])
-        cos_b, sin_b = _basis_block(r, theta, n_trunc)
-        values[start:stop] = cos_b @ coeff_a + sin_b @ coeff_b
-    out = []
-    for k, stream in enumerate(streams):
-        coeffs = {"a": coeff_a[:, k].copy(), "b": coeff_b[:, k].copy(), "n_trunc": n_trunc}
-        out.append(
-            FieldSample(
-                values=values[:, k].reshape(grid.shape).copy(),
-                grid=grid,
-                model=model,
-                stream=stream,
-                coeffs=coeffs,
-            )
-        )
-    return out
-
-
-def sample_plane_wave(
-    model: PlaneWave2D,
-    grid: PlanarWindow,
-    stream: RngStream,
-    basis: PlaneWaveBasis | None = None,
-) -> FieldSample:
+def sample_plane_wave(model: PlaneWave2D, grid: PlanarWindow, stream: RngStream) -> FieldSample:
     """Draw one random plane wave on the window.
 
     Coefficients are drawn in a fixed order (a_0, a_1..a_N, b_1..b_N), so the
     value at the window-center node is exactly the first Gaussian draw.
     """
-    if basis is None:
-        basis = build_plane_wave_basis(grid)
-    elif basis.grid != grid:
-        raise ValueError("basis was built for a different grid")
+    basis = _grid_table(model, grid)
     n_trunc = basis.n_trunc
     gen = stream.generator()
     a = gen.standard_normal(n_trunc + 1)
@@ -314,7 +262,7 @@ def sample_band_limited(model: BandLimitedTorus, grid: Torus, stream: RngStream)
             f"torus side {grid.side:.2f} too small for the lattice spectral measure; "
             f"need at least {_MIN_TORUS_SIDE:.2f}"
         )
-    modes, lo = torus_modes(grid, model.alpha)
+    modes, lo = _grid_table(model, grid)
     if modes.shape[0] == 0:
         raise ValueError(
             f"no torus frequencies in the band [{lo:.4f}, 1]; "
@@ -373,10 +321,7 @@ def legendre_matrix(degree: int, cos_theta: np.ndarray) -> np.ndarray:
 
 
 def sample_spherical_harmonic(
-    model: SphericalHarmonic,
-    grid: LatLongSphere,
-    stream: RngStream,
-    legendre: np.ndarray | None = None,
+    model: SphericalHarmonic, grid: LatLongSphere, stream: RngStream
 ) -> FieldSample:
     """Draw one random spherical harmonic of the model's degree.
 
@@ -394,8 +339,7 @@ def sample_spherical_harmonic(
             f"sphere grid {grid.n_lat}x{grid.n_lon} under-resolves degree {l}: "
             f"need n_lat >= {need // 2} and n_lon >= {need}"
         )
-    if legendre is None:
-        legendre = legendre_matrix(l, np.cos(grid.colatitudes()))
+    legendre = _grid_table(model, grid)
     gen = stream.generator()
     z = gen.standard_normal(2 * l + 1)
     scale = math.sqrt(4.0 * math.pi / (2.0 * l + 1.0))
@@ -414,14 +358,42 @@ def sample_spherical_harmonic(
     return FieldSample(values=values, grid=grid, model=model, stream=stream, coeffs=coeffs)
 
 
-def sample_field(model: SpectralModel, grid: GridSpec, stream: RngStream, **kw) -> FieldSample:
+_TABLE_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=4)
+def _built_table(model: SpectralModel, grid: GridSpec):
+    if isinstance(model, PlaneWave2D):
+        table = build_plane_wave_basis(grid)
+        arrays = (table.cos_basis, table.sin_basis)
+    elif isinstance(model, SphericalHarmonic):
+        table = legendre_matrix(model.degree, np.cos(grid.colatitudes()))
+        arrays = (table,)
+    else:
+        table = torus_modes(grid, model.alpha)
+        arrays = table[:1]
+    for array in arrays:
+        array.setflags(write=False)
+    return table
+
+
+def _grid_table(model: SpectralModel, grid: GridSpec):
+    """The model's per-grid table, built on the first call for a (model,
+    grid) and shared read-only after: the plane-wave basis, the Legendre
+    matrix at the grid's colatitudes, or the torus modes and band edge.
+    The lock makes concurrent first calls build the table once."""
+    with _TABLE_LOCK:
+        return _built_table(model, grid)
+
+
+def sample_field(model: SpectralModel, grid: GridSpec, stream: RngStream) -> FieldSample:
     """Dispatch to the sampler matching the model type."""
     if isinstance(model, PlaneWave2D):
-        return sample_plane_wave(model, grid, stream, **kw)
+        return sample_plane_wave(model, grid, stream)
     if isinstance(model, BandLimitedTorus):
         return sample_band_limited(model, grid, stream)
     if isinstance(model, SphericalHarmonic):
-        return sample_spherical_harmonic(model, grid, stream, **kw)
+        return sample_spherical_harmonic(model, grid, stream)
     raise ValueError(f"unknown model {model!r}")
 
 

@@ -16,7 +16,6 @@ from nodal_census import (
     measure_domains,
     sample_field,
 )
-from nodal_census.sampler import build_plane_wave_basis
 
 DESK_SEED = 7
 DESK_M = 100
@@ -31,10 +30,9 @@ def desk_grid():
 def desk_ensemble(desk_grid):
     """The canonical acceptance ensemble: 100 plane-wave realizations, seed 7."""
     model = PlaneWave2D()
-    basis = build_plane_wave_basis(desk_grid)
     decs = []
     for i in range(DESK_M):
-        sample = sample_field(model, desk_grid, RngStream(DESK_SEED, i), basis=basis)
+        sample = sample_field(model, desk_grid, RngStream(DESK_SEED, i))
         dec = label_domains(sample)
         measure_domains(dec)
         decs.append(dec)
@@ -53,10 +51,9 @@ def mini_ensemble():
     """Five realizations on a small window; enough for estimator plumbing tests."""
     grid = PlanarWindow(side=9 * math.pi, spacing=2 * math.pi / 10)
     model = PlaneWave2D()
-    basis = build_plane_wave_basis(grid)
     decs = []
     for i in range(5):
-        sample = sample_field(model, grid, RngStream(3, i), basis=basis)
+        sample = sample_field(model, grid, RngStream(3, i))
         dec = label_domains(sample)
         measure_domains(dec)
         decs.append(dec)

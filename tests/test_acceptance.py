@@ -36,7 +36,7 @@ from nodal_census import (
 )
 from nodal_census.io import canonical_json, read_json
 from nodal_census.nodal import default_center
-from nodal_census.sampler import covariance_probe_means, sample_plane_wave_batch
+from nodal_census.sampler import covariance_probe_means
 from conftest import DESK_M, DESK_SEED
 
 AREA_FLOOR = 18.168414535536805
@@ -61,10 +61,9 @@ def test_criterion_01_minimum_area_floor(desk_grid, desk_ensemble):
         if not rec.touches_window
     )
     fine_grid = PlanarWindow(side=desk_grid.side, spacing=2 * math.pi / 20)
-    streams = [RngStream(DESK_SEED, i) for i in range(10)]
     fine_min = math.inf
-    for sample in sample_plane_wave_batch(PlaneWave2D(), fine_grid, streams):
-        dec = label_domains(sample)
+    for i in range(10):
+        dec = label_domains(sample_field(PlaneWave2D(), fine_grid, RngStream(DESK_SEED, i)))
         fine_min = min(
             fine_min,
             min(rec.area for rec in dec.domains if not rec.touches_window),
@@ -93,12 +92,9 @@ def test_criterion_03_covariance_matches_bessel():
     targets = [float(oracles.mp_bessel(0, lag)) for lag in lags]
     grid = PlanarWindow(side=9 * math.pi, spacing=2 * math.pi / 10)
     model = PlaneWave2D()
-    from nodal_census.sampler import build_plane_wave_basis
-
-    basis = build_plane_wave_basis(grid)
     rows = np.empty((2000, len(lags)))
     for i in range(rows.shape[0]):
-        sample = sample_field(model, grid, RngStream(11, i), basis=basis)
+        sample = sample_field(model, grid, RngStream(11, i))
         rows[i] = covariance_probe_means(sample, lags)
     means = rows.mean(axis=0)
     stderrs = rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0])

@@ -1,9 +1,14 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nodal_census
 from nodal_census import (
     PlanarWindow,
     PlaneWave2D,
@@ -17,7 +22,6 @@ from nodal_census import (
 )
 from nodal_census.cli import main, parse_length
 from nodal_census.io import domain_table_csv, read_json, text_sha256, write_json
-from nodal_census.sampler import build_plane_wave_basis
 
 ALL_COMMANDS = (
     "sample", "nodal", "psi", "ns", "sandwich", "faber-krahn", "sphere-compare", "report",
@@ -190,9 +194,8 @@ def test_faber_krahn_ignores_stale_sidecar(tmp_path, capsys, monkeypatch):
     summary = json.loads(capsys.readouterr().out)
 
     grid = PlanarWindow(side=parse_length("9pi"), spacing=parse_length("2pi/10"))
-    basis = build_plane_wave_basis(grid)
     decs = [
-        label_domains(sample_field(PlaneWave2D(), grid, RngStream(3, i), basis=basis))
+        label_domains(sample_field(PlaneWave2D(), grid, RngStream(3, i)))
         for i in range(10)
         if i != 1
     ]
@@ -259,3 +262,43 @@ def test_sphere_compare_requires_inputs(tmp_path):
     assert main(["sphere-compare", "--model", "sphere", "--M", "1",
                  "--planar-report", str(tmp_path)]) == 2
     assert main(["sphere-compare", "--model", "sphere", "--degree", "1", "--M", "1"]) == 2
+
+
+def test_zero_realizations_exit_two(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["psi", "--window", "9pi", "--M", "0", "--out", str(run)]) == 2
+    assert "at least one realization" in capsys.readouterr().err
+    assert not (run / "report.json").exists()
+    assert main(["psi", "--window", "9pi", "--M", "1", "--seed", "3",
+                 "--out", str(run), "--format", "csv-only"]) == 0
+    # --M 0 overrides the count a config file gives
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, read_json(run / "manifest.json")["config"])
+    assert main(["psi", "--config", str(cfg), "--M", "0",
+                 "--out", str(tmp_path / "from-config")]) == 2
+    sphere = tmp_path / "sphere"
+    assert main(["sphere-compare", "--model", "sphere", "--degree", "1", "--M", "0",
+                 "--planar-report", str(run), "--out", str(sphere)]) == 2
+    assert not (sphere / "report.json").exists()
+
+
+def test_runs_without_scipy_or_mpmath(tmp_path):
+    # The runtime dependencies are numpy alone: importing the package and a
+    # small psi run must work with scipy and mpmath unimportable.
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = sys.modules['mpmath'] = None\n"
+        "import nodal_census\n"
+        "from nodal_census.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(nodal_census.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", script, "psi", "--window", "9pi", "--M", "1",
+         "--out", str(tmp_path / "run"), "--format", "csv-only"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "run" / "psi.csv").exists()

@@ -1,4 +1,5 @@
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -23,10 +24,9 @@ from nodal_census import (
     run_ensemble,
     sample_field,
 )
-from nodal_census import engine
+from nodal_census import engine, sampler
 from nodal_census.io import canonical_json, joint_csv, read_json, text_sha256, write_json
 from nodal_census.nodal import default_center
-from nodal_census.sampler import build_plane_wave_basis
 
 GRID = PlanarWindow(side=9 * math.pi, spacing=2 * math.pi / 10)
 
@@ -70,8 +70,21 @@ def test_report_independent_of_worker_count(tmp_path, monkeypatch):
     a, b = tmp_path / "a", tmp_path / "b"
     monkeypatch.setenv("NODAL_CENSUS_THREADS", "1")
     run_ensemble(_config(a, realizations=4))
+    # Three workers race to build the plane-wave basis on a cleared memo;
+    # the slowed build widens the race.  The basis is built exactly once.
+    builds = []
+    basis_block = sampler._basis_block
+
+    def slow_block(*args):
+        builds.append(args)
+        time.sleep(0.05)
+        return basis_block(*args)
+
+    sampler._built_table.cache_clear()
+    monkeypatch.setattr(sampler, "_basis_block", slow_block)
     monkeypatch.setenv("NODAL_CENSUS_THREADS", "3")
     run_ensemble(_config(b, realizations=4))
+    assert len(builds) == 1
     assert _stripped(a) == _stripped(b)
 
 
@@ -149,6 +162,20 @@ def test_resume_complete_run_never_samples(tmp_path, monkeypatch):
         raise AssertionError("resume of a complete run must not sample")
 
     monkeypatch.setattr(engine, "sample_field", boom)
+    resume_ensemble(_config(a, realizations=3), a)
+    assert _stripped(a) == before
+
+
+def test_resume_complete_run_builds_no_basis(tmp_path, monkeypatch):
+    a = tmp_path / "a"
+    run_ensemble(_config(a, realizations=3))
+    before = _stripped(a)
+
+    def boom(*args):
+        raise AssertionError("resume of a complete run must not build a basis")
+
+    sampler._built_table.cache_clear()
+    monkeypatch.setattr(sampler, "_basis_block", boom)
     resume_ensemble(_config(a, realizations=3), a)
     assert _stripped(a) == before
 
@@ -245,8 +272,7 @@ def test_report_folds_like_the_library(tmp_path):
     run_ensemble(config)
     report = read_json(a / "report.json")
 
-    basis = build_plane_wave_basis(GRID)
-    samples = [sample_field(config.model, GRID, RngStream(3, i), basis=basis) for i in range(3)]
+    samples = [sample_field(config.model, GRID, RngStream(3, i)) for i in range(3)]
     decs = [measure_domains(label_domains(sample)) for sample in samples]
     window = (default_center(GRID), config.effective_psi_radius())
 

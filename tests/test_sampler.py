@@ -9,6 +9,7 @@ from nodal_census import (
     PlanarWindow,
     PlaneWave2D,
     RngStream,
+    SphericalHarmonic,
     Torus,
     empirical_covariance,
     evaluate_at,
@@ -21,12 +22,13 @@ from nodal_census import (
     synthetic_sample,
 )
 from nodal_census.sampler import (
+    _grid_table,
     build_plane_wave_basis,
     covariance_probe_means,
+    legendre_matrix,
     sample_band_limited,
-    sample_plane_wave,
-    sample_plane_wave_batch,
     sample_spherical_harmonic,
+    torus_modes,
 )
 
 TINY = PlanarWindow(side=2 * math.pi, spacing=2 * math.pi / 10)
@@ -48,23 +50,21 @@ def test_sampling_is_bitwise_deterministic():
 
 
 def test_stream_independence():
-    basis = build_plane_wave_basis(TINY)
     n = 1000
     x = np.empty(n)
     y = np.empty(n)
     for i in range(n):
-        x[i] = sample_field(PlaneWave2D(), TINY, RngStream(21, i), basis=basis).values[5, 5]
-        y[i] = sample_field(PlaneWave2D(), TINY, RngStream(21, n + i), basis=basis).values[5, 5]
+        x[i] = sample_field(PlaneWave2D(), TINY, RngStream(21, i)).values[5, 5]
+        y[i] = sample_field(PlaneWave2D(), TINY, RngStream(21, n + i)).values[5, 5]
     corr = np.corrcoef(x, y)[0, 1]
     assert abs(corr) < 3.0 / math.sqrt(n)
 
 
 def test_unit_variance_and_gaussian_marginal():
-    basis = build_plane_wave_basis(TINY)
     n = 2000
     probes = np.empty((n, 3))
     for i in range(n):
-        v = sample_field(PlaneWave2D(), TINY, RngStream(13, i), basis=basis).values
+        v = sample_field(PlaneWave2D(), TINY, RngStream(13, i)).values
         probes[i] = (v[5, 5], v[2, 7], v[8, 3])
     var = probes.var(axis=0, ddof=1)
     se = var * math.sqrt(2.0 / (n - 1))
@@ -77,8 +77,7 @@ def test_unit_variance_and_gaussian_marginal():
 
 
 def test_plane_wave_covariance_short_lags():
-    basis = build_plane_wave_basis(TINY)
-    samples = [sample_field(PlaneWave2D(), TINY, RngStream(17, i), basis=basis) for i in range(600)]
+    samples = [sample_field(PlaneWave2D(), TINY, RngStream(17, i)) for i in range(600)]
     est = empirical_covariance(samples, lags=(0.0, 1.0))
     for mean, stderr, target in zip(est.estimates, est.stderrs, (1.0, 0.7651976866)):
         assert abs(mean - target) <= 3.0 * stderr
@@ -91,14 +90,30 @@ def test_evaluate_at_matches_grid_values():
     np.testing.assert_allclose(evaluate_at(sample, pts), sample.values.ravel(), atol=1e-10)
 
 
-def test_batch_sampler_matches_single():
-    grid = PlanarWindow(side=6 * math.pi, spacing=2 * math.pi / 10)
-    streams = [RngStream(7, i) for i in range(3)]
-    batch = sample_plane_wave_batch(PlaneWave2D(), grid, streams, max_block_bytes=1 << 16)
-    basis = build_plane_wave_basis(grid)
-    for stream, got in zip(streams, batch):
-        ref = sample_plane_wave(PlaneWave2D(), grid, stream, basis=basis)
-        np.testing.assert_allclose(got.values, ref.values, atol=1e-12)
+def test_grid_tables_are_shared_read_only():
+    # Each model's per-grid table is built on the first draw and shared by
+    # the later ones: read-only and bit-equal to its uncached public builder.
+    sphere = LatLongSphere(n_lat=24, n_lon=48)
+    torus = Torus(side=TORUS_L, spacing=2 * math.pi / 8)
+    harmonic = SphericalHarmonic(degree=6)
+    band = BandLimitedTorus(dim=2, alpha=1.0)
+    for model, grid in ((PlaneWave2D(), TINY), (harmonic, sphere), (band, torus)):
+        sample_field(model, grid, RngStream(1, 0))
+        assert _grid_table(model, grid) is _grid_table(model, grid)
+
+    basis, ref = _grid_table(PlaneWave2D(), TINY), build_plane_wave_basis(TINY)
+    assert basis.n_trunc == ref.n_trunc
+    pairs = [(basis.cos_basis, ref.cos_basis), (basis.sin_basis, ref.sin_basis)]
+    legendre = _grid_table(harmonic, sphere)
+    pairs.append((legendre, legendre_matrix(6, np.cos(sphere.colatitudes()))))
+    (modes, lo), (ref_modes, ref_lo) = _grid_table(band, torus), torus_modes(torus, 1.0)
+    assert lo == ref_lo
+    pairs.append((modes, ref_modes))
+    for table, expected in pairs:
+        assert table.dtype == expected.dtype
+        np.testing.assert_array_equal(table, expected)
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 0
 
 
 def test_window_radius_guard():

@@ -118,9 +118,7 @@ def _build_grid(args, model, default_window: float | None = None):
     return PlanarWindow(side=window, spacing=spacing)
 
 
-def _ensemble_config(
-    args, checks=(), radii=(), thresholds=(), default_window: float | None = None
-) -> EnsembleConfig:
+def _ensemble_config(args, radii=(), default_window: float | None = None) -> EnsembleConfig:
     if args.config:
         d = read_json(args.config)
         cfg = EnsembleConfig.from_dict(d)
@@ -128,12 +126,8 @@ def _ensemble_config(
             cfg.realizations = args.M
         if args.seed is not None:
             cfg.master_seed = args.seed
-        if checks and not cfg.checks:
-            cfg.checks = tuple(sorted(checks))
         if radii and not cfg.radii:
             cfg.radii = tuple(radii)
-        if thresholds and not cfg.thresholds:
-            cfg.thresholds = tuple(thresholds)
     else:
         model = _build_model(args)
         grid = _build_grid(args, model, default_window=default_window)
@@ -143,8 +137,6 @@ def _ensemble_config(
             realizations=args.M if args.M is not None else 1,
             master_seed=args.seed if args.seed is not None else 0,
             radii=tuple(radii),
-            thresholds=tuple(thresholds),
-            checks=tuple(sorted(checks)),
         )
     cfg.output_dir = args.out or cfg.output_dir or f"ncrun-{cfg.config_hash()[:12]}"
     return cfg
@@ -200,7 +192,7 @@ def cmd_nodal(args) -> int:
 
 
 def cmd_psi(args) -> int:
-    cfg = _ensemble_config(args, checks=())
+    cfg = _ensemble_config(args)
     rep = run_ensemble(cfg)
     outdir = rep.output_dir
     if args.format != "csv-only":
@@ -231,10 +223,8 @@ def cmd_psi(args) -> int:
 
 def cmd_ns(args) -> int:
     radii = args.radii if args.radii else (10.0, 15.0, 20.0)
-    cfg = _ensemble_config(args, checks=(), radii=radii)
+    cfg = _ensemble_config(args, radii=radii)
     rep = run_ensemble(cfg)
-    if rep.ns is None:
-        raise UsageError("ball-count radii are required for density estimation")
     summary = dict(rep.ns.to_dict(), out=str(rep.output_dir))
     human = [
         f"R={r:g}: {m:.6f} +- {e:.6f}"
@@ -272,7 +262,7 @@ def cmd_sandwich(args) -> int:
 def cmd_faber_krahn(args) -> int:
     if not (0.0 < args.margin < 1.0):
         raise UsageError("--margin must be in (0, 1)")
-    cfg = _ensemble_config(args, checks=(), default_window=parse_length(DESK_WINDOW))
+    cfg = _ensemble_config(args, default_window=parse_length(DESK_WINDOW))
     if not isinstance(cfg.grid, PlanarWindow):
         raise UsageError("the minimum-area check runs on planar windows (--model rpw)")
     rep = run_ensemble(cfg)
@@ -460,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sphere-compare",
                        help="spherical ensemble CDF vs a planar report, KS distance")
     _add_model_flags(p)
-    _add_ensemble_flags(p)
+    p.add_argument("--M", type=int, default=None, help="number of realizations")
     _add_common(p)
     p.add_argument("--planar-report", default=None,
                    help="planar run directory or report.json path")

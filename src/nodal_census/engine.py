@@ -93,10 +93,6 @@ FK_MARGIN = 0.10
 # from the realization streams (which are the plain indices 0..M-1).
 PERTURBATION_STREAM_BASE = 2**32
 
-# Test hook: when set, called with the realization index before sampling;
-# raising simulates a worker failure.
-_TEST_FAILURE_HOOK = None
-
 
 class EnsembleFailure(RuntimeError):
     """Raised when the ensemble cannot produce a trustworthy report."""
@@ -281,16 +277,14 @@ def _run_checks(config: EnsembleConfig, sample, dec, index: int) -> dict:
     return out
 
 
-def _realize(config: EnsembleConfig, index: int) -> tuple[str, dict]:
-    if _TEST_FAILURE_HOOK is not None:
-        _TEST_FAILURE_HOOK(index)
+def _realize(config: EnsembleConfig, index: int, outdir: Path) -> tuple[str, dict]:
     sample = sample_field(config.model, config.grid, RngStream(config.master_seed, index))
     dec = label_domains(sample)
     measure_domains(dec)
     payload = dict(census_record(dec), checks=_run_checks(config, sample, dec, index))
     csv_text = domain_table_csv(dec)
     if config.keep_fields:
-        fields_dir = Path(config.output_dir) / "fields"
+        fields_dir = outdir / "fields"
         fields_dir.mkdir(parents=True, exist_ok=True)
         write_field(sample, fields_dir / f"{index:05d}.ncfs")
     return csv_text, payload
@@ -314,7 +308,7 @@ def _execute(config: EnsembleConfig, outdir: Path, reuse: dict) -> tuple[dict, l
         if index in reuse:
             return index, reuse[index], None
         try:
-            csv_text, payload = _realize(config, index)
+            csv_text, payload = _realize(config, index, outdir)
             _persist(outdir, config, index, csv_text, payload)
             return index, payload, None
         except Exception as exc:  # noqa: BLE001 - failure isolation contract

@@ -165,20 +165,26 @@ class PlaneWaveBasis:
 
 
 def _basis_block(r: np.ndarray, theta: np.ndarray, n_trunc: int):
-    """Cosine/sine basis rows for the given polar coordinates."""
-    jmat = bessel_j_orders(n_trunc, r)
+    """Cosine/sine basis rows for the given polar coordinates.
+
+    A lattice repeats each radius many times, so the Bessel sweep runs on the
+    distinct radii and each order's column is gathered back onto the nodes.
+    """
+    radii, node_radius = np.unique(r, return_inverse=True)
+    jmat = bessel_j_orders(n_trunc, radii)
     npts = r.shape[0]
     cos_b = np.empty((npts, n_trunc + 1), dtype=np.float64)
     sin_b = np.empty((npts, n_trunc), dtype=np.float64)
-    cos_b[:, 0] = jmat[:, 0]
+    cos_b[:, 0] = jmat[node_radius, 0]
     c1 = np.cos(theta)
     s1 = np.sin(theta)
     cn = c1.copy()
     sn = s1.copy()
     root2 = math.sqrt(2.0)
     for n in range(1, n_trunc + 1):
-        cos_b[:, n] = root2 * jmat[:, n] * cn
-        sin_b[:, n - 1] = root2 * jmat[:, n] * sn
+        jn = jmat[node_radius, n]
+        cos_b[:, n] = root2 * jn * cn
+        sin_b[:, n - 1] = root2 * jn * sn
         if n < n_trunc:
             cn, sn = cn * c1 - sn * s1, sn * c1 + cn * s1
     return cos_b, sin_b

@@ -1,9 +1,13 @@
 """Bessel functions of the first kind, their zeros, and annulus covariance kernels.
 
-Everything here is plain double-precision numerics built from series,
-asymptotics and three-term recurrences.  Accuracy contract: absolute error
-<= 1e-10 for J_nu on x in [0, 1000] with integer or half-integer order
-nu <= 200, and <= 1e-9 for zero locations.
+Everything here is plain double-precision numerics with one algorithm per
+order class.  Integer orders: the ascending power series for x <= 12, and
+beyond it Miller's backward recurrence (`bessel_j_orders`) started above
+max(n, x) and normalized by the Neumann sum; a scalar J_n is one column of
+that sweep.  Half-integer orders: the spherical Bessel recurrence against
+the closed forms of j_0 and j_1 (the series for x <= 12 below the order).
+Accuracy contract: absolute error <= 1e-10 for J_nu on x in [0, 1000] with
+integer or half-integer order nu <= 200, and <= 1e-9 for zero locations.
 """
 
 from __future__ import annotations
@@ -59,90 +63,6 @@ def _series_j(nu: float, x: float) -> float:
     if log_pre < -745.0:
         return 0.0
     return math.exp(log_pre) * total
-
-
-def _series_j_longdouble(nu: int, x: float) -> float:
-    """Series in 80-bit arithmetic; keeps full double accuracy up to x ~ 18."""
-    q = np.longdouble(0.25) * np.longdouble(x) * np.longdouble(x)
-    term = np.longdouble(1.0)
-    total = np.longdouble(1.0)
-    for k in range(1, 120):
-        term = term * (-q) / np.longdouble(k * (nu + k))
-        total = total + term
-        if abs(float(term)) < 1e-22 * (1.0 + abs(float(total))):
-            break
-    pre = np.longdouble(0.5 * x) ** nu / np.longdouble(math.factorial(nu))
-    return float(pre * total)
-
-
-def _hankel_j01(nu: int, x: float) -> float:
-    """Large-argument asymptotic expansion for nu in {0, 1}, x > 18."""
-    mu = 4.0 * nu * nu
-    xl = np.longdouble(x)
-    p = np.longdouble(1.0)
-    q = np.longdouble(0.0)
-    term = np.longdouble(1.0)
-    sign_p = -1.0
-    sign_q = 1.0
-    for k in range(1, 30):
-        term = term * np.longdouble(mu - (2 * k - 1) ** 2) / (np.longdouble(8 * k) * xl)
-        if abs(float(term)) < 1e-22:
-            break
-        if k % 2 == 0:
-            p += sign_p * term
-            sign_p = -sign_p
-        else:
-            q += sign_q * term
-            sign_q = -sign_q
-    chi = x - (0.5 * nu + 0.25) * math.pi
-    amp = math.sqrt(2.0 / (math.pi * x))
-    return amp * (math.cos(chi) * float(p) - math.sin(chi) * float(q))
-
-
-def _j01(nu: int, x: float) -> float:
-    if x <= 12.0:
-        return _series_j(nu, x)
-    if x <= 18.0:
-        return _series_j_longdouble(nu, x)
-    return _hankel_j01(nu, x)
-
-
-def _upward_integer(n: int, x: float) -> float:
-    """Forward recurrence from J_0, J_1; stable in the oscillatory regime x >= n."""
-    jm = _j01(0, x)
-    if n == 0:
-        return jm
-    jc = _j01(1, x)
-    for k in range(1, n):
-        jm, jc = jc, (2.0 * k / x) * jc - jm
-    return jc
-
-
-def _miller_integer(n: int, x: float) -> float:
-    """Backward (Miller) recurrence normalized by the Neumann sum J_0 + 2*sum J_2k = 1."""
-    m = n + int(math.sqrt(40.0 * max(n, 1))) + 15
-    if m % 2 == 1:
-        m += 1
-    jp = 0.0
-    jc = 1e-300
-    neumann = 0.0
-    target = 0.0
-    for k in range(m, 0, -1):
-        jm = (2.0 * k / x) * jc - jp
-        jp, jc = jc, jm
-        if k - 1 == n:
-            target = jc
-        if (k - 1) % 2 == 0 and k - 1 > 0:
-            neumann += 2.0 * jc
-        if abs(jc) > _RESCALE_LIMIT:
-            jc *= _RESCALE
-            jp *= _RESCALE
-            neumann *= _RESCALE
-            target *= _RESCALE
-    neumann += jc  # J_0 contribution
-    if n == 0:
-        target = jc
-    return target / neumann
 
 
 def _sph_pair(x: float) -> tuple[float, float]:
@@ -205,11 +125,7 @@ def bessel_j(nu: float, x: float) -> float:
         n = int(round(nu))
         if x <= 12.0:
             return _series_j(float(n), x)
-        if n <= 1:
-            return _j01(n, x)
-        if x >= n:
-            return _upward_integer(n, x)
-        return _miller_integer(n, x)
+        return float(bessel_j_orders(n, np.array([x]))[0, n])
     # half-integer: route through spherical Bessel functions
     n = int(round(nu - 0.5))
     if x <= 12.0 and x < nu:
@@ -221,8 +137,11 @@ def bessel_j_orders(nmax: int, x: np.ndarray) -> np.ndarray:
     """All integer orders at once: returns a (len(x), nmax+1) matrix of J_n(x).
 
     Vectorized Miller backward recurrence with per-node rescaling and
-    Neumann-sum normalization; this is the bulk path the plane-wave sampler
-    leans on, so it trades memory for a single sweep over orders.
+    Neumann-sum normalization, started above max(nmax, max x).  Each node
+    is swept independently, so a value does not depend on the other nodes
+    beyond the shared start order.  This is the only integer-order path
+    past the power series: the plane-wave sampler and scalar `bessel_j`
+    both read it.
     """
     if nmax < 0:
         raise ValueError("nmax must be non-negative")
@@ -240,7 +159,10 @@ def bessel_j_orders(nmax: int, x: np.ndarray) -> np.ndarray:
         return out
     xv = x[live]
     inv_x = 1.0 / xv
-    m = nmax + int(math.sqrt(40.0 * max(nmax, 1))) + 15
+    # the backward sweep settles onto J_n only where J_n decays with n, at
+    # orders above x, so it starts above the largest x as well as nmax
+    top = max(nmax, math.ceil(float(xv.max())))
+    m = top + int(math.sqrt(40.0 * max(top, 1))) + 15
     if m % 2 == 1:
         m += 1
     jp = np.zeros_like(xv)

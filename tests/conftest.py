@@ -12,6 +12,7 @@ from nodal_census import (
     PlaneWave2D,
     RngStream,
     SphericalHarmonic,
+    engine,
     label_domains,
     measure_domains,
     sample_field,
@@ -58,3 +59,23 @@ def mini_ensemble():
         measure_domains(dec)
         decs.append(dec)
     return decs
+
+
+@pytest.fixture
+def fail_realizations(monkeypatch):
+    """`fail(*indices)` makes the engine's draw for those realizations raise.
+
+    Perturbation directions draw from streams at 2**32 and up, so they pass.
+    """
+
+    def fail(*indices):
+        draw = engine.sample_field
+
+        def failing(model, grid, stream):
+            if stream.stream_id in indices:
+                raise RuntimeError("injected")
+            return draw(model, grid, stream)
+
+        monkeypatch.setattr(engine, "sample_field", failing)
+
+    return fail

@@ -13,7 +13,6 @@ from nodal_census import (
     PlanarWindow,
     PlaneWave2D,
     RngStream,
-    engine,
     faber_krahn_check,
     label_domains,
     load_field,
@@ -166,14 +165,10 @@ def test_faber_krahn_rejects_non_planar_models(tmp_path, capsys):
     assert not sphere.exists() and not torus.exists()
 
 
-def test_faber_krahn_ignores_stale_sidecar(tmp_path, capsys, monkeypatch):
+def test_faber_krahn_ignores_stale_sidecar(tmp_path, capsys, fail_realizations):
     # Realization 1 fails, so the sidecar pair already on disk for it is not
     # part of the report; its forged tiny area must not reach the minimum.
-    def hook(index):
-        if index == 1:
-            raise RuntimeError("injected")
-
-    monkeypatch.setattr(engine, "_TEST_FAILURE_HOOK", hook)
+    fail_realizations(1)
     out = tmp_path / "run"
     (out / "realizations").mkdir(parents=True)
     stale = (
@@ -262,6 +257,15 @@ def test_sphere_compare_requires_inputs(tmp_path):
     assert main(["sphere-compare", "--model", "sphere", "--M", "1",
                  "--planar-report", str(tmp_path)]) == 2
     assert main(["sphere-compare", "--model", "sphere", "--degree", "1", "--M", "1"]) == 2
+
+
+def test_sphere_compare_rejects_config(tmp_path):
+    # sphere-compare builds its own spherical config, so a config file is a
+    # usage error rather than a flag it silently ignores.
+    with pytest.raises(SystemExit) as exc:
+        main(["sphere-compare", "--config", "cfg.json", "--model", "sphere", "--degree", "1",
+              "--M", "1", "--planar-report", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_zero_realizations_exit_two(tmp_path, capsys):

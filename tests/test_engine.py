@@ -122,19 +122,15 @@ def test_resume_recomputes_missing_and_tampered(tmp_path):
     ).read_bytes()
 
 
-def test_resume_ignores_sidecar_of_another_config(tmp_path, monkeypatch):
+def test_resume_ignores_sidecar_of_another_config(tmp_path, monkeypatch, fail_realizations):
     # Realization 1 fails, leaving its slot to a forged sidecar from another
     # seed whose table checksum matches; resume must recompute it.
     a, b = tmp_path / "a", tmp_path / "b"
     config = _config(a, realizations=10, checks=(), radii=(), thresholds=())
 
-    def hook(index):
-        if index == 1:
-            raise RuntimeError("injected")
-
-    monkeypatch.setattr(engine, "_TEST_FAILURE_HOOK", hook)
+    fail_realizations(1)
     run_ensemble(config)
-    monkeypatch.setattr(engine, "_TEST_FAILURE_HOOK", None)
+    monkeypatch.undo()
     stale = (
         "label,sign,area,perimeter,boundary_components,touches_window\n"
         "0,+,0.001,0.1,1,false\n"
@@ -189,12 +185,8 @@ def test_resume_validates_directory(tmp_path):
         resume_ensemble(_config(tmp_path / "empty", realizations=2), tmp_path / "empty")
 
 
-def test_single_failure_is_logged(tmp_path, monkeypatch):
-    def hook(index):
-        if index == 3:
-            raise RuntimeError("injected")
-
-    monkeypatch.setattr(engine, "_TEST_FAILURE_HOOK", hook)
+def test_single_failure_is_logged(tmp_path, fail_realizations):
+    fail_realizations(3)
     report = run_ensemble(
         _config(tmp_path / "a", realizations=10, checks=(), thresholds=())
     ).report
@@ -202,12 +194,8 @@ def test_single_failure_is_logged(tmp_path, monkeypatch):
     assert report["failures"] == [{"index": 3, "error": "RuntimeError: injected"}]
 
 
-def test_too_many_failures_abort(tmp_path, monkeypatch):
-    def hook(index):
-        if index in (3, 7):
-            raise RuntimeError("injected")
-
-    monkeypatch.setattr(engine, "_TEST_FAILURE_HOOK", hook)
+def test_too_many_failures_abort(tmp_path, fail_realizations):
+    fail_realizations(3, 7)
     with pytest.raises(EnsembleFailure, match="2/10"):
         run_ensemble(_config(tmp_path / "a", realizations=10, checks=(), thresholds=()))
 
@@ -228,6 +216,22 @@ def test_keep_fields_writes_containers(tmp_path):
     sample = load_field(a / "fields" / "00000.ncfs")
     assert sample.grid == GRID
     assert sample.stream.stream_id == 0
+
+
+def test_resume_keeps_fields_in_the_resumed_directory(tmp_path, monkeypatch):
+    # A config rebuilt from the manifest carries no output_dir; the fields a
+    # resume redraws still belong under the directory being resumed.
+    a, cwd = tmp_path / "a", tmp_path / "cwd"
+    run_ensemble(
+        _config(a, realizations=2, checks=(), radii=(), thresholds=(), keep_fields=True)
+    )
+    (a / "realizations" / "00001.csv").unlink()
+    (a / "fields" / "00001.ncfs").unlink()
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    resume_ensemble(EnsembleConfig.from_dict(read_json(a / "manifest.json")["config"]), a)
+    assert load_field(a / "fields" / "00001.ncfs").stream.stream_id == 1
+    assert list(cwd.iterdir()) == []
 
 
 def test_config_validation():

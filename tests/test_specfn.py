@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nodal_census import bessel_j, bessel_zero, faber_krahn_floor, kernel_eval
+from nodal_census.specfn import bessel_j_orders
 
 from oracles import mp_band_kernel, mp_bessel, mp_bessel_zero
 
@@ -18,8 +19,11 @@ def test_bessel_pinned_values():
 @pytest.mark.parametrize("nu", [0, 1, 2, 3, 7, 20, 57, 131, 0.5, 1.5, 7.5, 60.5])
 def test_bessel_matches_series_oracle(nu):
     xs = np.concatenate([[0.0, 0.3], np.geomspace(1.0, 1000.0, 13)])
-    for x in xs:
-        assert abs(bessel_j(nu, float(x)) - mp_bessel(nu, float(x))) <= 1e-10
+    ref = np.array([mp_bessel(nu, float(x)) for x in xs])
+    for x, want in zip(xs, ref):
+        assert abs(bessel_j(nu, float(x)) - want) <= 1e-10
+    if nu == int(nu):
+        assert np.all(np.abs(bessel_j_orders(int(nu), xs)[:, int(nu)] - ref) <= 1e-10)
 
 
 def test_bessel_domain_errors():

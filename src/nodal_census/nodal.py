@@ -17,6 +17,17 @@ decides whether the nesting graph is a forest.  The measures:
 * boundary_components: number of connected crossing contours touching the
   domain, traced through shared cell-edge crossing points.
 
+Marching squares measures only the crossing cells (corners of both signs);
+a uniform cell adds its area to its corners' label.  A crossing cell falls
+in one of 32 classes, its corner-sign pattern plus 16 when the field is
+non-negative at its center, and read-only class tables give each class its
+segments, the corners on each side and the slots of its area shares.  At
+`_TABLE_MIN_CELLS` crossing cells and above, `_march_table` measures all of
+them with a few numpy passes; below it, `_march_loop` visits them one by
+one, because every numpy step has a fixed cost of some microseconds that a
+small field (a 4x4 window has at most 9 crossing cells) cannot repay.  The
+two give the same numbers, bit for bit.
+
 The ambiguous saddle cell (equal diagonal signs) is resolved by the sign of
 the field at the cell center when the sample carries spectral coefficients,
 and by connecting the positive corners otherwise.  Note the node labeling is
@@ -35,6 +46,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -248,6 +260,47 @@ def _cell_tables(grid: GridSpec):
     return d0, d1, area, cu, cv
 
 
+# Marching squares runs the per-cell loop below this many crossing cells and
+# the class-table pass at or above it: each numpy step of the table pass has a
+# fixed cost of a few microseconds, which a handful of cells cannot repay.
+# The two took equal time at 200-300 crossing cells on a 2-core Xeon VM.
+_TABLE_MIN_CELLS = 256
+
+
+class _Cells(NamedTuple):
+    """The crossing cells of a 2-D decomposition, in row-major cell order.
+
+    The rows of `values` and `labels` are corners A, B, C, D and the rows of
+    `edges` the edges AB, BC, CD, DA; an edge id names the crossing point on
+    that edge and is shared with the neighbouring cell.  Cells without a
+    crossing only add their area to the label of their corners, listed in
+    `uniform_labels` and `uniform_areas`.
+    """
+
+    k: int
+    uniform_labels: np.ndarray
+    uniform_areas: np.ndarray
+    pattern: np.ndarray  # corner sign bits A=1, B=2, C=4, D=8
+    saddle: np.ndarray
+    center_pos: np.ndarray
+    values: np.ndarray  # (4, n) corner values
+    labels: np.ndarray  # (4, n) corner labels
+    edges: np.ndarray  # (4, n) edge ids
+    d0: np.ndarray
+    d1: np.ndarray
+    area: np.ndarray
+
+
+class _Geometry(NamedTuple):
+    """Per-label lists (Python floats and ints) and the contour adjacency."""
+
+    perimeter: list
+    refined_area: list
+    boundary_components: list
+    contour_adjacency: list
+    total_length: float
+
+
 def measure_domains(dec: NodalDecomposition) -> NodalDecomposition:
     """Complete the decomposition's geometry: perimeters, refined areas,
     boundary components, contour adjacency, and the total crossing length.
@@ -260,13 +313,31 @@ def measure_domains(dec: NodalDecomposition) -> NodalDecomposition:
         _measure_faces_3d(dec)
         dec.measured = True
         return dec
+    cells = _crossing_cells(dec)
+    march = _march_table if cells.pattern.shape[0] >= _TABLE_MIN_CELLS else _march_loop
+    geometry = march(cells)
+    dec.contour_adjacency = geometry.contour_adjacency
+    for rec in dec.domains:
+        rec.perimeter = geometry.perimeter[rec.label]
+        rec.boundary_components = geometry.boundary_components[rec.label]
+        rec.refined_area = geometry.refined_area[rec.label]
+    dec.total_nodal_length = geometry.total_length
+    dec.measured = True
+    return dec
 
+
+# node offsets of corners A, B, C, D from a cell's first node, and the
+# corner and axis (0 for +i, 1 for +j) of edges AB, BC, CD, DA
+_CORNER_DI = np.array([[0], [1], [1], [0]])
+_CORNER_DJ = np.array([[0], [0], [1], [1]])
+_EDGE_START = np.array([0, 1, 3, 0])
+_EDGE_AXIS = np.array([[0], [1], [0], [1]])
+
+
+def _crossing_cells(dec: NodalDecomposition) -> _Cells:
     grid = dec.sample.grid
     values = np.asarray(dec.sample.values, dtype=np.float64)
-    vals = values.ravel()
-    labs = dec.labels.ravel()
     n0, n1 = dec.labels.shape
-    k = len(dec.domains)
     d0_row, d1_row, area_row, cu, cv = _cell_tables(grid)
     rows, cols = area_row.size, cv.size
     # node signs with the first row/column repeated past a wrapped edge, so
@@ -284,53 +355,67 @@ def measure_domains(dec: NodalDecomposition) -> NodalDecomposition:
         + pos[:rows, 1 : cols + 1] * 8
     ).ravel()
     crossing = (pattern != 0) & (pattern != 15)
-
-    refined = np.zeros(k)
     uniform = ~crossing
-    refined += np.bincount(
-        dec.labels[:rows, :cols].ravel()[uniform],
-        weights=np.repeat(area_row, cols)[uniform],
-        minlength=k,
-    )
 
     cidx = np.nonzero(crossing)[0]
     ci, cj = np.divmod(cidx, cols)
+    pattern = pattern[cidx]
     # corner node indices; a node index is also the id of the edge to its
     # +i neighbour, and n0 * n1 plus it the id of the edge to its +j one
-    ci1 = (ci + 1) % n0
-    cj1 = (cj + 1) % n1
-    fa = ci * n1 + cj
-    fb = ci1 * n1 + cj
-    fc = ci1 * n1 + cj1
-    fd = ci * n1 + cj1
-    e_base = n0 * n1
+    corners = ((ci + _CORNER_DI) % n0) * n1 + (cj + _CORNER_DJ) % n1
+    edges = corners[_EDGE_START] + _EDGE_AXIS * (n0 * n1)
     # saddle resolution: field sign at the cell center when evaluable
     center_pos = np.ones(cidx.shape[0], dtype=bool)
-    saddle = (pattern[cidx] == 5) | (pattern[cidx] == 10)
+    saddle = (pattern == 5) | (pattern == 10)
     if np.any(saddle) and dec.sample.coeffs is not None and dec.sample.model is not None:
         centers = np.stack([cu[ci[saddle]], cv[cj[saddle]]], axis=1)
         center_pos[saddle] = evaluate_at(dec.sample, centers) >= 0
 
-    va = vals[fa].tolist()
-    vb = vals[fb].tolist()
-    vc = vals[fc].tolist()
-    vd = vals[fd].tolist()
-    la = labs[fa].tolist()
-    lb = labs[fb].tolist()
-    lc = labs[fc].tolist()
-    ld = labs[fd].tolist()
-    eab = fa.tolist()
-    ebc = (e_base + fb).tolist()
-    ecd = fd.tolist()
-    eda = (e_base + fa).tolist()
-    pat = pattern[cidx].tolist()
-    d0s = d0_row[ci].tolist()
-    d1s = d1_row[ci].tolist()
-    areas_c = area_row[ci].tolist()
-    cpos = center_pos.tolist()
+    return _Cells(
+        k=len(dec.domains),
+        uniform_labels=dec.labels[:rows, :cols].ravel()[uniform],
+        uniform_areas=np.repeat(area_row, cols)[uniform],
+        pattern=pattern,
+        saddle=saddle,
+        center_pos=center_pos,
+        values=values.ravel()[corners],
+        labels=dec.labels.ravel()[corners],
+        edges=edges,
+        d0=d0_row[ci],
+        d1=d1_row[ci],
+        area=area_row[ci],
+    )
+
+
+def _label_sums(labels: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
+    """Per-label sums of `weights`, each label's added in input order (float
+    zeros also for empty input, where bincount alone gives integers)."""
+    return np.bincount(labels, weights=weights, minlength=k).astype(np.float64, copy=False)
+
+
+def _segment_contours(ends: np.ndarray) -> tuple[np.ndarray, int]:
+    """Contour of each segment, given its two crossing-point edge ids in
+    `ends[2s]`, `ends[2s + 1]`: the components of the segments over their
+    crossing points, numbered by smallest edge id.  Also the contour count."""
+    ids, point = np.unique(ends, return_inverse=True)
+    contour = _components(ids.shape[0], point[0::2], point[1::2])
+    return contour[point[0::2]], int(contour.max(initial=-1)) + 1
+
+
+def _march_loop(cells: _Cells) -> _Geometry:
+    """Marching squares one crossing cell at a time."""
+    k = cells.k
+    va, vb, vc, vd = cells.values.tolist()
+    la, lb, lc, ld = cells.labels.tolist()
+    eab, ebc, ecd, eda = cells.edges.tolist()
+    pat = cells.pattern.tolist()
+    d0s = cells.d0.tolist()
+    d1s = cells.d1.tolist()
+    areas_c = cells.area.tolist()
+    cpos = cells.center_pos.tolist()
 
     perimeter = [0.0] * k
-    ref = refined.tolist()
+    ref = _label_sums(cells.uniform_labels, cells.uniform_areas, k).tolist()
     total_len = 0.0
     # `ends` holds each segment's two crossing-point edge ids, `segments` its
     # (positive labels, negative labels)
@@ -438,33 +523,172 @@ def measure_domains(dec: NodalDecomposition) -> NodalDecomposition:
         ref[one] += frac * ca
         ref[other] += (1.0 - frac) * ca
 
-    # contours are the components of the segments over their crossing
-    # points, numbered by smallest edge id
-    ids, point = np.unique(np.array(ends, dtype=np.int64), return_inverse=True)
-    contour = _components(ids.shape[0], point[0::2], point[1::2])
-    n_contours = int(contour.max(initial=-1)) + 1
+    contour, n_contours = _segment_contours(np.array(ends, dtype=np.int64))
     label_contours: list[set[int]] = [set() for _ in range(k)]
     plus_by_contour: list[set[int]] = [set() for _ in range(n_contours)]
     minus_by_contour: list[set[int]] = [set() for _ in range(n_contours)]
-    for c, (plus, minus) in zip(contour[point[0::2]].tolist(), segments):
+    for c, (plus, minus) in zip(contour.tolist(), segments):
         for lab_i in plus:
             label_contours[lab_i].add(c)
             plus_by_contour[c].add(lab_i)
         for lab_i in minus:
             label_contours[lab_i].add(c)
             minus_by_contour[c].add(lab_i)
+    return _Geometry(
+        perimeter=perimeter,
+        refined_area=ref,
+        boundary_components=[len(s) for s in label_contours],
+        contour_adjacency=[
+            (tuple(sorted(plus)), tuple(sorted(minus)))
+            for plus, minus in zip(plus_by_contour, minus_by_contour)
+        ],
+        total_length=total_len,
+    )
 
-    dec.contour_adjacency = [
-        (tuple(sorted(plus)), tuple(sorted(minus)))
-        for plus, minus in zip(plus_by_contour, minus_by_contour)
-    ]
-    for rec in dec.domains:
-        rec.perimeter = perimeter[rec.label]
-        rec.boundary_components = len(label_contours[rec.label])
-        rec.refined_area = ref[rec.label]
-    dec.total_nodal_length = total_len
-    dec.measured = True
-    return dec
+
+def _class_tables():
+    """Read-only tables of the 32 crossing classes, pattern + 16 * (center >= 0).
+
+    Returns (segment edges, segment sides, area corners, fraction rows, one
+    positive).  A cell has up to two segments; each segment lists its two
+    edges and three corners: its `one` side, then one or two corners of the
+    other side (repeated when one).  A single-segment class repeats its
+    segment in the unused second slot, so no slot reads an edge without a
+    crossing.  A cell's four refined-area slots name the corner whose label
+    takes each share, and its two fraction rows index the per-cell
+    fractions of `_march_table`: the corner cuts A, B, C, D (0-3), the
+    AB|CD and BC|DA splits (4, 5), and 6 plus any of these for its
+    complement.  Saddles (5, 10) cut off the two corners whose sign differs
+    from the center's, and the channel of the other two takes the rest of
+    the cell.  Classes 0, 15, 16 and 31 never cross.
+    """
+    a, b, c, d = range(4)
+    ab, bc, cd, da = range(4)
+    cut = {a: (da, ab), b: (ab, bc), c: (bc, cd), d: (cd, da)}
+    # pattern whose `one` side is positive, its complement: edges, one, other, fraction
+    single = {
+        (1, 14): (cut[a], a, b, a),
+        (2, 13): (cut[b], b, a, b),
+        (4, 11): (cut[c], c, a, c),
+        (8, 7): (cut[d], d, a, d),
+        (9, 6): ((ab, cd), a, b, 4),
+        (3, 12): ((bc, da), a, d, 5),
+    }
+    seg_edges = np.zeros((32, 2, 2), dtype=np.intp)
+    seg_sides = np.zeros((32, 2, 3), dtype=np.intp)
+    area_corners = np.zeros((32, 4), dtype=np.intp)
+    frac_cols = np.zeros((32, 2), dtype=np.intp)
+    one_positive = np.zeros(32, dtype=bool)
+    for center in (0, 16):
+        for pair, (edges, one, other, col) in single.items():
+            for p in pair:
+                cls = p + center
+                seg_edges[cls] = edges
+                seg_sides[cls] = (one, other, other)
+                area_corners[cls] = (one, other, other, other)
+                frac_cols[cls] = (col, 6 + col)
+                one_positive[cls] = p == pair[0]
+        for p in (5, 10):
+            cls = p + center
+            iso, channel = ((b, d), (a, c)) if (p == 5) == bool(center) else ((a, c), (b, d))
+            for s, corner in enumerate(iso):
+                seg_edges[cls, s] = cut[corner]
+                seg_sides[cls, s] = (corner, *channel)
+            area_corners[cls] = (*iso, *channel)
+            frac_cols[cls] = iso
+            one_positive[cls] = not center
+    tables = (seg_edges, seg_sides, area_corners, frac_cols, one_positive)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+_SEG_EDGES, _SEG_SIDES, _AREA_CORNERS, _FRAC_COLS, _ONE_POSITIVE = _class_tables()
+# corner-cut fractions (0.5 * x) * y of corners A, B, C, D, as rows of
+# [t_ab, t_bc, t_cd, t_da, 1 - t_ab, 1 - t_bc, 1 - t_cd, 1 - t_da]
+_CORNER_X = [0, 4, 5, 2]
+_CORNER_Y = [3, 1, 6, 7]
+
+
+def _pick(rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """out[i, s] = rows[slots[i, s], i] for per-cell rows of shape (m, n)."""
+    n = rows.shape[1]
+    return rows.ravel()[slots * n + np.arange(n)[:, None]]
+
+
+def _march_table(cells: _Cells) -> _Geometry:
+    """Marching squares over all crossing cells at once, by crossing class.
+
+    The same numbers as `_march_loop`, bit for bit: every value is computed
+    by the loop's expression, and each bincount adds a label's
+    contributions in the loop's order (cell by cell, then slot by slot).
+    """
+    n, k = cells.pattern.shape[0], cells.k
+    cls = cells.pattern + 16 * cells.center_pos
+    saddle = cells.saddle
+    a, b, c, d = cells.values
+    with np.errstate(divide="ignore", invalid="ignore"):  # edges without a crossing
+        t = np.stack([a / (a - b), b / (b - c), d / (d - c), a / (a - d)])
+        tt = np.concatenate([t, 1.0 - t])
+        frac = np.concatenate([(0.5 * tt[_CORNER_X]) * tt[_CORNER_Y], 0.5 * (t[:2] + t[2:])])
+        frac = np.concatenate([frac, 1.0 - frac])
+    # crossing point of each edge AB, BC, CD, DA; A = (0, 0), C = (1, 1)
+    zero, one = np.zeros(n), np.ones(n)
+    u = np.stack([t[0], one, t[2], zero])
+    v = np.stack([zero, t[1], one, t[3]])
+
+    every = np.ones(n, dtype=bool)
+    live = np.stack([every, saddle], axis=1)
+    edges = _SEG_EDGES[cls].reshape(n, 4)
+    e1, e2 = edges[:, 0::2], edges[:, 1::2]
+    du = (_pick(u, e2) - _pick(u, e1)) * cells.d0[:, None]
+    dv = (_pick(v, e2) - _pick(v, e1)) * cells.d1[:, None]
+    lengths = np.array(list(map(math.hypot, du[live].tolist(), dv[live].tolist())))
+    seg_len = np.zeros((n, 2))
+    seg_len[live] = lengths
+
+    sides = _pick(cells.labels, _SEG_SIDES[cls].reshape(n, 6)).reshape(n, 2, 3)
+    # a channel of one label is adjacent once
+    touch = np.stack([live, live, live & (sides[:, :, 2] != sides[:, :, 1])], axis=2)
+    adjacent = sides[touch]
+    perimeter = _label_sums(adjacent, np.broadcast_to(seg_len[:, :, None], sides.shape)[touch], k)
+
+    f = _pick(frac, _FRAC_COLS[cls])
+    ca = cells.area
+    rest = (1.0 - (f[:, 0] + f[:, 1])) * ca
+    owner = _pick(cells.labels, _AREA_CORNERS[cls])
+    shared = owner[:, 2] == owner[:, 3]
+    half = 0.5 * rest
+    share = np.column_stack([f * ca[:, None], np.where(shared, rest, half), half])
+    gets = np.stack([every, every, saddle, saddle & ~shared], axis=1)
+    refined = _label_sums(
+        np.concatenate([cells.uniform_labels, owner[gets]]),
+        np.concatenate([cells.uniform_areas, share[gets]]),
+        k,
+    )
+
+    ends = _pick(cells.edges, edges).reshape(n, 2, 2)[live].ravel()
+    contour, n_contours = _segment_contours(ends)
+    # one key per (contour, sign, label); a label has one sign, so each
+    # distinct key is one (contour, label) pair
+    positive = _ONE_POSITIVE[cls]
+    minus = np.stack([~positive, positive, positive], axis=1)
+    sign = np.broadcast_to(minus[:, None, :], sides.shape)[touch]
+    by_segment = np.zeros((n, 2), dtype=np.int64)
+    by_segment[live] = contour
+    segment_contour = np.broadcast_to(by_segment[:, :, None], sides.shape)[touch]
+    pairs = np.unique((segment_contour * 2 + sign) * k + adjacent)
+    label = pairs % k
+    bounds = np.cumsum(np.bincount(pairs // k, minlength=2 * n_contours)).tolist()
+    labels = label.tolist()
+    groups = [tuple(labels[i:j]) for i, j in zip([0, *bounds], bounds)]
+    return _Geometry(
+        perimeter=perimeter.tolist(),
+        refined_area=refined.tolist(),
+        boundary_components=np.bincount(label, minlength=k).tolist(),
+        contour_adjacency=list(zip(groups[0::2], groups[1::2])),
+        total_length=float(np.cumsum(np.concatenate([[0.0], lengths]))[-1]),
+    )
 
 
 def _measure_faces_3d(dec: NodalDecomposition) -> None:

@@ -304,26 +304,29 @@ def legendre_matrix(degree: int, cos_theta: np.ndarray) -> np.ndarray:
     Normalized so Pbar_{l0}^2 + 2 sum_{m>=1} Pbar_{lm}^2 = (2l+1)/(4 pi)
     (the addition theorem); computed by the standard stable three-term
     recurrence in l after walking the sectoral diagonal, all in the scaled
-    regime so degree ~200 stays far from overflow.
+    regime so degree ~200 stays far from overflow.  The recurrence steps
+    every order at once: order m joins it at l = m + 2.
     """
     ct = np.asarray(cos_theta, dtype=np.float64)
     st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    out = np.empty((ct.shape[0], degree + 1), dtype=np.float64)
+    out = np.empty((degree + 1, ct.shape[0]), dtype=np.float64)  # row m
     pmm = np.full_like(ct, 1.0 / math.sqrt(4.0 * math.pi))
-    for m in range(degree + 1):
-        if m > 0:
-            pmm = pmm * st * math.sqrt((2.0 * m + 1.0) / (2.0 * m))
-        if m == degree:
-            out[:, m] = pmm
-            break
-        p_prev = pmm
-        p_cur = math.sqrt(2.0 * m + 3.0) * ct * pmm
-        for l in range(m + 2, degree + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            bcoef = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            p_prev, p_cur = p_cur, a * (ct * p_cur - bcoef * p_prev)
-        out[:, m] = p_cur
-    return out
+    out[0] = pmm
+    for m in range(1, degree + 1):
+        pmm = pmm * st * math.sqrt((2.0 * m + 1.0) / (2.0 * m))
+        out[m] = pmm
+    ms = np.arange(degree)
+    p_prev = out[:degree].copy()
+    p_cur = (np.sqrt(2.0 * ms + 3.0)[:, None] * ct) * p_prev
+    for l in range(2, degree + 1):
+        m = ms[: l - 1]
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
+        bcoef = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None]
+        p_next = a * (ct * p_cur[: l - 1] - bcoef * p_prev[: l - 1])
+        p_prev[: l - 1] = p_cur[: l - 1]
+        p_cur[: l - 1] = p_next
+    out[:degree] = p_cur
+    return out.T.copy()
 
 
 def sample_spherical_harmonic(

@@ -261,6 +261,20 @@ def _scaled_jn(nu: float, x: float) -> float:
     return bessel_j(nu, x) / x**nu
 
 
+def _scaled_jn_many(nu: float, xs: np.ndarray) -> np.ndarray:
+    """`_scaled_jn` at each of `xs`; an integer order takes every x > 12
+    from one Miller sweep instead of a sweep per point."""
+    out = np.empty_like(xs)
+    swept = (xs > 12.0) & _is_integer(nu)
+    if np.any(swept):
+        n = int(round(nu))
+        x = xs[swept]
+        out[swept] = bessel_j_orders(n, x)[:, n] / x**nu
+    rest = np.flatnonzero(~swept)
+    out[rest] = [_scaled_jn(nu, x) for x in xs[rest].tolist()]
+    return out
+
+
 def kernel_eval(n: int, alpha: float, r) -> float | np.ndarray:
     """Covariance kernel of the band-limited field: radial Fourier average.
 
@@ -281,20 +295,15 @@ def kernel_eval(n: int, alpha: float, r) -> float | np.ndarray:
         raise ValueError("kernel argument r must be >= 0")
     scalar = rr.ndim == 0
     flat = np.atleast_1d(rr).ravel()
-    out = np.empty_like(flat)
     if alpha == 1.0:
         nu = 0.5 * n - 1.0
         pre = math.gamma(0.5 * n) * 2.0**nu
-        for i, ri in enumerate(flat):
-            out[i] = 1.0 if ri == 0.0 else pre * _scaled_jn(nu, ri)
+        out = pre * _scaled_jn_many(nu, flat)
     else:
         nu = 0.5 * n
         pre = n * math.gamma(0.5 * n) * 2.0 ** (0.5 * n - 1.0) / (1.0 - alpha**n)
-        for i, ri in enumerate(flat):
-            if ri == 0.0:
-                out[i] = 1.0
-            else:
-                out[i] = pre * (_scaled_jn(nu, ri) - alpha**n * _scaled_jn(nu, alpha * ri))
+        out = pre * (_scaled_jn_many(nu, flat) - alpha**n * _scaled_jn_many(nu, alpha * flat))
+    out[flat == 0.0] = 1.0
     if scalar:
         return float(out[0])
     return out.reshape(np.atleast_1d(rr).shape)

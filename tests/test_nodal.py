@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from nodal_census import (
+    BandLimitedTorus,
     DomainRecord,
     LatLongSphere,
     NodalDecomposition,
@@ -23,7 +24,20 @@ from nodal_census import (
     sample_field,
     synthetic_sample,
 )
-from nodal_census.nodal import _cell_tables, _components, default_center
+from nodal_census.nodal import (
+    _AREA_CORNERS,
+    _FRAC_COLS,
+    _ONE_POSITIVE,
+    _SEG_EDGES,
+    _SEG_SIDES,
+    _cell_tables,
+    _class_tables,
+    _components,
+    _crossing_cells,
+    _march_loop,
+    _march_table,
+    default_center,
+)
 
 
 def _graph_cases():
@@ -81,6 +95,104 @@ def test_cell_tables_are_shared_read_only():
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
     assert _cell_tables.cache_info().currsize == 3
+
+
+def _types(x):
+    if isinstance(x, (list, tuple)):
+        return type(x).__name__, [_types(y) for y in x]
+    return type(x).__name__
+
+
+def _assert_marches_agree(cells):
+    """The class-table pass gives the loop's geometry: the same values, bit
+    for bit, held in the same Python types."""
+    loop, table = _march_loop(cells), _march_table(cells)
+    assert table == loop
+    assert _types(table) == _types(loop)
+    return loop
+
+
+def _cells(values, grid=None, center_pos=None):
+    values = np.asarray(values, dtype=np.float64)
+    grid = grid or PlanarWindow(side=0.5 * (values.shape[0] - 1), spacing=0.5)
+    cells = _crossing_cells(label_domains(synthetic_sample(values, grid)))
+    if center_pos is not None:
+        cells = cells._replace(center_pos=np.full(cells.pattern.shape, center_pos) | ~cells.saddle)
+    return cells
+
+
+@pytest.mark.parametrize("center_pos", [False, True])
+@pytest.mark.parametrize("pattern", range(16))
+def test_marches_agree_on_every_single_cell_class(pattern, center_pos):
+    # corners A, B, C, D of the one cell are nodes (0, 0), (1, 0), (1, 1), (0, 1)
+    magnitude = np.array([[0.3, 0.9], [0.7, 0.45]])
+    bits = np.array([[1, 8], [2, 4]])
+    values = np.where(pattern & bits, magnitude, -magnitude)
+    cells = _cells(values, center_pos=center_pos)
+    assert cells.pattern.tolist() == ([] if pattern in (0, 15) else [pattern])
+    _assert_marches_agree(cells)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("center_pos", [False, True])
+def test_marches_agree_on_saddles_with_shared_labels(sign, center_pos):
+    # the middle cell is a saddle whose diagonal A, C joins the border, so
+    # its channel (centre of A's sign) or its two cut-off corners (centre of
+    # B's sign) carry one label
+    values = sign * np.array([
+        [0.5, 0.8, 0.6, 0.9],
+        [0.7, 0.4, -0.3, 0.5],
+        [0.6, -0.6, 0.2, 0.8],
+        [0.9, 0.5, 0.7, 0.6],
+    ])
+    cells = _cells(values, center_pos=center_pos)
+    middle = np.flatnonzero(cells.saddle)
+    assert middle.size == 1
+    a, _, c, _ = cells.labels[:, middle[0]]
+    assert a == c
+    geometry = _assert_marches_agree(cells)
+    assert geometry.total_length > 0.0
+
+
+def test_marches_agree_without_crossing_cells():
+    cells = _cells(np.ones((5, 5)))
+    assert cells.pattern.size == 0
+    geometry = _assert_marches_agree(cells)
+    assert geometry.total_length == 0.0
+    assert geometry.contour_adjacency == []
+
+
+@pytest.mark.parametrize("case", ["desk", "sphere-l40", "torus-2d"])
+def test_marches_agree_on_sampled_fields(case, desk_grid):
+    model, grid = {
+        "desk": (PlaneWave2D(), desk_grid),
+        "sphere-l40": (SphericalHarmonic(degree=40), LatLongSphere(n_lat=80, n_lon=160)),
+        "torus-2d": (BandLimitedTorus(dim=2, alpha=0.0),
+                     Torus(side=40 * math.pi, spacing=2 * math.pi / 8)),
+    }[case]
+    cells = _crossing_cells(label_domains(sample_field(model, grid, RngStream(8, 0))))
+    assert cells.pattern.size > 1000
+    _assert_marches_agree(cells)
+
+
+def test_marches_agree_on_random_small_fields():
+    rng = np.random.default_rng(21)
+    grid = PlanarWindow(side=1.5, spacing=0.5)
+    for _ in range(3000):
+        values = rng.choice([-1.0, 1.0], size=(4, 4)) * rng.uniform(0.1, 1.0, size=(4, 4))
+        cells = _cells(values, grid)
+        # both saddle resolutions, as on coefficient-carrying fields
+        cells = cells._replace(center_pos=rng.random(cells.pattern.shape) < 0.5)
+        _assert_marches_agree(cells)
+
+
+def test_class_tables_are_read_only():
+    fresh = _class_tables()
+    for table, expected in zip((_SEG_EDGES, _SEG_SIDES, _AREA_CORNERS, _FRAC_COLS, _ONE_POSITIVE),
+                               fresh):
+        np.testing.assert_array_equal(table, expected)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
 
 
 def _sinsin_torus(side, spacing, dim=2):

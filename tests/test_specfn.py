@@ -87,5 +87,5 @@ def test_kernel_matches_quadrature_oracle(dim, alpha):
 @pytest.mark.parametrize("dim,alpha", [(2, 1.0), (2, 0.5), (3, 1.0)])
 def test_kernel_bounded_by_one(dim, alpha):
     rs = np.arange(0.0, 200.0, 0.5)
-    vals = np.array([kernel_eval(dim, alpha, float(r)) for r in rs])
+    vals = kernel_eval(dim, alpha, rs)
     assert np.all(np.abs(vals) <= 1.0 + 1e-12)

@@ -3,9 +3,14 @@
 A decomposition labels every grid node with its connected sign component
 (4-connectivity, 6 in three dimensions; value exactly 0 counts as positive)
 and then measures each domain.  One connected-components routine,
-`_components`, finds both the domains (over same-sign node pairs) and the
-crossing contours (over the crossing points each segment joins), and also
-decides whether the nesting graph is a forest.  The measures:
+`_components`, finds both the domains and the crossing contours (over the
+crossing points each segment joins), and also decides whether the nesting
+graph is a forest.  Domains are the components of same-sign runs, the
+stretches of one sign along the last axis, joined where they touch on
+another axis.  On a 160^3 torus the run graph has about a seventh of the
+nodes and a tenth of the same-sign node pairs.  Each domain's smallest node
+starts a run, so the labels keep the order of the domains' smallest nodes.
+The measures:
 
 * area: member-node count times cell volume (exact per-cell solid angles on
   the sphere), the primary estimator;
@@ -155,6 +160,15 @@ def label_domains(sample: FieldSample) -> NodalDecomposition:
     4-connected (6-connected for 3-D tori), zero values positive, adjacency
     wrapping on periodic axes.  Fills the count-based record fields; the
     marching-squares fields arrive with measure_domains.
+
+    The components are found over runs, the maximal stretches of one sign
+    along the last axis (Wu, Otoo & Suzuki, Pattern Anal. Appl. 12, 2009),
+    numbered in row-major order of their first nodes.  A neighbour pair on
+    another axis joins the runs of its two nodes; where neither node starts a
+    run, it joins the same two runs as the pair before it on the last axis,
+    so only pairs with a run start become edges.  The smallest node of a
+    domain starts a run, so numbering domains by their smallest run keeps
+    the row-major order of their smallest nodes.
     """
     grid = sample.grid
     v = np.asarray(sample.values)
@@ -163,40 +177,44 @@ def label_domains(sample: FieldSample) -> NodalDecomposition:
     if not np.all(np.isfinite(v)):
         raise ValueError("field values must be finite")
     pos = v >= 0
-    idx = np.arange(v.size).reshape(v.shape)
+    start = np.ones(v.shape, dtype=bool)
+    np.not_equal(pos[..., 1:], pos[..., :-1], out=start[..., 1:])
+    run = start.cumsum().reshape(v.shape)
+    run -= 1
     wraps = _wrap_axes(grid)
     us, vs = [], []
-    for ax in range(v.ndim):
-        lo = [slice(None)] * v.ndim
-        hi = [slice(None)] * v.ndim
-        lo[ax] = slice(None, -1)
-        hi[ax] = slice(1, None)
-        same = pos[tuple(lo)] == pos[tuple(hi)]
-        us.append(idx[tuple(lo)][same])
-        vs.append(idx[tuple(hi)][same])
+    if wraps[-1]:
+        same = pos[..., -1] == pos[..., 0]
+        us.append(run[..., -1][same])
+        vs.append(run[..., 0][same])
+    for ax in range(v.ndim - 1):
+        pairs = [(slice(None, -1), slice(1, None))]
         if wraps[ax]:
-            last = [slice(None)] * v.ndim
-            first = [slice(None)] * v.ndim
-            last[ax] = -1
-            first[ax] = 0
-            same = pos[tuple(last)] == pos[tuple(first)]
-            us.append(idx[tuple(last)][same])
-            vs.append(idx[tuple(first)][same])
-    labels = _components(v.size, np.concatenate(us), np.concatenate(vs))
-    labels = labels.reshape(v.shape).astype(np.int32)
-    domains = _count_records(sample, labels, pos)
+            pairs.append((-1, 0))
+        for lo, hi in pairs:
+            lo = (slice(None),) * ax + (lo,)
+            hi = (slice(None),) * ax + (hi,)
+            edge = (pos[lo] == pos[hi]) & (start[lo] | start[hi])
+            us.append(run[lo][edge])
+            vs.append(run[hi][edge])
+    runs = int(run.flat[-1]) + 1
+    domain = _components(runs, np.concatenate(us), np.concatenate(vs)).astype(np.int32)
+    labels = domain[run]
+    domains = _count_records(sample, labels, domain, pos[start])
     conn = "6-connected" if v.ndim == 3 else "4-connected"
     return NodalDecomposition(sample=sample, labels=labels, domains=domains, connectivity=conn)
 
 
-def _count_records(sample: FieldSample, labels: np.ndarray, pos: np.ndarray) -> list[DomainRecord]:
+def _count_records(
+    sample: FieldSample, labels: np.ndarray, run_domain: np.ndarray, run_positive: np.ndarray
+) -> list[DomainRecord]:
     grid = sample.grid
     flat = labels.ravel()
     counts = np.bincount(flat)
     k = counts.shape[0]
-    # every node of a domain carries the domain's sign
+    # every node of a domain carries the sign of its runs
     positive = np.empty(k, dtype=bool)
-    positive[flat] = pos.ravel()
+    positive[run_domain] = run_positive
     signs = np.where(positive, 1, -1)
 
     if isinstance(grid, LatLongSphere):
@@ -274,10 +292,11 @@ class _Cells(NamedTuple):
     `edges` the edges AB, BC, CD, DA; an edge id names the crossing point on
     that edge and is shared with the neighbouring cell.  Cells without a
     crossing only add their area to the label of their corners, listed in
-    `uniform_labels` and `uniform_areas`.
+    `uniform_labels` and `uniform_areas`.  Edge ids lie below `n_edges`.
     """
 
     k: int
+    n_edges: int
     uniform_labels: np.ndarray
     uniform_areas: np.ndarray
     pattern: np.ndarray  # corner sign bits A=1, B=2, C=4, D=8
@@ -373,6 +392,7 @@ def _crossing_cells(dec: NodalDecomposition) -> _Cells:
 
     return _Cells(
         k=len(dec.domains),
+        n_edges=2 * n0 * n1,
         uniform_labels=dec.labels[:rows, :cols].ravel()[uniform],
         uniform_areas=np.repeat(area_row, cols)[uniform],
         pattern=pattern,
@@ -393,12 +413,18 @@ def _label_sums(labels: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
     return np.bincount(labels, weights=weights, minlength=k).astype(np.float64, copy=False)
 
 
-def _segment_contours(ends: np.ndarray) -> tuple[np.ndarray, int]:
-    """Contour of each segment, given its two crossing-point edge ids in
-    `ends[2s]`, `ends[2s + 1]`: the components of the segments over their
-    crossing points, numbered by smallest edge id.  Also the contour count."""
-    ids, point = np.unique(ends, return_inverse=True)
-    contour = _components(ids.shape[0], point[0::2], point[1::2])
+def _segment_contours(ends: np.ndarray, n_edges: int) -> tuple[np.ndarray, int]:
+    """Contour of each segment, given its two crossing-point edge ids (below
+    `n_edges`) in `ends[2s]`, `ends[2s + 1]`: the components of the segments
+    over their crossing points, numbered by smallest edge id.  Also the
+    contour count."""
+    # crossing points numbered in edge-id order, without sorting the ids
+    seen = np.zeros(n_edges, dtype=bool)
+    seen[ends] = True
+    number = seen.cumsum()
+    number -= 1
+    point = number[ends]
+    contour = _components(int(number[-1]) + 1, point[0::2], point[1::2])
     return contour[point[0::2]], int(contour.max(initial=-1)) + 1
 
 
@@ -523,7 +549,7 @@ def _march_loop(cells: _Cells) -> _Geometry:
         ref[one] += frac * ca
         ref[other] += (1.0 - frac) * ca
 
-    contour, n_contours = _segment_contours(np.array(ends, dtype=np.int64))
+    contour, n_contours = _segment_contours(np.array(ends, dtype=np.int64), cells.n_edges)
     label_contours: list[set[int]] = [set() for _ in range(k)]
     plus_by_contour: list[set[int]] = [set() for _ in range(n_contours)]
     minus_by_contour: list[set[int]] = [set() for _ in range(n_contours)]
@@ -668,7 +694,7 @@ def _march_table(cells: _Cells) -> _Geometry:
     )
 
     ends = _pick(cells.edges, edges).reshape(n, 2, 2)[live].ravel()
-    contour, n_contours = _segment_contours(ends)
+    contour, n_contours = _segment_contours(ends, cells.n_edges)
     # one key per (contour, sign, label); a label has one sign, so each
     # distinct key is one (contour, label) pair
     positive = _ONE_POSITIVE[cls]
@@ -698,16 +724,20 @@ def _measure_faces_3d(dec: NodalDecomposition) -> None:
     grid = dec.sample.grid
     h2 = grid.spacing**2
     pos = dec.sample.values >= 0
-    labs = dec.labels
+    labs = dec.labels.ravel()
     k = len(dec.domains)
     perimeter = np.zeros(k)
     nfaces = 0
     for ax in range(3):
-        rolled = np.roll(pos, -1, axis=ax)
-        face = pos != rolled
-        nfaces += int(np.sum(face))
-        perimeter += np.bincount(labs[face].ravel(), minlength=k) * h2
-        perimeter += np.bincount(np.roll(labs, -1, axis=ax)[face].ravel(), minlength=k) * h2
+        face = np.flatnonzero(pos != np.roll(pos, -1, axis=ax))
+        nfaces += face.shape[0]
+        # the node after each face on axis `ax`, wrapping at the last index
+        n = pos.shape[ax]
+        stride = math.prod(pos.shape[ax + 1 :])
+        after = face + stride
+        after[face // stride % n == n - 1] -= n * stride
+        perimeter += np.bincount(labs[face], minlength=k) * h2
+        perimeter += np.bincount(labs[after], minlength=k) * h2
     for rec in dec.domains:
         rec.perimeter = float(perimeter[rec.label])
         rec.boundary_components = 0

@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the package's own numerics: Bessel
 values and zeros come from mpmath at 30 digits, integrals from scipy
-quadrature, grid labeling from a recursive flood fill, and graph components
-from breadth-first search.  The one exception is the sandwich oracle, which
-is the earlier key-sort implementation of `sandwich_check_many`: it shares
-the package's node-distance convention and verdict record, and counts every
+quadrature, grid labeling from a recursive flood fill or from breadth-first
+search over every same-sign node pair, and graph components from
+breadth-first search.  The one exception is the sandwich oracle, which is
+the earlier key-sort implementation of `sandwich_check_many`: it shares the
+package's node-distance convention and verdict record, and counts every
 (center, label) pair by materialising and sorting their keys.
 """
 
@@ -121,6 +122,33 @@ def bfs_components(n: int, edges) -> np.ndarray:
                     queue.append(y)
         nxt += 1
     return labels
+
+
+def node_pair_labels(pos: np.ndarray, wraps) -> np.ndarray:
+    """Sign-component labels of a grid by breadth-first search over one edge
+    per same-sign pair of axis neighbours, including the pair across the seam
+    of every axis whose `wraps` entry is true; numbered in order of each
+    component's smallest node (row-major)."""
+    idx = np.arange(pos.size).reshape(pos.shape)
+    us, vs = [], []
+    for ax in range(pos.ndim):
+        lo = [slice(None)] * pos.ndim
+        hi = [slice(None)] * pos.ndim
+        lo[ax] = slice(None, -1)
+        hi[ax] = slice(1, None)
+        same = pos[tuple(lo)] == pos[tuple(hi)]
+        us.append(idx[tuple(lo)][same])
+        vs.append(idx[tuple(hi)][same])
+        if wraps[ax]:
+            last = [slice(None)] * pos.ndim
+            first = [slice(None)] * pos.ndim
+            last[ax] = -1
+            first[ax] = 0
+            same = pos[tuple(last)] == pos[tuple(first)]
+            us.append(idx[tuple(last)][same])
+            vs.append(idx[tuple(first)][same])
+    edges = zip(np.concatenate(us).tolist(), np.concatenate(vs).tolist())
+    return bfs_components(pos.size, edges).reshape(pos.shape)
 
 
 def _lattice_offsets(grid, r: float):

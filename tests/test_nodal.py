@@ -36,6 +36,7 @@ from nodal_census.nodal import (
     _crossing_cells,
     _march_loop,
     _march_table,
+    _wrap_axes,
     default_center,
 )
 
@@ -61,6 +62,66 @@ def test_components_match_breadth_first_search(n, edges):
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     labels = _components(n, edges[:, 0], edges[:, 1])
     np.testing.assert_array_equal(labels, oracles.bfs_components(n, edges.tolist()))
+
+
+def _snake(n):
+    """A one-node-wide positive path through rows 1, 3, 5, ... of an n x n
+    negative field, turning at alternate ends."""
+    values = -np.ones((n, n))
+    for r in range(1, n - 1, 2):
+        values[r, 1 : n - 1] = 1.0
+        if r + 2 < n - 1:
+            values[r + 1, n - 2 if (r // 2) % 2 == 0 else 1] = 1.0
+    return values
+
+
+def _labeling_cases():
+    rng = np.random.default_rng(29)
+    planar = PlanarWindow(side=15.0, spacing=0.5)
+    sphere = LatLongSphere(n_lat=14, n_lon=24)
+    torus2 = Torus(side=12.0, spacing=0.5)
+    torus3 = Torus(side=5.0, spacing=0.5, dim=3)
+    for name, grid in (("planar", planar), ("sphere", sphere), ("torus2", torus2),
+                       ("torus3", torus3)):
+        fields = [rng.normal(size=grid.shape) + bias for bias in (0.0, 0.4, -0.4)]
+        yield pytest.param(grid, fields, id=f"random-{name}")
+    small = Torus(side=2.0, spacing=0.5)
+    yield pytest.param(small, [rng.normal(size=small.shape) for _ in range(200)],
+                       id="random-small-tori")
+
+    row = -np.ones(sphere.shape)
+    row[5] = 1.0
+    yield pytest.param(sphere, [row, -row], id="row-joined-to-itself")
+    seam0 = -np.ones(torus2.shape)
+    seam0[0, 4] = seam0[-1, 4] = 1.0
+    cube = -np.ones(torus3.shape)
+    cube[0, 3, 4] = cube[-1, 3, 4] = 1.0
+    yield pytest.param(torus2, [seam0, seam0.T], id="axis0-seam-torus2")
+    yield pytest.param(torus3, [cube, cube.transpose(1, 0, 2)], id="axis0-seam-torus3")
+    wrap = -np.ones(sphere.shape)
+    wrap[5, :2] = wrap[5, -3:] = 1.0
+    yield pytest.param(sphere, [wrap, -wrap], id="last-seam-sphere")
+    yield pytest.param(torus2, [seam0.T[::-1]], id="last-seam-torus2")
+    yield pytest.param(torus3, [cube.transpose(2, 1, 0)], id="last-seam-torus3")
+    snake = _snake(31)
+    comb = -np.ones((31, 31))
+    comb[1:30, 1] = 1.0
+    comb[1:30:2, 1:30] = 1.0
+    yield pytest.param(planar, [snake, snake.T, snake[::-1, ::-1].T, comb, comb[:, ::-1].T],
+                       id="snake-and-comb")
+    yield pytest.param(torus2, [_snake(24), _snake(24).T], id="snake-torus2")
+    for name, grid in (("planar", planar), ("sphere", sphere), ("torus2", torus2),
+                       ("torus3", torus3)):
+        yield pytest.param(grid, [np.ones(grid.shape), -np.ones(grid.shape)], id=f"one-sign-{name}")
+
+
+@pytest.mark.parametrize("grid, fields", _labeling_cases())
+def test_labels_match_node_pair_oracle(grid, fields):
+    for values in fields:
+        labels = label_domains(synthetic_sample(values, grid)).labels
+        assert labels.dtype == np.int32
+        expected = oracles.node_pair_labels(values >= 0, _wrap_axes(grid))
+        np.testing.assert_array_equal(labels, expected)
 
 
 def _geometry(dec):

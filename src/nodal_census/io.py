@@ -8,6 +8,7 @@ strict JSON.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -84,14 +85,21 @@ def canonical_json(obj) -> str:
                       ensure_ascii=True, allow_nan=False)
 
 
-def write_text(path, text: str) -> None:
-    """Write `text` to a sibling temp file, then move it over `path`, so a
-    crash mid-write leaves either the old file or none, never a torn one."""
-    path = Path(path)
+@contextlib.contextmanager
+def _replacing(path: Path, mode: str, **kwargs):
+    """Open a sibling temp file for writing and move it over `path` once the
+    block exits cleanly, so a crash mid-write leaves either the old file or
+    none, never a torn one."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="\n") as fh:
-        fh.write(text)
+    with open(tmp, mode, **kwargs) as fh:
+        yield fh
     os.replace(tmp, path)
+
+
+def write_text(path, text: str) -> None:
+    """Write `text` to `path` through a sibling temp file (see `_replacing`)."""
+    with _replacing(Path(path), "w", newline="\n") as fh:
+        fh.write(text)
 
 
 def write_json(path, obj) -> None:
@@ -128,6 +136,8 @@ def write_field(sample: FieldSample, path) -> None:
     header (dtype/shape/grid/model/seed), then the values as little-endian
     float64 in C order.  Spectral coefficients are not stored; a reloaded
     sample can be decomposed and measured but not re-evaluated off-grid.
+    The container goes through a sibling temp file, so a failed write leaves
+    the previous container at `path` intact.
     """
     path = Path(path)
     seed = None
@@ -142,7 +152,7 @@ def write_field(sample: FieldSample, path) -> None:
         "seed": seed,
     }
     hbytes = canonical_json(header).encode("utf-8")
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", CONTAINER_VERSION))
         fh.write(struct.pack("<Q", len(hbytes)))

@@ -720,7 +720,13 @@ def _march_table(cells: _Cells) -> _Geometry:
 def _measure_faces_3d(dec: NodalDecomposition) -> None:
     """3-D tori: boundary surface by face counting (marching squares is
     2-D only).  Each sign-changing lattice face contributes h^2 to both
-    adjacent domains; contour tracing is not attempted."""
+    adjacent domains; contour tracing is not attempted.
+
+    Face counting measures |nu_1| + |nu_2| + |nu_3| per unit area of a
+    surface with unit normal nu, so on an isotropic field it overstates the
+    surface area by the Crofton factor 3/2: its expected density is
+    (3/2) (2/pi) sqrt(lam/3) for mean squared frequency lam, against the
+    Kac-Rice area density (2/pi) sqrt(lam/3)."""
     grid = dec.sample.grid
     h2 = grid.spacing**2
     pos = dec.sample.values >= 0

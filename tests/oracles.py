@@ -4,10 +4,13 @@ Everything here deliberately avoids the package's own numerics: Bessel
 values and zeros come from mpmath at 30 digits, integrals from scipy
 quadrature, grid labeling from a recursive flood fill or from breadth-first
 search over every same-sign node pair, and graph components from
-breadth-first search.  The one exception is the sandwich oracle, which is
-the earlier key-sort implementation of `sandwich_check_many`: it shares the
-package's node-distance convention and verdict record, and counts every
-(center, label) pair by materialising and sorting their keys.
+breadth-first search.  Two exceptions keep an earlier implementation as the
+reference.  The sandwich oracle is the key-sort `sandwich_check_many`: it
+shares the package's node-distance convention and verdict record, and counts
+every (center, label) pair by materialising and sorting their keys.  The
+torus oracle is the full-grid band-limited sampler: it shares the package's
+mode table and draw order, and runs one `np.fft.ifftn` over the whole
+spectrum.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from scipy.integrate import quad
 
 from nodal_census import PlanarWindow, SandwichVerdict, Torus
 from nodal_census.nodal import _node_distances, default_center, domain_distance_extrema
+from nodal_census.sampler import torus_modes
 
 mp.mp.dps = 30
 
@@ -149,6 +153,32 @@ def node_pair_labels(pos: np.ndarray, wraps) -> np.ndarray:
             vs.append(idx[tuple(first)][same])
     edges = zip(np.concatenate(us).tolist(), np.concatenate(vs).tolist())
     return bfs_components(pos.size, edges).reshape(pos.shape)
+
+
+def full_grid_torus_values(model, grid, stream) -> np.ndarray:
+    """Band-limited torus values from the whole (n,)*dim spectrum and one
+    `np.fft.ifftn`, with the same modes and draws as `sample_band_limited`."""
+    modes, _ = torus_modes(grid, model.alpha)
+    gen = stream.generator()
+    nonzero = ~np.all(modes == 0, axis=1)
+    a = gen.standard_normal(modes.shape[0])
+    b = np.zeros(modes.shape[0])
+    b[nonzero] = gen.standard_normal(int(np.sum(nonzero)))
+    norm = 1.0 / math.sqrt(modes.shape[0])
+    n = grid.n_intervals
+    spec = np.zeros((n,) * grid.dim, dtype=np.complex128)
+    twist = np.exp(1j * math.pi * np.sum(modes, axis=1) / n)
+    amp = 0.5 * (a - 1j * b) * twist
+    amp[~nonzero] *= 2.0  # zero mode has no conjugate partner
+    idx_pos = tuple(np.mod(modes[:, d], n) for d in range(grid.dim))
+    idx_neg = tuple(np.mod(-modes[:, d], n) for d in range(grid.dim))
+    np.add.at(spec, idx_pos, amp)
+    np.add.at(spec, idx_neg, np.conj(amp))
+    zero_self = ~nonzero
+    if np.any(zero_self):
+        # the m = 0 entry was added twice
+        spec[(0,) * grid.dim] /= 2.0
+    return np.fft.ifftn(spec).real * (n**grid.dim) * norm
 
 
 def _lattice_offsets(grid, r: float):

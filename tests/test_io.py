@@ -1,9 +1,12 @@
+import builtins
+import errno
 import math
 import struct
 
 import numpy as np
 import pytest
 
+import nodal_census.io
 from nodal_census import (
     PlanarWindow,
     PlaneWave2D,
@@ -107,6 +110,47 @@ def test_field_container_rejects_corruption(tmp_path):
     truncated.write_bytes(raw[:-16])
     with pytest.raises(ValueError, match="truncated"):
         load_field(truncated)
+
+
+class _FullDisk:
+    """File wrapper whose second write fails as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        return False
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+
+def test_failed_field_write_keeps_old_container(tmp_path, monkeypatch):
+    grid = PlanarWindow(side=2 * math.pi, spacing=2 * math.pi / 10)
+    old = sample_field(PlaneWave2D(), grid, RngStream(3, 0))
+    path = tmp_path / "field.ncfs"
+    write_field(old, path)
+    raw = path.read_bytes()
+
+    monkeypatch.setattr(nodal_census.io, "open",
+                        lambda *a, **k: _FullDisk(builtins.open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="No space"):
+        write_field(sample_field(PlaneWave2D(), grid, RngStream(3, 1)), path)
+    monkeypatch.undo()
+
+    assert path.read_bytes() == raw
+    back = load_field(path)
+    assert np.array_equal(back.values, old.values)
+    assert back.stream == RngStream(3, 0)
+    assert read_json(tmp_path / "field.ncfs.json")["index"] == 0
 
 
 def test_domain_table_csv_layout():

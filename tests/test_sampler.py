@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from nodal_census import (
     BandLimitedTorus,
     LatLongSphere,
@@ -132,6 +133,40 @@ def test_torus_opposite_faces_bitwise():
     vals = evaluate_at(sample, pts)
     assert vals[0] == vals[1]
     assert vals[2] == vals[3]
+
+
+@pytest.mark.parametrize(
+    "dim, n, alpha",
+    [(3, 160, alpha) for alpha in (0.0, 0.7, 1.0)]
+    + [(2, n, alpha) for n in (160, 164, 225) for alpha in (0.0, 0.5, 0.9, 0.99, 1.0)],
+)
+def test_torus_values_match_full_grid_oracle(dim, n, alpha):
+    # the pruned transform must give ifftn's bytes, not just close values
+    model = BandLimitedTorus(dim=dim, alpha=alpha)
+    grid = Torus(side=TORUS_L, spacing=TORUS_L / n, dim=dim)
+    stream = RngStream(7, n)
+    values = sample_band_limited(model, grid, stream).values
+    expected = oracles.full_grid_torus_values(model, grid, stream)
+    assert values.dtype == np.float64
+    assert values.flags.c_contiguous
+    assert values.shape == (n,) * dim
+    assert np.array_equal(values, expected)
+    assert values.tobytes() == expected.tobytes()
+
+
+def test_torus_3d_values_and_faces():
+    grid = Torus(side=TORUS_L, spacing=math.pi / 4, dim=3)
+    sample = sample_band_limited(BandLimitedTorus(dim=3, alpha=1.0), grid, RngStream(7, 0))
+    rng = np.random.default_rng(160)
+    nodes = rng.integers(0, grid.n_intervals, size=(200, 3))
+    vals = evaluate_at(sample, grid.axis_coords()[nodes])
+    np.testing.assert_allclose(vals, sample.values[tuple(nodes.T)], rtol=0, atol=1e-10)
+    pts = rng.uniform(0.0, TORUS_L, size=(50, 3))
+    for ax in range(3):
+        low, high = pts.copy(), pts.copy()
+        low[:, ax] = 0.0
+        high[:, ax] = TORUS_L
+        assert np.array_equal(evaluate_at(sample, low), evaluate_at(sample, high))
 
 
 def test_torus_covariance_matches_band_kernel():

@@ -89,11 +89,15 @@ def canonical_json(obj) -> str:
 def _replacing(path: Path, mode: str, **kwargs):
     """Open a sibling temp file for writing and move it over `path` once the
     block exits cleanly, so a crash mid-write leaves either the old file or
-    none, never a torn one."""
+    none, never a torn one.  A write that raises removes its temp file."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, mode, **kwargs) as fh:
-        yield fh
-    os.replace(tmp, path)
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_text(path, text: str) -> None:

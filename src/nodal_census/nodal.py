@@ -25,13 +25,14 @@ The measures:
 Marching squares measures only the crossing cells (corners of both signs);
 a uniform cell adds its area to its corners' label.  A crossing cell falls
 in one of 32 classes, its corner-sign pattern plus 16 when the field is
-non-negative at its center, and read-only class tables give each class its
-segments, the corners on each side and the slots of its area shares.  At
-`_TABLE_MIN_CELLS` crossing cells and above, `_march_table` measures all of
-them with a few numpy passes; below it, `_march_loop` visits them one by
-one, because every numpy step has a fixed cost of some microseconds that a
-small field (a 4x4 window has at most 9 crossing cells) cannot repay.  The
-two give the same numbers, bit for bit.
+non-negative at its center.  One set of read-only class tables gives each
+class its segments, the corners on each side and the slots of its area
+shares, and two marching paths read it.  At `_TABLE_MIN_CELLS` crossing
+cells and above, `_march_table` measures all of them with a few numpy
+passes; below it, `_march_loop` visits them one by one through the tables'
+Python rows, because every numpy step has a fixed cost of some microseconds
+that a small field (a 4x4 window has at most 9 crossing cells) cannot
+repay.  The two give the same numbers, bit for bit.
 
 The ambiguous saddle cell (equal diagonal signs) is resolved by the sign of
 the field at the cell center when the sample carries spectral coefficients,
@@ -429,137 +430,61 @@ def _segment_contours(ends: np.ndarray, n_edges: int) -> tuple[np.ndarray, int]:
 
 
 def _march_loop(cells: _Cells) -> _Geometry:
-    """Marching squares one crossing cell at a time."""
+    """Marching squares one crossing cell at a time.  A cell's row of
+    `_CLASS_ROWS` says what to measure; the loop evaluates the table pass's
+    expressions and adds them up in its order."""
     k = cells.k
-    va, vb, vc, vd = cells.values.tolist()
-    la, lb, lc, ld = cells.labels.tolist()
-    eab, ebc, ecd, eda = cells.edges.tolist()
-    pat = cells.pattern.tolist()
-    d0s = cells.d0.tolist()
-    d1s = cells.d1.tolist()
-    areas_c = cells.area.tolist()
-    cpos = cells.center_pos.tolist()
-
     perimeter = [0.0] * k
     ref = _label_sums(cells.uniform_labels, cells.uniform_areas, k).tolist()
     total_len = 0.0
-    # `ends` holds each segment's two crossing-point edge ids, `segments` its
-    # (positive labels, negative labels)
+    # per segment: its two crossing-point edge ids, its (plus, minus) labels
     ends: list[int] = []
     segments: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     hypot = math.hypot
-
-    for i in range(len(pat)):
-        p = pat[i]
-        d0 = d0s[i]
-        d1 = d1s[i]
-        ca = areas_c[i]
-        if p == 5 or p == 10:
-            a_, b_, c_, d_ = va[i], vb[i], vc[i], vd[i]
-            t_ab = a_ / (a_ - b_)
-            t_bc = b_ / (b_ - c_)
-            t_cd = d_ / (d_ - c_)
-            t_da = a_ / (a_ - d_)
-            sa_i = p == 5  # True when A and C are the positive diagonal
-            if cpos[i] == sa_i:
-                # A-C connected through the cell; B and D are pinched off
-                iso = ((lb[i], eab[i], t_ab, 0.0, ebc[i], 1.0, t_bc, 0.5 * (1.0 - t_ab) * t_bc),
-                       (ld[i], ecd[i], t_cd, 1.0, eda[i], 0.0, t_da, 0.5 * t_cd * (1.0 - t_da)))
-                ch1, ch2 = la[i], lc[i]
-                iso_positive = not sa_i
+    columns = (cells.pattern, cells.center_pos, cells.values.T, cells.labels.T, cells.edges.T,
+               cells.d0, cells.d1, cells.area)
+    for pattern, center_pos, x, lab, edge_id, d0, d1, ca in zip(*(c.tolist() for c in columns)):
+        live, crossing, (o1, o2, _, _), cols, positive = _CLASS_ROWS[pattern + 16 * center_pos]
+        t = [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]  # t, then 1 - t, on AB, BC, CD, DA
+        for e, p, q in crossing:
+            te = t[e] = x[p] / (x[p] - x[q])
+            t[e + 4] = 1.0 - te
+        u = (t[0], 1.0, t[2], 0.0)  # the crossing points; A = (0, 0), C = (1, 1)
+        v = (0.0, t[1], 1.0, t[3])
+        for e1, e2, c1, c2, c3 in live:
+            seg_len = hypot((u[e2] - u[e1]) * d0, (v[e2] - v[e1]) * d1)
+            total_len += seg_len
+            one, other, other2 = lab[c1], lab[c2], lab[c3]
+            perimeter[one] += seg_len
+            perimeter[other] += seg_len
+            if other == other2:
+                channel = (other,)
             else:
-                iso = ((la[i], eda[i], 0.0, t_da, eab[i], t_ab, 0.0, 0.5 * t_ab * t_da),
-                       (lc[i], ebc[i], 1.0, t_bc, ecd[i], t_cd, 1.0,
-                        0.5 * (1.0 - t_bc) * (1.0 - t_cd)))
-                ch1, ch2 = lb[i], ld[i]
-                iso_positive = sa_i
-            channel = (ch1,) if ch1 == ch2 else (ch1, ch2)
-            tri_total = 0.0
-            for lab_i, e1, u1, v1, e2, u2, v2, tri in iso:
-                seg_len = hypot((u2 - u1) * d0, (v2 - v1) * d1)
-                total_len += seg_len
-                perimeter[lab_i] += seg_len
-                for labc in channel:
-                    perimeter[labc] += seg_len
-                ends += (e1, e2)
-                if iso_positive:
-                    segments.append(((lab_i,), channel))
-                else:
-                    segments.append((channel, (lab_i,)))
-                ref[lab_i] += tri * ca
-                tri_total += tri
-            rest = (1.0 - tri_total) * ca
-            if ch1 == ch2:
-                ref[ch1] += rest
-            else:
-                ref[ch1] += 0.5 * rest
-                ref[ch2] += 0.5 * rest
+                perimeter[other2] += seg_len
+                channel = (other, other2)
+            ends += (edge_id[e1], edge_id[e2])
+            segments.append(((one,), channel) if positive else (channel, (one,)))
+        f = _fraction(cols[0], t)
+        ref[lab[o1]] += f * ca
+        if len(live) == 1:
+            ref[lab[o2]] += (1.0 - f) * ca
             continue
-
-        a_, b_, c_, d_ = va[i], vb[i], vc[i], vd[i]
-        if p == 1 or p == 14:  # A cut off
-            t_da = a_ / (a_ - d_)
-            t_ab = a_ / (a_ - b_)
-            e1, u1, v1, e2, u2, v2 = eda[i], 0.0, t_da, eab[i], t_ab, 0.0
-            frac = 0.5 * t_ab * t_da
-            one, other = la[i], lb[i]
-        elif p == 2 or p == 13:  # B cut off
-            t_ab = a_ / (a_ - b_)
-            t_bc = b_ / (b_ - c_)
-            e1, u1, v1, e2, u2, v2 = eab[i], t_ab, 0.0, ebc[i], 1.0, t_bc
-            frac = 0.5 * (1.0 - t_ab) * t_bc
-            one, other = lb[i], la[i]
-        elif p == 4 or p == 11:  # C cut off
-            t_bc = b_ / (b_ - c_)
-            t_cd = d_ / (d_ - c_)
-            e1, u1, v1, e2, u2, v2 = ebc[i], 1.0, t_bc, ecd[i], t_cd, 1.0
-            frac = 0.5 * (1.0 - t_bc) * (1.0 - t_cd)
-            one, other = lc[i], la[i]
-        elif p == 8 or p == 7:  # D cut off
-            t_cd = d_ / (d_ - c_)
-            t_da = a_ / (a_ - d_)
-            e1, u1, v1, e2, u2, v2 = ecd[i], t_cd, 1.0, eda[i], 0.0, t_da
-            frac = 0.5 * t_cd * (1.0 - t_da)
-            one, other = ld[i], la[i]
-        elif p == 6 or p == 9:  # A,D | B,C split
-            t_ab = a_ / (a_ - b_)
-            t_cd = d_ / (d_ - c_)
-            e1, u1, v1, e2, u2, v2 = eab[i], t_ab, 0.0, ecd[i], t_cd, 1.0
-            frac = 0.5 * (t_ab + t_cd)
-            one, other = la[i], lb[i]
-        else:  # p == 3 or p == 12: A,B | C,D split
-            t_bc = b_ / (b_ - c_)
-            t_da = a_ / (a_ - d_)
-            e1, u1, v1, e2, u2, v2 = ebc[i], 1.0, t_bc, eda[i], 0.0, t_da
-            frac = 0.5 * (t_bc + t_da)
-            one, other = la[i], ld[i]
-        seg_len = hypot((u2 - u1) * d0, (v2 - v1) * d1)
-        total_len += seg_len
-        perimeter[one] += seg_len
-        perimeter[other] += seg_len
-        ends += (e1, e2)
-        one_positive = p in (1, 2, 4, 8, 3, 9)
-        # `one` is the label on the A/B/C/D-arc side listed above; its sign
-        # follows from the pattern: cut-off patterns 1,2,4,8 isolate a positive
-        # corner, 9 puts +A on the `one` side, 3 puts +A,B there.
-        if one_positive:
-            segments.append(((one,), (other,)))
-        else:
-            segments.append(((other,), (one,)))
-        ref[one] += frac * ca
-        ref[other] += (1.0 - frac) * ca
+        # a saddle: two corner cuts, and the labels of its one channel share the rest
+        g = _fraction(cols[1], t)
+        ref[lab[o2]] += g * ca
+        share = (1.0 - (f + g)) * ca / len(channel)
+        for label in channel:
+            ref[label] += share
 
     contour, n_contours = _segment_contours(np.array(ends, dtype=np.int64), cells.n_edges)
     label_contours: list[set[int]] = [set() for _ in range(k)]
     plus_by_contour: list[set[int]] = [set() for _ in range(n_contours)]
     minus_by_contour: list[set[int]] = [set() for _ in range(n_contours)]
     for c, (plus, minus) in zip(contour.tolist(), segments):
-        for lab_i in plus:
+        plus_by_contour[c].update(plus)
+        minus_by_contour[c].update(minus)
+        for lab_i in plus + minus:
             label_contours[lab_i].add(c)
-            plus_by_contour[c].add(lab_i)
-        for lab_i in minus:
-            label_contours[lab_i].add(c)
-            minus_by_contour[c].add(lab_i)
     return _Geometry(
         perimeter=perimeter,
         refined_area=ref,
@@ -586,7 +511,8 @@ def _class_tables():
     AB|CD and BC|DA splits (4, 5), and 6 plus any of these for its
     complement.  Saddles (5, 10) cut off the two corners whose sign differs
     from the center's, and the channel of the other two takes the rest of
-    the cell.  Classes 0, 15, 16 and 31 never cross.
+    the cell.  Classes 0, 15, 16 and 31 never cross.  These tables are the
+    one description of the classes; `_march_loop` reads them as Python rows.
     """
     a, b, c, d = range(4)
     ab, bc, cd, da = range(4)
@@ -634,6 +560,30 @@ _SEG_EDGES, _SEG_SIDES, _AREA_CORNERS, _FRAC_COLS, _ONE_POSITIVE = _class_tables
 # [t_ab, t_bc, t_cd, t_da, 1 - t_ab, 1 - t_bc, 1 - t_cd, 1 - t_da]
 _CORNER_X = [0, 4, 5, 2]
 _CORNER_Y = [3, 1, 6, 7]
+# corners (p, q) of edges AB, BC, CD, DA; a crossing lies at x[p] / (x[p] - x[q])
+_EDGE_ENDS = ((0, 1), (1, 2), (3, 2), (0, 3))
+
+
+def _class_rows():
+    """The class tables as one Python row per class, for `_march_loop`:
+    (live segments as (e1, e2, one, other, other), crossing edges as
+    (edge, p, q), area-owner corners, fraction columns, one positive)."""
+    for edges, sides, owners, cols, positive in zip(*(t.tolist() for t in _class_tables())):
+        # a single-segment class repeats its segment in the second slot
+        live = tuple((*e, *s) for e, s in zip(edges, sides))[: 1 + (edges[1] != edges[0])]
+        crossing = tuple((e, *_EDGE_ENDS[e]) for seg in live for e in seg[:2])
+        yield live, crossing, tuple(owners), tuple(cols), positive
+
+
+_CLASS_ROWS = tuple(_class_rows())
+
+
+def _fraction(col: int, t: list) -> float:
+    """Fraction column `col` < 6 of `_class_tables` for one cell, by the
+    table pass's expressions, from its edge crossings t and 1 - t."""
+    if col >= 4:  # the AB|CD or BC|DA split
+        return 0.5 * (t[col - 4] + t[col - 2])
+    return (0.5 * t[_CORNER_X[col]]) * t[_CORNER_Y[col]]
 
 
 def _pick(rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -795,6 +745,12 @@ def domain_distance_extrema(dec: NodalDecomposition, center) -> tuple[np.ndarray
     return dmin, dmax
 
 
+def _require_ball_in_window(grid: PlanarWindow, center, radius: float, message: str) -> None:
+    """Raise ValueError(message) unless B(center, radius) lies in the window."""
+    if any(c - radius < -1e-9 or c + radius > grid.side + 1e-9 for c in center):
+        raise ValueError(message)
+
+
 def restrict_counts(
     dec: NodalDecomposition, center, R: float, t: float
 ) -> tuple[int, int]:
@@ -809,11 +765,9 @@ def restrict_counts(
     if R <= 0:
         raise ValueError("ball radius must be positive")
     if isinstance(grid, PlanarWindow):
-        for c in center:
-            if c - R < -1e-9 or c + R > grid.side + 1e-9:
-                raise ValueError(
-                    f"ball of radius {R} at {tuple(center)} is not contained in the window"
-                )
+        _require_ball_in_window(
+            grid, center, R, f"ball of radius {R} at {tuple(center)} is not contained in the window"
+        )
     dmin, dmax = domain_distance_extrema(dec, center)
     areas = dec.areas()
     ok = areas <= t
@@ -918,32 +872,27 @@ def perturbation_stability(
 def critical_cell_count(sample: FieldSample, center=None, radius: float | None = None) -> int:
     """Cells of the dual grid where both discrete gradient components change
     sign -- a grid proxy for critical points, used as an upper-bound density
-    for domain counts."""
+    for domain counts; with a radius, only cells centered within it of
+    `center` count (default `default_center`; minimal image on a torus)."""
     grid = sample.grid
+    torus = isinstance(grid, Torus)
+    if not isinstance(grid, PlanarWindow) and not (torus and grid.dim == 2):
+        raise ValueError("critical cell counting is defined for planar and 2-D torus grids")
     v = sample.values
-    if isinstance(grid, PlanarWindow):
-        sgx = np.diff(v, axis=0) >= 0
-        sgy = np.diff(v, axis=1) >= 0
-        crit = (sgx[:, :-1] != sgx[:, 1:]) & (sgy[:-1, :] != sgy[1:, :])
-        if radius is not None:
-            h = grid.spacing
-            n = crit.shape[0]
-            cc = (np.arange(n) + 0.5) * h
-            xx, yy = np.meshgrid(cc, cc, indexing="ij")
-            crit = crit & (np.hypot(xx - center[0], yy - center[1]) <= radius)
-        return int(np.sum(crit))
-    if isinstance(grid, Torus) and grid.dim == 2:
-        sgx = (np.roll(v, -1, axis=0) - v) >= 0
-        sgy = (np.roll(v, -1, axis=1) - v) >= 0
-        crit = (sgx != np.roll(sgx, -1, axis=1)) & (sgy != np.roll(sgy, -1, axis=0))
-        if radius is not None:
-            h = grid.spacing
-            cc = (np.arange(crit.shape[0]) + 1.0) * h
-            acc = np.zeros(crit.shape)
-            for ax, c0 in enumerate(center):
-                d = np.abs(cc - c0)
-                d = np.minimum(d, grid.side - d)
-                acc = acc + d.reshape([-1 if a == ax else 1 for a in range(2)]) ** 2
-            crit = crit & (np.sqrt(acc) <= radius)
-        return int(np.sum(crit))
-    raise ValueError("critical cell counting is defined for planar and 2-D torus grids")
+    if torus:  # the first row and column repeated past the wrapped edge
+        v = np.concatenate([v, v[:1]], axis=0)
+        v = np.concatenate([v, v[:, :1]], axis=1)
+    sgx = np.diff(v, axis=0) >= 0
+    sgy = np.diff(v, axis=1) >= 0
+    crit = (sgx[:, :-1] != sgx[:, 1:]) & (sgy[:-1, :] != sgy[1:, :])
+    if radius is not None:
+        cc = (np.arange(crit.shape[0]) + (1.0 if torus else 0.5)) * grid.spacing  # centers
+        center = default_center(grid) if center is None else center
+        dx, dy = (np.abs(cc - c) for c in center)
+        if torus:
+            dx, dy = (np.minimum(d, grid.side - d) for d in (dx, dy))
+            dist = np.sqrt(dx[:, None] ** 2 + dy[None, :] ** 2)
+        else:
+            dist = np.hypot(dx[:, None], dy[None, :])
+        crit &= dist <= radius
+    return int(np.sum(crit))

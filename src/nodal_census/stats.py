@@ -58,6 +58,7 @@ from .grids import LatLongSphere, PlanarWindow, Torus
 from .nodal import (
     NodalDecomposition,
     _node_distances,
+    _require_ball_in_window,
     default_center,
     domain_distance_extrema,
     measure_domains,
@@ -365,9 +366,9 @@ def ns_constant_estimate(
         center = default_center(grid)
     if isinstance(grid, PlanarWindow):
         for radius in radii:
-            for c in center:
-                if c - radius < -1e-9 or c + radius > grid.side + 1e-9:
-                    raise ValueError(f"ball of radius {radius} does not fit in the window")
+            _require_ball_in_window(
+                grid, center, radius, f"ball of radius {radius} does not fit in the window"
+            )
     records = [census_record(dec, center, ("dmax",)) for dec in decs]
     return fold_ns(records, radii, decs[0].labels.ndim)
 
@@ -412,9 +413,9 @@ def sandwich_check_many(
         if not (0.0 < r < R):
             raise ValueError(f"need 0 < r < R, got r={r}, R={R}")
         if isinstance(grid, PlanarWindow):
-            for c in center:
-                if c - (R + r) < -1e-9 or c + (R + r) > grid.side + 1e-9:
-                    raise ValueError(f"B(center, R+r) with R+r={R + r} leaves the window")
+            _require_ball_in_window(
+                grid, center, R + r, f"B(center, R+r) with R+r={R + r} leaves the window"
+            )
         else:
             if R + r > 0.5 * grid.side + 1e-9:
                 raise ValueError(f"R+r={R + r} exceeds half the torus side")

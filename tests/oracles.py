@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's own numerics: Bessel
 values and zeros come from mpmath at 30 digits, integrals from scipy
 quadrature, grid labeling from a recursive flood fill or from breadth-first
-search over every same-sign node pair, and graph components from
-breadth-first search.  Two exceptions keep an earlier implementation as the
+search over every same-sign node pair, graph components from
+breadth-first search, and the geometry of one marching-squares cell from
+polygons cut along its crossing segments.  Two exceptions keep an earlier implementation as the
 reference.  The sandwich oracle is the key-sort `sandwich_check_many`: it
 shares the package's node-distance convention and verdict record, and counts
 every (center, label) pair by materialising and sorting their keys.  The
@@ -153,6 +154,115 @@ def node_pair_labels(pos: np.ndarray, wraps) -> np.ndarray:
             vs.append(idx[tuple(first)][same])
     edges = zip(np.concatenate(us).tolist(), np.concatenate(vs).tolist())
     return bfs_components(pos.size, edges).reshape(pos.shape)
+
+
+def _shoelace(polygon) -> float:
+    return 0.5 * abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
+                         in zip(polygon, polygon[1:] + polygon[:1])))
+
+
+def cell_geometry(values, labels, d0: float, d1: float, center_positive: bool):
+    """Marching-squares geometry of one cell, from first principles.
+
+    Corners A, B, C, D sit at (0, 0), (d0, 0), (d0, d1), (0, d1) and carry
+    `values` and `labels`; a value >= 0 is positive.  On each edge whose
+    corners differ in sign the linear interpolant vanishes at one crossing
+    point.  The crossing points split the boundary A -> B -> C -> D -> A
+    into arcs of one sign.  With two crossings, one straight segment joins
+    them and cuts the cell into the polygons of the two arcs.  With four (a
+    saddle), the two corners whose sign differs from the center's are cut
+    off, each by the segment joining the crossings next to it, and the
+    other two corners share the rest of the cell, the channel.
+
+    A region's area (shoelace formula) is split equally among the distinct
+    labels of its corners; a segment's length goes to every distinct label
+    on either side of it; each segment is a contour of its own.  Returns
+    (area by label, perimeter by label, contours as sorted (positive
+    labels, negative labels), contour count by label, total length).
+    """
+    corners = [(0.0, 0.0), (d0, 0.0), (d0, d1), (0.0, d1)]
+    positive = [v >= 0 for v in values]
+    # the boundary walk as (point, corner index, or None at a crossing)
+    walk = []
+    for i in range(4):
+        j = (i + 1) % 4
+        walk.append((corners[i], i))
+        if positive[i] != positive[j]:
+            s = values[i] / (values[i] - values[j])
+            (x0, y0), (x1, y1) = corners[i], corners[j]
+            walk.append(((x0 + s * (x1 - x0), y0 + s * (y1 - y0)), None))
+    # regions as (polygon, corner indices); segments as (end, end, region, region)
+    crossings = [n for n, (_, corner) in enumerate(walk) if corner is None]
+    if not crossings:
+        regions, segments = [(corners, [0, 1, 2, 3])], []
+    else:
+        arcs = []
+        for start, stop in zip(crossings, crossings[1:] + [crossings[0] + len(walk)]):
+            stretch = [walk[n % len(walk)] for n in range(start, stop + 1)]
+            arcs.append(([pt for pt, _ in stretch], [c for _, c in stretch if c is not None]))
+        if len(arcs) == 2:
+            regions = arcs
+            segments = [(arcs[0][0][0], arcs[0][0][-1], 0, 1)]
+        else:
+            cut = [arc for arc in arcs if positive[arc[1][0]] != center_positive]
+            kept = [arc for arc in arcs if positive[arc[1][0]] == center_positive]
+            channel = (kept[0][0] + kept[1][0], kept[0][1] + kept[1][1])
+            regions = [*cut, channel]
+            segments = [(arc[0][0], arc[0][-1], n, 2) for n, arc in enumerate(cut)]
+
+    area: dict[int, float] = {}
+    for polygon, members in regions:
+        owners = sorted({labels[c] for c in members})
+        for lab in owners:
+            area[lab] = area.get(lab, 0.0) + _shoelace(polygon) / len(owners)
+    perimeter: dict[int, float] = {}
+    contours = []
+    counts: dict[int, int] = {}
+    total = 0.0
+    for p, q, r1, r2 in segments:
+        length = math.dist(p, q)
+        total += length
+        plus, minus = set(), set()
+        for members in (regions[r1][1], regions[r2][1]):
+            (plus if positive[members[0]] else minus).update(labels[c] for c in members)
+        for lab in plus | minus:
+            perimeter[lab] = perimeter.get(lab, 0.0) + length
+            counts[lab] = counts.get(lab, 0) + 1
+        contours.append((tuple(sorted(plus)), tuple(sorted(minus))))
+    return area, perimeter, sorted(contours), counts, total
+
+
+def critical_cells_brute_force(values, grid, center=None, radius=None) -> int:
+    """Cells whose two discrete gradient components both change sign, one
+    cell at a time: cell (i, j) has nodes i, i+1 and j, j+1 (modulo the
+    node count on a torus) and its center half a spacing past node (i, j),
+    at distance math.hypot on a window, the minimal image on a torus."""
+    n0, n1 = values.shape
+    torus = isinstance(grid, Torus)
+    rows, cols = (n0, n1) if torus else (n0 - 1, n1 - 1)
+    h = grid.spacing
+    offset = 0.5 * h if torus else 0.0
+    count = 0
+    for i in range(rows):
+        for j in range(cols):
+            i1, j1 = (i + 1) % n0, (j + 1) % n1
+            v00, v10 = values[i, j], values[i1, j]
+            v01, v11 = values[i, j1], values[i1, j1]
+            x_turns = (v10 - v00 >= 0) != (v11 - v01 >= 0)
+            y_turns = (v01 - v00 >= 0) != (v11 - v10 >= 0)
+            if not (x_turns and y_turns):
+                continue
+            if radius is not None:
+                d = [abs((k + 0.5) * h + offset - c) for k, c in zip((i, j), center)]
+                if torus:
+                    d = [min(x, grid.side - x) for x in d]
+                    dist = math.sqrt(d[0] ** 2 + d[1] ** 2)
+                else:
+                    dist = math.hypot(*d)
+                if dist > radius:
+                    continue
+            count += 1
+    return count
 
 
 def full_grid_torus_values(model, grid, stream) -> np.ndarray:

@@ -32,6 +32,7 @@ from nodal_census.io import (
     sandwich_csv,
     text_sha256,
     write_json,
+    write_text,
 )
 from nodal_census.stats import (
     boundary_and_joint_distributions,
@@ -113,10 +114,11 @@ def test_field_container_rejects_corruption(tmp_path):
 
 
 class _FullDisk:
-    """File wrapper whose second write fails as a full disk would."""
+    """File wrapper whose `fail_at`-th write fails as a full disk would."""
 
-    def __init__(self, fh):
+    def __init__(self, fh, fail_at=2):
         self.fh = fh
+        self.fail_at = fail_at
         self.writes = 0
 
     def __enter__(self):
@@ -128,7 +130,7 @@ class _FullDisk:
 
     def write(self, data):
         self.writes += 1
-        if self.writes == 2:
+        if self.writes == self.fail_at:
             raise OSError(errno.ENOSPC, "No space left on device")
         return self.fh.write(data)
 
@@ -151,6 +153,21 @@ def test_failed_field_write_keeps_old_container(tmp_path, monkeypatch):
     assert np.array_equal(back.values, old.values)
     assert back.stream == RngStream(3, 0)
     assert read_json(tmp_path / "field.ncfs.json")["index"] == 0
+    assert not (tmp_path / "field.ncfs.tmp").exists()
+
+
+def test_failed_text_write_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "report.json"
+    write_text(path, "old\n")
+    monkeypatch.setattr(nodal_census.io, "open",
+                        lambda *a, **k: _FullDisk(builtins.open(*a, **k), fail_at=1),
+                        raising=False)
+    with pytest.raises(OSError, match="No space"):
+        write_text(path, "new\n")
+    monkeypatch.undo()
+
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
 
 def test_domain_table_csv_layout():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from nodal_census import (
     SphericalHarmonic,
     Torus,
     critical_cell_count,
+    domain_table_csv,
     label_domains,
     measure_domains,
     nesting_graph,
@@ -247,6 +249,79 @@ def test_marches_agree_on_random_small_fields():
         _assert_marches_agree(cells)
 
 
+@pytest.mark.parametrize("march", [_march_loop, _march_table], ids=["loop", "table"])
+@pytest.mark.parametrize("magnitude", [
+    [[0.3, 0.9], [0.7, 0.45]],
+    [[1.0, 1.0], [1.0, 1.0]],
+    [[1e-3, 2.0], [0.05, 0.8]],
+], ids=["uneven", "equal", "skewed"])
+def test_class_rows_match_cell_geometry_oracle(march, magnitude):
+    # every class of one cell, pattern + 16 * center sign, with sides
+    # d0 != d1 so the two axes cannot be swapped unseen
+    d0, d1 = 0.5, 0.8
+    bits = np.array([[1, 8], [2, 4]])
+    corners = ((0, 0), (1, 0), (1, 1), (0, 1))
+    for cls in range(32):
+        pattern, center_pos = cls % 16, cls >= 16
+        values = np.where(pattern & bits, magnitude, -np.asarray(magnitude))
+        dec = label_domains(synthetic_sample(values, PlanarWindow(side=0.5, spacing=0.5)))
+        cells = _crossing_cells(dec)
+        n, m = cells.pattern.size, cells.uniform_areas.size
+        cells = cells._replace(d0=np.full(n, d0), d1=np.full(n, d1), area=np.full(n, d0 * d1),
+                               uniform_areas=np.full(m, d0 * d1),
+                               center_pos=np.full(n, center_pos))
+        area, perimeter, contours, counts, total = oracles.cell_geometry(
+            [float(values[c]) for c in corners], [int(dec.labels[c]) for c in corners],
+            d0, d1, center_pos)
+        geometry = march(cells)
+        labels = range(cells.k)
+        assert geometry.refined_area == pytest.approx([area.get(i, 0.0) for i in labels],
+                                                      rel=1e-12), cls
+        assert geometry.perimeter == pytest.approx([perimeter.get(i, 0.0) for i in labels],
+                                                   rel=1e-12), cls
+        assert geometry.total_length == pytest.approx(total, rel=1e-12), cls
+        assert sorted(geometry.contour_adjacency) == contours, cls
+        assert geometry.boundary_components == [counts.get(i, 0) for i in labels], cls
+
+
+# sha256 of the measure outputs below; the per-cell loop gave the same value
+# when it still spelled out each sign pattern
+_MEASURE_DIGEST = "9737663cd9b130cbaddd7090ee63f843819410b69a42eea133ce13d563e9b4a8"
+
+
+def test_measure_bytes_match_golden_digest(desk_grid):
+    """The labels, domain table, refined areas, nodal length and contour
+    adjacency of fixed inputs hash to a pinned value: desk (seed 7, index
+    0), an l = 40 sphere and a 2-D torus on the table pass; twenty sampled
+    5pi windows (saddles resolved at the cell center) and 200 seeded random
+    4x4 windows on the per-cell loop.  Only a declared estimator change
+    (ROADMAP item 1) updates `_MEASURE_DIGEST`, by hand."""
+    digest = hashlib.sha256()
+
+    def feed(sample):
+        dec = measure_domains(label_domains(sample))
+        digest.update(dec.labels.tobytes())
+        digest.update(domain_table_csv(dec).encode())
+        digest.update(repr([d.refined_area for d in dec.domains]).encode())
+        digest.update(repr(dec.total_nodal_length).encode())
+        digest.update(repr(dec.contour_adjacency).encode())
+
+    feed(sample_field(PlaneWave2D(), desk_grid, RngStream(7, 0)))
+    feed(sample_field(SphericalHarmonic(degree=40), LatLongSphere(n_lat=80, n_lon=160),
+                      RngStream(7, 0)))
+    feed(sample_field(BandLimitedTorus(dim=2, alpha=0.0),
+                      Torus(side=40 * math.pi, spacing=2 * math.pi / 8), RngStream(7, 0)))
+    small = PlanarWindow(side=5 * math.pi, spacing=2 * math.pi / 10)
+    for i in range(20):
+        feed(sample_field(PlaneWave2D(), small, RngStream(7, i)))
+    rng = np.random.default_rng(7)
+    tiny = PlanarWindow(side=1.5, spacing=0.5)
+    for _ in range(200):
+        values = rng.choice([-1.0, 1.0], size=(4, 4)) * rng.uniform(0.1, 1.0, size=(4, 4))
+        feed(synthetic_sample(values, tiny))
+    assert digest.hexdigest() == _MEASURE_DIGEST
+
+
 def test_class_tables_are_read_only():
     fresh = _class_tables()
     for table, expected in zip((_SEG_EDGES, _SEG_SIDES, _AREA_CORNERS, _FRAC_COLS, _ONE_POSITIVE),
@@ -465,6 +540,22 @@ def test_perturbation_rejects_bad_arguments(mini_ensemble):
                          RngStream(3, 2**32))
     with pytest.raises(ValueError, match="share"):
         perturbation_stability(dec, other, 1e-3)
+
+
+@pytest.mark.parametrize("grid, center", [
+    (PlanarWindow(side=6.0, spacing=0.25), None),
+    (Torus(side=6.0, spacing=0.25), None),
+    (Torus(side=6.0, spacing=0.25), (0.4, 5.3)),
+], ids=["plane", "torus", "torus-off-centre"])
+def test_critical_cells_match_brute_force(grid, center):
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        sample = synthetic_sample(rng.standard_normal(grid.shape), grid)
+        for radius in (None, 1.3, 2.9):
+            expected = oracles.critical_cells_brute_force(
+                sample.values, grid, center or default_center(grid), radius)
+            assert critical_cell_count(sample, center, radius) == expected
+        assert 0 < critical_cell_count(sample, center, 1.3) < critical_cell_count(sample)
 
 
 def test_critical_cells_bound_domain_count(mini_ensemble):

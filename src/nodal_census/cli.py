@@ -41,7 +41,7 @@ from .sampler import (
     SphericalHarmonic,
     sample_field,
 )
-from .stats import EmpiricalCdf, fold_faber_krahn, ks_distance, sandwich_check_many
+from .stats import EmpiricalCdf, fold_faber_krahn, fold_psi, ks_distance, sandwich_check_many
 from .svg import step_plot_svg
 
 __all__ = ["main", "parse_length"]
@@ -317,12 +317,7 @@ def cmd_sphere_compare(args) -> int:
     cfg.output_dir = args.out or f"ncrun-{cfg.config_hash()[:12]}"
     rep = run_ensemble(cfg)
     scale = args.degree * (args.degree + 1)
-    sphere_cdf = EmpiricalCdf(
-        breakpoints=rep.psi.breakpoints * scale,
-        fractions=rep.psi.fractions,
-        total_count=rep.psi.total_count,
-        stderr=rep.psi.stderr,
-    )
+    sphere_cdf = fold_psi(rep.records, None, scale)
     ks = ks_distance(sphere_cdf, planar_cdf)
     _write_text(rep.output_dir / "sphere-psi.csv", psi_csv(sphere_cdf))
     comparison = {

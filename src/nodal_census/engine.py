@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import GridSpec, LatLongSphere, PlanarWindow, Torus, grid_from_dict
+from .grids import GridSpec, LatLongSphere, PlanarWindow, grid_from_dict
 from .io import (
     canonical_json,
     domain_table_csv,
@@ -40,7 +40,6 @@ from .io import (
     fnv1a64,
     joint_csv,
     ns_csv,
-    parse_float_token,
     psi_csv,
     read_json,
     sandwich_csv,
@@ -122,7 +121,7 @@ class EnsembleConfig:
                 raise ValueError(f"unknown check {name!r}")
         if len(set(self.checks)) != len(self.checks):
             raise ValueError("duplicate check names")
-        thr = [parse_float_token(t) for t in self.thresholds]
+        thr = [float(t) for t in self.thresholds]
         if any(b <= a for a, b in zip(thr, thr[1:])):
             raise ValueError("thresholds must be strictly increasing")
         sphere = isinstance(self.grid, LatLongSphere)
@@ -135,21 +134,22 @@ class EnsembleConfig:
                 if name in self.checks:
                     raise ValueError(f"check {name!r} applies to planar grids only")
             return
+        center = self.grid.center
         for radius in self.radii:
             if radius <= 0:
                 raise ValueError("radii must be positive")
-            self._require_ball_fits(radius, "ball-count radius")
+            self.grid.require_ball(center, radius, f"ball-count radius {radius}")
         if self.psi_radius is not None:
             if self.psi_radius <= 0:
                 raise ValueError("psi_radius must be positive")
-            self._require_ball_fits(self.psi_radius, "psi_radius")
+            self.grid.require_ball(center, self.psi_radius, f"psi_radius {self.psi_radius}")
         if "sandwich" in self.checks:
             if not self.thresholds:
                 raise ValueError("the sandwich check needs thresholds")
             for r, R in self.sandwich_geometries:
                 if not 0 < r < R:
                     raise ValueError(f"need 0 < r < R in sandwich geometry ({r}, {R})")
-                self._require_ball_fits(R + r, "sandwich reach R+r")
+                self.grid.require_ball(center, R + r, f"sandwich reach R+r {R + r}")
         if "covariance" in self.checks:
             if not isinstance(self.grid, PlanarWindow):
                 raise ValueError("the covariance check runs on planar windows")
@@ -157,22 +157,8 @@ class EnsembleConfig:
                 raise ValueError("window too small for the covariance probe set")
         if "faber_krahn" in self.checks and not isinstance(self.grid, PlanarWindow):
             raise ValueError("the minimum-area check runs on planar windows")
-        if "sandwich" in self.checks and self.grid_dim() != 2:
+        if "sandwich" in self.checks and self.grid.dim != 2:
             raise ValueError("the sandwich check runs on 2-D grids")
-
-    def grid_dim(self) -> int:
-        if isinstance(self.grid, Torus):
-            return self.grid.dim
-        return 2
-
-    def _require_ball_fits(self, radius: float, what: str) -> None:
-        side = self.grid.side
-        if isinstance(self.grid, Torus):
-            if radius > 0.5 * side + 1e-9:
-                raise ValueError(f"{what} {radius} exceeds half the torus side")
-        else:
-            if 2.0 * radius > side + 1e-9:
-                raise ValueError(f"{what} {radius} does not fit in the window")
 
     def effective_psi_radius(self) -> float | None:
         if isinstance(self.grid, LatLongSphere):
@@ -189,7 +175,7 @@ class EnsembleConfig:
             "realizations": self.realizations,
             "master_seed": self.master_seed,
             "radii": [float(r) for r in self.radii],
-            "thresholds": [float(parse_float_token(t)) for t in self.thresholds],
+            "thresholds": [float(t) for t in self.thresholds],
             "checks": sorted(self.checks),
             "psi_radius": self.psi_radius,
             "sandwich_geometries": [[float(r), float(R)] for r, R in self.sandwich_geometries],
@@ -204,7 +190,7 @@ class EnsembleConfig:
             realizations=int(d["realizations"]),
             master_seed=int(d["master_seed"]),
             radii=tuple(float(r) for r in d.get("radii", [])),
-            thresholds=tuple(parse_float_token(t) for t in d.get("thresholds", [])),
+            thresholds=tuple(float(t) for t in d.get("thresholds", [])),
             checks=tuple(sorted(d.get("checks", []))),
             output_dir=output_dir or d.get("output_dir", ""),
             psi_radius=d.get("psi_radius"),
@@ -248,7 +234,7 @@ def _realization_paths(outdir: Path, index: int) -> tuple[Path, Path]:
 def _run_checks(config: EnsembleConfig, sample, dec, index: int) -> dict:
     out = {}
     if "sandwich" in config.checks:
-        thresholds = [parse_float_token(t) for t in config.thresholds]
+        thresholds = [float(t) for t in config.thresholds]
         verdicts = sandwich_check_many(dec, config.sandwich_geometries, thresholds)
         out["sandwich"] = {"verdicts": [v.to_dict() for v in verdicts]}
     if "helmholtz" in config.checks:
@@ -335,7 +321,7 @@ def _summarize_checks(config: EnsembleConfig, payloads: list[dict]) -> dict:
     out = {}
     if "faber_krahn" in config.checks:
         ids = [(config.master_seed, p["index"]) for p in payloads]
-        out["faber_krahn"] = fold_faber_krahn(payloads, ids, FK_MARGIN, config.grid_dim())
+        out["faber_krahn"] = fold_faber_krahn(payloads, ids, FK_MARGIN, config.grid.dim)
     if "sandwich" in config.checks:
         total = holding = 0
         for p in payloads:
@@ -387,7 +373,7 @@ def _assemble(
         raise EnsembleFailure("no interior domains in any realization") from None
     boundary, pairs = fold_boundary(ordered, psi_r)
     largest_jump = float(np.max(np.diff(np.concatenate([[0.0], psi.fractions]))))
-    ns = fold_ns(ordered, config.radii, config.grid_dim()) if config.radii else None
+    ns = fold_ns(ordered, config.radii, config.grid.dim) if config.radii else None
     length_mean, length_err = fold_nodal_length(ordered, config.grid)
     report = {
         "version": ENGINE_VERSION,
@@ -412,11 +398,7 @@ def _assemble(
         write_text(outdir / "ns.csv", ns_csv(ns))
     if "sandwich" in config.checks:
         verdicts = [
-            SandwichVerdict(
-                r=v["r"], R=v["R"], t=parse_float_token(v["t"]),
-                lower=v["lower"], middle=v["middle"], upper=v["upper"],
-                holds=v["holds"],
-            )
+            SandwichVerdict(**dict(v, t=float(v["t"])))
             for p in ordered
             for v in p["checks"]["sandwich"]["verdicts"]
         ]

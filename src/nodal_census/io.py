@@ -29,7 +29,6 @@ __all__ = [
     "write_text",
     "write_json",
     "read_json",
-    "parse_float_token",
     "float_token",
     "write_field",
     "load_field",
@@ -114,16 +113,6 @@ def write_json(path, obj) -> None:
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
-
-
-def parse_float_token(tok) -> float:
-    """Inverse of float_token: accepts numbers plus "inf"/"-inf"."""
-    if isinstance(tok, str):
-        if tok == "inf":
-            return math.inf
-        if tok == "-inf":
-            return -math.inf
-    return float(tok)
 
 
 def float_token(x: float) -> str:

@@ -67,7 +67,6 @@ __all__ = [
     "measure_domains",
     "restrict_counts",
     "domain_distance_extrema",
-    "default_center",
     "nesting_graph",
     "nesting_is_forest",
     "perturbation_stability",
@@ -124,14 +123,6 @@ def synthetic_sample(values, grid: GridSpec) -> FieldSample:
     return FieldSample(values=values, grid=grid, model=None, stream=None, coeffs=None)
 
 
-def _wrap_axes(grid: GridSpec) -> tuple[bool, ...]:
-    if isinstance(grid, Torus):
-        return (True,) * grid.dim
-    if isinstance(grid, LatLongSphere):
-        return (False, True)
-    return (False, False)
-
-
 def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Connected components of the graph on nodes 0..n-1 with edges (u, v).
 
@@ -182,7 +173,7 @@ def label_domains(sample: FieldSample) -> NodalDecomposition:
     np.not_equal(pos[..., 1:], pos[..., :-1], out=start[..., 1:])
     run = start.cumsum().reshape(v.shape)
     run -= 1
-    wraps = _wrap_axes(grid)
+    wraps = grid.wraps
     us, vs = [], []
     if wraps[-1]:
         same = pos[..., -1] == pos[..., 0]
@@ -363,7 +354,7 @@ def _crossing_cells(dec: NodalDecomposition) -> _Cells:
     # node signs with the first row/column repeated past a wrapped edge, so
     # the corners of every cell are four shifted slices
     pos = values >= 0
-    wrap_rows, wrap_cols = _wrap_axes(grid)
+    wrap_rows, wrap_cols = grid.wraps
     if wrap_rows:
         pos = np.concatenate([pos, pos[:1]], axis=0)
     if wrap_cols:
@@ -701,40 +692,13 @@ def _measure_faces_3d(dec: NodalDecomposition) -> None:
     dec.total_nodal_length = nfaces * h2
 
 
-def default_center(grid: GridSpec) -> tuple[float, ...]:
-    """Reference center used for ball statistics: the window/torus center, or
-    the equatorial point (pi/2, pi) on the sphere."""
-    if isinstance(grid, LatLongSphere):
-        return (0.5 * math.pi, math.pi)
-    return grid.center
-
-
-def _node_distances(grid: GridSpec, center) -> np.ndarray:
-    if isinstance(grid, PlanarWindow):
-        xx, yy = grid.node_coords()
-        return np.hypot(xx - center[0], yy - center[1])
-    if isinstance(grid, Torus):
-        c = grid.axis_coords()
-        acc = np.zeros(grid.shape)
-        for ax in range(grid.dim):
-            d = np.abs(c - center[ax])
-            d = np.minimum(d, grid.side - d)
-            acc = acc + (d.reshape([-1 if a == ax else 1 for a in range(grid.dim)])) ** 2
-        return np.sqrt(acc)
-    theta = grid.colatitudes()[:, None]
-    phi = grid.longitudes()[None, :]
-    ct, st = math.cos(center[0]), math.sin(center[0])
-    cosd = ct * np.cos(theta) + st * np.sin(theta) * np.cos(phi - center[1])
-    return np.arccos(np.clip(cosd, -1.0, 1.0))
-
-
 def domain_distance_extrema(dec: NodalDecomposition, center) -> tuple[np.ndarray, np.ndarray]:
     """Per-domain (min, max) node distance from `center`."""
     key = tuple(round(float(c), 12) for c in center)
     hit = dec._extrema_cache.get(key)
     if hit is not None:
         return hit
-    dist = _node_distances(dec.sample.grid, center).ravel()
+    dist = dec.sample.grid.node_distances(center).ravel()
     k = len(dec.domains)
     dmin = np.full(k, np.inf)
     dmax = np.zeros(k)
@@ -743,12 +707,6 @@ def domain_distance_extrema(dec: NodalDecomposition, center) -> tuple[np.ndarray
     np.maximum.at(dmax, flat, dist)
     dec._extrema_cache[key] = (dmin, dmax)
     return dmin, dmax
-
-
-def _require_ball_in_window(grid: PlanarWindow, center, radius: float, message: str) -> None:
-    """Raise ValueError(message) unless B(center, radius) lies in the window."""
-    if any(c - radius < -1e-9 or c + radius > grid.side + 1e-9 for c in center):
-        raise ValueError(message)
 
 
 def restrict_counts(
@@ -765,9 +723,7 @@ def restrict_counts(
     if R <= 0:
         raise ValueError("ball radius must be positive")
     if isinstance(grid, PlanarWindow):
-        _require_ball_in_window(
-            grid, center, R, f"ball of radius {R} at {tuple(center)} is not contained in the window"
-        )
+        grid.require_ball(center, R, f"ball of radius {R} at {tuple(center)}")
     dmin, dmax = domain_distance_extrema(dec, center)
     areas = dec.areas()
     ok = areas <= t
@@ -873,7 +829,7 @@ def critical_cell_count(sample: FieldSample, center=None, radius: float | None =
     """Cells of the dual grid where both discrete gradient components change
     sign -- a grid proxy for critical points, used as an upper-bound density
     for domain counts; with a radius, only cells centered within it of
-    `center` count (default `default_center`; minimal image on a torus)."""
+    `center` count (default the grid's center; minimal image on a torus)."""
     grid = sample.grid
     torus = isinstance(grid, Torus)
     if not isinstance(grid, PlanarWindow) and not (torus and grid.dim == 2):
@@ -887,7 +843,7 @@ def critical_cell_count(sample: FieldSample, center=None, radius: float | None =
     crit = (sgx[:, :-1] != sgx[:, 1:]) & (sgy[:-1, :] != sgy[1:, :])
     if radius is not None:
         cc = (np.arange(crit.shape[0]) + (1.0 if torus else 0.5)) * grid.spacing  # centers
-        center = default_center(grid) if center is None else center
+        center = grid.center if center is None else center
         dx, dy = (np.abs(cc - c) for c in center)
         if torus:
             dx, dy = (np.minimum(d, grid.side - d) for d in (dx, dy))

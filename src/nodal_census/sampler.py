@@ -571,7 +571,7 @@ def covariance_probe_means(sample: FieldSample, lags) -> np.ndarray:
         raise ValueError("covariance probing is only defined for planar and torus grids")
     lags = np.asarray(lags, dtype=np.float64)
     side = grid.side
-    dim = grid.dim if isinstance(grid, Torus) else 2
+    dim = grid.dim
     base = np.full((len(_PROBE_FRACTIONS), dim), 0.5 * side)
     base[:, :2] = np.array(_PROBE_FRACTIONS) * side
     if isinstance(grid, PlanarWindow) and np.max(base[:, 0]) + np.max(lags) > side:

@@ -55,14 +55,7 @@ from itertools import compress
 import numpy as np
 
 from .grids import LatLongSphere, PlanarWindow, Torus
-from .nodal import (
-    NodalDecomposition,
-    _node_distances,
-    _require_ball_in_window,
-    default_center,
-    domain_distance_extrema,
-    measure_domains,
-)
+from .nodal import NodalDecomposition, domain_distance_extrema, measure_domains
 from .specfn import faber_krahn_floor
 
 __all__ = [
@@ -207,7 +200,7 @@ def census_record(dec: NodalDecomposition, center=None, columns=RECORD_COLUMNS) 
         record["touches"] = [d.touches_window for d in dec.domains]
     if "dmax" in columns:
         if center is None:
-            center = default_center(dec.sample.grid)
+            center = dec.sample.grid.center
         record["dmax"] = domain_distance_extrema(dec, center)[1].tolist()
     if "nodal_length" in columns:
         record["nodal_length"] = float(dec.total_nodal_length)
@@ -255,14 +248,6 @@ def _ball_volume(dim: int, radius: float) -> float:
     return 4.0 * math.pi * radius**3 / 3.0
 
 
-def _reference_volume(grid) -> float:
-    if isinstance(grid, LatLongSphere):
-        return 4.0 * math.pi
-    if isinstance(grid, Torus):
-        return grid.side**grid.dim
-    return grid.side**2
-
-
 def fold_psi(records, radius=None, volume_scale: float = 1.0) -> EmpiricalCdf:
     """Empirical CDF of (scaled) interior domain areas, within `radius` of
     the records' center when given."""
@@ -303,8 +288,7 @@ def fold_ns(records, radii, dim: int) -> NsEstimate:
 
 def fold_nodal_length(records, grid) -> tuple[float, float]:
     """Mean and stderr of total crossing length per unit grid volume."""
-    volume = _reference_volume(grid)
-    return mean_stderr([r["nodal_length"] / volume for r in records])
+    return mean_stderr([r["nodal_length"] / grid.volume for r in records])
 
 
 def fold_faber_krahn(records, ids, margin: float = 0.10, dim: int = 2) -> dict:
@@ -363,14 +347,11 @@ def ns_constant_estimate(
     if isinstance(grid, LatLongSphere):
         raise ValueError("domain density estimation runs on planar and torus grids")
     if center is None:
-        center = default_center(grid)
-    if isinstance(grid, PlanarWindow):
-        for radius in radii:
-            _require_ball_in_window(
-                grid, center, radius, f"ball of radius {radius} does not fit in the window"
-            )
+        center = grid.center
+    for radius in radii:
+        grid.require_ball(center, radius, f"ball of radius {radius}")
     records = [census_record(dec, center, ("dmax",)) for dec in decs]
-    return fold_ns(records, radii, decs[0].labels.ndim)
+    return fold_ns(records, radii, grid.dim)
 
 
 def _lattice_offsets(grid, r: float):
@@ -396,29 +377,23 @@ def sandwich_check_many(
     are exact integer statements.
     """
     grid = dec.sample.grid
-    if not isinstance(grid, (PlanarWindow, Torus)) or dec.labels.ndim != 2:
+    if not isinstance(grid, (PlanarWindow, Torus)) or grid.dim != 2:
         raise ValueError("sandwich checking runs on planar and 2-D torus grids")
     if center is None:
-        center = default_center(grid)
+        center = grid.center
     labels = dec.labels
     n1 = labels.shape[1]
     nlab = len(dec.domains)
     # label nlab marks the padding outside a window; no threshold admits it
     node_count = np.bincount(labels.ravel(), minlength=nlab + 1)
     areas = dec.areas()
-    dist = _node_distances(grid, center).ravel()
+    dist = grid.node_distances(center).ravel()
     dmax = domain_distance_extrema(dec, center)[1]
     verdicts = []
     for r, R in geometries:
         if not (0.0 < r < R):
             raise ValueError(f"need 0 < r < R, got r={r}, R={R}")
-        if isinstance(grid, PlanarWindow):
-            _require_ball_in_window(
-                grid, center, R + r, f"B(center, R+r) with R+r={R + r} leaves the window"
-            )
-        else:
-            if R + r > 0.5 * grid.side + 1e-9:
-                raise ValueError(f"R+r={R + r} exceeds half the torus side")
+        grid.require_ball(center, R + r, f"B(center, R+r) with R+r={R + r}")
         mi, mj, K, reach = _lattice_offsets(grid, r)
         centers_idx = np.flatnonzero(dist <= R + r)
         in_lo = dist[centers_idx] <= R - r
@@ -488,7 +463,7 @@ def faber_krahn_check(decs: list[NodalDecomposition], margin: float = 0.10):
     for dec in decs:
         stream = dec.sample.stream
         ids.append((stream.master_seed, stream.stream_id) if stream else (None, None))
-    fk = fold_faber_krahn(records, ids, margin, decs[0].labels.ndim)
+    fk = fold_faber_krahn(records, ids, margin, decs[0].sample.grid.dim)
     if fk["min_area"] is None:
         raise ValueError("no interior domains; minimum area undefined")
     return fk["min_area"], [tuple(v) for v in fk["violations"]]

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from nodal_census import PlanarWindow, SandwichVerdict, Torus
-from nodal_census.nodal import _node_distances, default_center, domain_distance_extrema
+from nodal_census.nodal import domain_distance_extrema
 from nodal_census.sampler import torus_modes
 
 mp.mp.dps = 30
@@ -309,7 +309,7 @@ def sandwich_keys_oracle(dec, geometries, thresholds, center=None) -> list:
     if not isinstance(grid, (PlanarWindow, Torus)) or dec.labels.ndim != 2:
         raise ValueError("sandwich checking runs on planar and 2-D torus grids")
     if center is None:
-        center = default_center(grid)
+        center = grid.center
     labels = dec.labels
     n0, n1 = labels.shape
     flat = labels.ravel()
@@ -317,7 +317,7 @@ def sandwich_keys_oracle(dec, geometries, thresholds, center=None) -> list:
     node_count = np.bincount(flat, minlength=nlab)
     areas = dec.areas()
 
-    dist = _node_distances(grid, center).ravel()
+    dist = grid.node_distances(center).ravel()
     verdicts = []
     for r, R in geometries:
         if not (0.0 < r < R):

@@ -35,7 +35,6 @@ from nodal_census import (
     synthetic_sample,
 )
 from nodal_census.io import canonical_json, read_json
-from nodal_census.nodal import default_center
 from nodal_census.sampler import covariance_probe_means
 from conftest import DESK_M, DESK_SEED
 
@@ -44,7 +43,7 @@ AREA_FLOOR = 18.168414535536805
 
 @pytest.fixture(scope="session")
 def desk_psi(desk_grid, desk_ensemble):
-    center = default_center(desk_grid)
+    center = desk_grid.center
     radius = 0.5 * desk_grid.side - 2.0 * desk_grid.spacing
     return psi_estimate(desk_ensemble, window=(center, radius))
 

@@ -10,17 +10,20 @@ import pytest
 
 import nodal_census
 from nodal_census import (
+    LatLongSphere,
     PlanarWindow,
     PlaneWave2D,
     RngStream,
+    SphericalHarmonic,
     faber_krahn_check,
     label_domains,
     load_field,
     measure_domains,
+    psi_estimate,
     sample_field,
 )
 from nodal_census.cli import main, parse_length
-from nodal_census.io import domain_table_csv, read_json, text_sha256, write_json
+from nodal_census.io import domain_table_csv, psi_csv, read_json, text_sha256, write_json
 
 ALL_COMMANDS = (
     "sample", "nodal", "psi", "ns", "sandwich", "faber-krahn", "sphere-compare", "report",
@@ -236,6 +239,24 @@ def test_sphere_compare_against_planar_run(tmp_path, capsys):
     psi_lines = (sphere / "sphere-psi.csv").read_text().splitlines()
     scaled = [float(line.split(",")[0]) for line in psi_lines[1:]]
     assert all(abs(t - 4 * math.pi) <= 0.05 * 4 * math.pi for t in scaled)
+
+
+def test_sphere_compare_scales_areas_before_binning(tmp_path, capsys):
+    # Two areas one ulp apart can land on the same product once scaled, so a
+    # CDF binned first and scaled after repeats a breakpoint; at degree 12
+    # the first field already has such a pair.
+    planar = tmp_path / "planar"
+    assert main(["psi", "--window", "9pi", "--M", "1", "--seed", "3",
+                 "--out", str(planar), "--format", "csv-only"]) == 0
+    sphere = tmp_path / "sphere"
+    assert main(["sphere-compare", "--model", "sphere", "--degree", "12", "--M", "6",
+                 "--seed", "0", "--planar-report", str(planar), "--out", str(sphere)]) == 0
+    text = (sphere / "sphere-psi.csv").read_text()
+    ts = [float(line.split(",")[0]) for line in text.splitlines()[1:]]
+    assert all(a < b for a, b in zip(ts, ts[1:]))
+    model, grid = SphericalHarmonic(degree=12), LatLongSphere(n_lat=60, n_lon=120)
+    decs = [label_domains(sample_field(model, grid, RngStream(0, i))) for i in range(6)]
+    assert text == psi_csv(psi_estimate(decs, volume_scale=12 * 13))
 
 
 def test_sphere_compare_flags_tampered_report(tmp_path, capsys):

@@ -26,7 +26,6 @@ from nodal_census import (
 )
 from nodal_census import engine, sampler
 from nodal_census.io import canonical_json, joint_csv, read_json, text_sha256, write_json
-from nodal_census.nodal import default_center
 
 GRID = PlanarWindow(side=9 * math.pi, spacing=2 * math.pi / 10)
 
@@ -278,7 +277,7 @@ def test_report_folds_like_the_library(tmp_path):
 
     samples = [sample_field(config.model, GRID, RngStream(3, i)) for i in range(3)]
     decs = [measure_domains(label_domains(sample)) for sample in samples]
-    window = (default_center(GRID), config.effective_psi_radius())
+    window = (GRID.center, config.effective_psi_radius())
 
     psi = psi_estimate(decs, window=window).to_dict()
     assert {key: report["psi"][key] for key in psi} == psi

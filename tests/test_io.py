@@ -26,7 +26,6 @@ from nodal_census.io import (
     fnv1a64,
     joint_csv,
     ns_csv,
-    parse_float_token,
     psi_csv,
     read_json,
     sandwich_csv,
@@ -57,9 +56,9 @@ def test_canonical_json_is_sorted_and_spells_inf():
 
 def test_float_tokens_round_trip():
     for x in (0.0, -1.5, 1 / 3, math.pi, math.inf, -math.inf, 1e-300):
-        assert parse_float_token(float_token(x)) == x
+        assert float(float_token(x)) == x
     assert float_token(math.inf) == "inf"
-    assert parse_float_token("3.25") == 3.25
+    assert float("3.25") == 3.25
 
 
 def test_write_json_layout(tmp_path):
@@ -215,7 +214,7 @@ def test_sandwich_csv_spells_infinity(mini_ensemble):
     assert lines[0] == "r,R,t,lower,middle,upper,holds"
     ts = [l.split(",")[2] for l in lines[1:]]
     assert ts == ["50.0", "inf"]
-    assert all(parse_float_token(t) in (50.0, math.inf) for t in ts)
+    assert all(float(t) in (50.0, math.inf) for t in ts)
     assert {l.split(",")[6] for l in lines[1:]} <= {"true", "false"}
 
 

@@ -38,8 +38,6 @@ from nodal_census.nodal import (
     _crossing_cells,
     _march_loop,
     _march_table,
-    _wrap_axes,
-    default_center,
 )
 
 
@@ -122,7 +120,7 @@ def test_labels_match_node_pair_oracle(grid, fields):
     for values in fields:
         labels = label_domains(synthetic_sample(values, grid)).labels
         assert labels.dtype == np.int32
-        expected = oracles.node_pair_labels(values >= 0, _wrap_axes(grid))
+        expected = oracles.node_pair_labels(values >= 0, grid.wraps)
         np.testing.assert_array_equal(labels, expected)
 
 
@@ -452,7 +450,7 @@ def test_restrict_counts_quadrant():
 
 def test_restrict_counts_saturate_and_monotone():
     dec = label_domains(_sinsin_torus(4 * math.pi, 2 * math.pi / 8))
-    center = default_center(dec.sample.grid)
+    center = dec.sample.grid.center
     assert dec.n_domains == 16
     assert restrict_counts(dec, center, 100.0, math.inf) == (16, 16)
     n1, m1 = restrict_counts(dec, center, 2.0, math.inf)
@@ -463,7 +461,7 @@ def test_restrict_counts_saturate_and_monotone():
 def test_restrict_counts_rejects_escaping_ball():
     grid = PlanarWindow(side=2 * math.pi, spacing=2 * math.pi / 8)
     dec = label_domains(synthetic_sample(np.ones((9, 9)), grid))
-    with pytest.raises(ValueError, match="not contained"):
+    with pytest.raises(ValueError, match="does not fit in the window"):
         restrict_counts(dec, (1.0, 1.0), 2.0, math.inf)
 
 
@@ -553,7 +551,7 @@ def test_critical_cells_match_brute_force(grid, center):
         sample = synthetic_sample(rng.standard_normal(grid.shape), grid)
         for radius in (None, 1.3, 2.9):
             expected = oracles.critical_cells_brute_force(
-                sample.values, grid, center or default_center(grid), radius)
+                sample.values, grid, center or grid.center, radius)
             assert critical_cell_count(sample, center, radius) == expected
         assert 0 < critical_cell_count(sample, center, 1.3) < critical_cell_count(sample)
 

@@ -26,7 +26,6 @@ from nodal_census import (
     synthetic_sample,
 )
 from nodal_census.engine import DEFAULT_SANDWICH_GEOMETRIES
-from nodal_census.nodal import default_center
 from nodal_census.stats import _lattice_offsets
 
 FK_FLOOR = 18.168414535536805
@@ -109,7 +108,7 @@ def test_psi_requires_interior_domains():
 def test_restrict_counts_against_recount():
     dec = label_domains(_sinsin_torus(4 * math.pi, 2 * math.pi / 8))
     grid = dec.sample.grid
-    center = default_center(grid)
+    center = grid.center
     R = 1.5 * math.pi
 
     c = grid.axis_coords()
@@ -199,7 +198,7 @@ def test_sandwich_geometry_guards():
         sandwich_check(dec, math.pi, 6 * math.pi, math.inf)
     grid = PlanarWindow(side=2 * math.pi, spacing=2 * math.pi / 8)
     decp = label_domains(synthetic_sample(np.ones((9, 9)), grid))
-    with pytest.raises(ValueError, match="leaves the window"):
+    with pytest.raises(ValueError, match="does not fit in the window"):
         sandwich_check(decp, 1.0, math.pi, math.inf)
 
 
@@ -275,6 +274,10 @@ def test_ns_guards(mini_ensemble, sphere_l8_dec):
         ns_constant_estimate([sphere_l8_dec], radii=(1.0,))
     with pytest.raises(ValueError, match="does not fit"):
         ns_constant_estimate(mini_ensemble, radii=(20.0,))
+    # wider than half the side, the ball overlaps itself across the wrap
+    torus = label_domains(_sinsin_torus(4 * math.pi, 2 * math.pi / 8))
+    with pytest.raises(ValueError, match="half the torus side"):
+        ns_constant_estimate([torus], radii=(5.0, 10.0))
 
 
 def test_domain_density_below_critical_density(mini_ensemble):

@@ -13,8 +13,10 @@ is answered by the grid itself:
 * `wraps`: one flag per axis, True where adjacency is periodic;
 * `volume`: the total volume (area on the plane and sphere);
 * `center`: the reference point of ball statistics;
+* `axes()`: the node coordinates along each axis;
 * `node_distances(center)`: the distance of every node from a point
-  (minimal image on the torus, great-circle on the sphere);
+  (minimal image on the torus, great-circle on the sphere); planar and
+  torus grids also measure the lattice of other `axes` coordinates;
 * `require_ball(center, radius, what)`: raise unless the ball is one the
   ball statistics may use (planar and torus grids).
 """
@@ -79,13 +81,15 @@ class PlanarWindow:
     def axis_coords(self) -> np.ndarray:
         return np.arange(self.n_intervals + 1, dtype=np.float64) * self.spacing
 
-    def node_coords(self) -> tuple[np.ndarray, np.ndarray]:
-        c = self.axis_coords()
-        return np.meshgrid(c, c, indexing="ij")
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        return (self.axis_coords(),) * 2
 
-    def node_distances(self, center) -> np.ndarray:
-        xx, yy = self.node_coords()
-        return np.hypot(xx - center[0], yy - center[1])
+    def node_coords(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.meshgrid(*self.axes(), indexing="ij")
+
+    def node_distances(self, center, axes=None) -> np.ndarray:
+        x, y = self.axes() if axes is None else axes
+        return np.hypot(x[:, None] - center[0], y[None, :] - center[1])
 
     def require_ball(self, center, radius: float, what: str) -> None:
         """Raise ValueError unless B(center, radius) lies in the window."""
@@ -137,11 +141,14 @@ class Torus:
     def axis_coords(self) -> np.ndarray:
         return (np.arange(self.n_intervals, dtype=np.float64) + 0.5) * self.spacing
 
-    def node_distances(self, center) -> np.ndarray:
+    def axes(self) -> tuple[np.ndarray, ...]:
+        return (self.axis_coords(),) * self.dim
+
+    def node_distances(self, center, axes=None) -> np.ndarray:
         """Minimal-image distances."""
-        c = self.axis_coords()
-        acc = np.zeros(self.shape)
-        for ax in range(self.dim):
+        axes = self.axes() if axes is None else axes
+        acc = np.zeros(tuple(c.size for c in axes))
+        for ax, c in enumerate(axes):
             d = np.abs(c - center[ax])
             d = np.minimum(d, self.side - d)
             acc = acc + (d.reshape([-1 if a == ax else 1 for a in range(self.dim)])) ** 2
@@ -189,6 +196,9 @@ class LatLongSphere:
 
     def longitudes(self) -> np.ndarray:
         return (np.arange(self.n_lon, dtype=np.float64) + 0.5) * (2.0 * math.pi / self.n_lon)
+
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.colatitudes(), self.longitudes()
 
     def row_cell_areas(self) -> np.ndarray:
         """Solid angle of one cell in each colatitude row."""

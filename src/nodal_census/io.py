@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .grids import grid_from_dict
-from .sampler import FieldSample, RngStream, model_from_dict
+from .sampler import FieldSample, RngStream, evaluate_at, model_from_dict
 
 __all__ = [
     "FNV_OFFSET",
@@ -127,8 +127,9 @@ def write_field(sample: FieldSample, path) -> None:
 
     Layout: magic "NCFS", u32 version, u64 header length, canonical-JSON
     header (dtype/shape/grid/model/seed), then the values as little-endian
-    float64 in C order.  Spectral coefficients are not stored; a reloaded
-    sample can be decomposed and measured but not re-evaluated off-grid.
+    float64 in C order.  Spectral coefficients are not stored: `load_field`
+    redraws them from the model and seed, so a reloaded sample is measured
+    and evaluated off-grid exactly as the one written.
     The container goes through a sibling temp file, so a failed write leaves
     the previous container at `path` intact.
     """
@@ -162,6 +163,8 @@ def write_field(sample: FieldSample, path) -> None:
 
 
 def load_field(path) -> FieldSample:
+    """Read a container; a sampled field's coefficients are redrawn from its
+    model and seed and checked against the stored values at a few nodes."""
     path = Path(path)
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
@@ -184,7 +187,15 @@ def load_field(path) -> FieldSample:
     stream = None
     if header.get("seed"):
         stream = RngStream(header["seed"]["master_seed"], header["seed"]["stream_id"])
-    return FieldSample(values=values, grid=grid, model=model, stream=stream, coeffs=None)
+    sample = FieldSample(values=values, grid=grid, model=model, stream=stream)
+    if model is not None and stream is not None:
+        sample.coeffs = model.draw(grid, stream)
+        # the first, middle and last node along every axis
+        nodes = tuple(np.array([0, n // 2, n - 1]) for n in shape)
+        points = np.stack([c[i] for c, i in zip(grid.axes(), nodes)], axis=1)
+        if not np.allclose(evaluate_at(sample, points), values[nodes], rtol=0.0, atol=1e-8):
+            raise ValueError(f"{path}: values disagree with the field its model and seed draw")
+    return sample
 
 
 def domain_table_csv(dec) -> str:

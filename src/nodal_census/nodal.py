@@ -35,12 +35,13 @@ that a small field (a 4x4 window has at most 9 crossing cells) cannot
 repay.  The two give the same numbers, bit for bit.
 
 The ambiguous saddle cell (equal diagonal signs) is resolved by the sign of
-the field at the cell center when the sample carries spectral coefficients,
-and by connecting the positive corners otherwise.  Note the node labeling is
-sign-symmetric 4-connected and therefore splits BOTH diagonals of a saddle;
-the traced contour can join two node-labeled domains of the saddle's
-connected sign.  Segment lengths and cell areas are then attributed to every
-adjacent label, which keeps totals conserved.
+the field at the cell center when the sample carries spectral coefficients
+(every sampled field does, also one reloaded from a container), and by
+connecting the positive corners on a synthetic field.  Note the node
+labeling is sign-symmetric 4-connected and therefore splits BOTH diagonals
+of a saddle; the traced contour can join two node-labeled domains of the
+saddle's connected sign.  Segment lengths and cell areas are then attributed
+to every adjacent label, which keeps totals conserved.
 
 Ball restriction (N and N*) uses node membership: a domain lies in B(u, r)
 iff all its nodes do (strict inequality), and meets the closed ball iff some
@@ -251,10 +252,7 @@ def _cell_tables(grid: GridSpec):
         d0 = np.full(n, h)
         d1 = np.full(n, h)
         area = np.full(n, h * h)
-        if isinstance(grid, PlanarWindow):
-            cu = (np.arange(n) + 0.5) * h
-        else:
-            cu = ((np.arange(n) + 1.0) * h) % grid.side
+        cu = (np.arange(n) + (0.5 if isinstance(grid, PlanarWindow) else 1.0)) * h
         cv = cu
     else:
         dth = math.pi / grid.n_lat
@@ -345,20 +343,24 @@ _EDGE_START = np.array([0, 1, 3, 0])
 _EDGE_AXIS = np.array([[0], [1], [0], [1]])
 
 
+def _wrap_extended(a: np.ndarray, wraps) -> np.ndarray:
+    """A 2-D node array with its first row/column repeated past each wrapped
+    edge, so every cell's corners lie in it."""
+    if wraps[0]:
+        a = np.concatenate([a, a[:1]], axis=0)
+    if wraps[1]:
+        a = np.concatenate([a, a[:, :1]], axis=1)
+    return a
+
+
 def _crossing_cells(dec: NodalDecomposition) -> _Cells:
     grid = dec.sample.grid
     values = np.asarray(dec.sample.values, dtype=np.float64)
     n0, n1 = dec.labels.shape
     d0_row, d1_row, area_row, cu, cv = _cell_tables(grid)
     rows, cols = area_row.size, cv.size
-    # node signs with the first row/column repeated past a wrapped edge, so
-    # the corners of every cell are four shifted slices
-    pos = values >= 0
-    wrap_rows, wrap_cols = grid.wraps
-    if wrap_rows:
-        pos = np.concatenate([pos, pos[:1]], axis=0)
-    if wrap_cols:
-        pos = np.concatenate([pos, pos[:, :1]], axis=1)
+    # the corners of every cell are four shifted slices of the node signs
+    pos = _wrap_extended(values >= 0, grid.wraps)
     pattern = (
         pos[:rows, :cols] * 1
         + pos[1 : rows + 1, :cols] * 2
@@ -378,7 +380,7 @@ def _crossing_cells(dec: NodalDecomposition) -> _Cells:
     # saddle resolution: field sign at the cell center when evaluable
     center_pos = np.ones(cidx.shape[0], dtype=bool)
     saddle = (pattern == 5) | (pattern == 10)
-    if np.any(saddle) and dec.sample.coeffs is not None and dec.sample.model is not None:
+    if np.any(saddle) and dec.sample.coeffs is not None:
         centers = np.stack([cu[ci[saddle]], cv[cj[saddle]]], axis=1)
         center_pos[saddle] = evaluate_at(dec.sample, centers) >= 0
 
@@ -767,16 +769,6 @@ def nesting_is_forest(dec: NodalDecomposition) -> bool:
     return edges.shape[0] == k - n_components
 
 
-def _combine_coeffs(c1: dict | None, c2: dict | None, b: float) -> dict | None:
-    if c1 is None or c2 is None:
-        return None
-    out = dict(c1)
-    for key in ("a", "b", "z"):
-        if key in c1 and isinstance(c1[key], np.ndarray):
-            out[key] = c1[key] + b * c2[key]
-    return out
-
-
 def perturbation_stability(
     base: NodalDecomposition, direction: FieldSample, b: float
 ) -> list[tuple[int, int, float, float]]:
@@ -794,12 +786,15 @@ def perturbation_stability(
     if direction.grid != sample.grid or direction.model != sample.model:
         raise ValueError("perturbation direction must share the sample's model and grid")
     measure_domains(base)
+    coeffs = None
+    if sample.coeffs is not None and direction.coeffs is not None:
+        coeffs = {key: c + b * direction.coeffs[key] for key, c in sample.coeffs.items()}
     pert_sample = FieldSample(
         values=sample.values + b * direction.values,
         grid=sample.grid,
         model=sample.model,
         stream=None,
-        coeffs=_combine_coeffs(sample.coeffs, direction.coeffs, b),
+        coeffs=coeffs,
     )
     pert = measure_domains(label_domains(pert_sample))
 
@@ -831,24 +826,14 @@ def critical_cell_count(sample: FieldSample, center=None, radius: float | None =
     for domain counts; with a radius, only cells centered within it of
     `center` count (default the grid's center; minimal image on a torus)."""
     grid = sample.grid
-    torus = isinstance(grid, Torus)
-    if not isinstance(grid, PlanarWindow) and not (torus and grid.dim == 2):
+    if not isinstance(grid, (PlanarWindow, Torus)) or grid.dim != 2:
         raise ValueError("critical cell counting is defined for planar and 2-D torus grids")
-    v = sample.values
-    if torus:  # the first row and column repeated past the wrapped edge
-        v = np.concatenate([v, v[:1]], axis=0)
-        v = np.concatenate([v, v[:, :1]], axis=1)
+    v = _wrap_extended(sample.values, grid.wraps)
     sgx = np.diff(v, axis=0) >= 0
     sgy = np.diff(v, axis=1) >= 0
     crit = (sgx[:, :-1] != sgx[:, 1:]) & (sgy[:-1, :] != sgy[1:, :])
-    if radius is not None:
-        cc = (np.arange(crit.shape[0]) + (1.0 if torus else 0.5)) * grid.spacing  # centers
+    if radius is not None:  # the dual cells are the marching cells
+        _, _, _, cu, cv = _cell_tables(grid)
         center = grid.center if center is None else center
-        dx, dy = (np.abs(cc - c) for c in center)
-        if torus:
-            dx, dy = (np.minimum(d, grid.side - d) for d in (dx, dy))
-            dist = np.sqrt(dx[:, None] ** 2 + dy[None, :] ** 2)
-        else:
-            dist = np.hypot(dx[:, None], dy[None, :])
-        crit &= dist <= radius
+        crit &= grid.node_distances(center, (cu, cv)) <= radius
     return int(np.sum(crit))

@@ -14,15 +14,21 @@ Three spectral models, all unit variance with wavenumber fixed at 1:
 * ``SphericalHarmonic`` -- degree-l random harmonic sqrt(4 pi/(2l+1)) sum of
   L2-orthonormal real harmonics with iid N(0,1) coefficients.
 
+Each model gives its per-grid `table`, its coefficient `draw` (grid checks,
+then Gaussian draws), its values on the grid (`synthesize`) and at arbitrary
+points (`evaluate`).  `sample_field` draws, then synthesizes.  A sample's
+coefficients are its Gaussian draws alone; the truncation, modes and norm
+follow from the model and the grid.
+
 Randomness comes from a counter-based Philox generator keyed by
 (master_seed, stream_id), so realization i of a run is reproducible in
 isolation and independent across i.
 
 Each model's per-grid table (the plane-wave basis, the Legendre matrix, the
-torus modes) is built once per grid per process, on the first draw, and
-shared read-only by every later draw on that grid, from any thread; no
-sampler takes a table argument.  The public builders
-(`build_plane_wave_basis`, `legendre_matrix`, `torus_modes`) stay uncached.
+torus modes) is built once per grid per process, on first use, and shared
+read-only by every later draw on that grid, from any thread; no sampler
+takes a table argument.  The public builders (`build_plane_wave_basis`,
+`legendre_matrix`, `torus_modes`) stay uncached.
 """
 
 from __future__ import annotations
@@ -46,9 +52,6 @@ __all__ = [
     "FieldSample",
     "PlaneWaveBasis",
     "build_plane_wave_basis",
-    "sample_plane_wave",
-    "sample_band_limited",
-    "sample_spherical_harmonic",
     "sample_field",
     "evaluate_at",
     "helmholtz_residual",
@@ -81,60 +84,13 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
-class PlaneWave2D:
-    def to_dict(self) -> dict:
-        return {"type": "plane_wave"}
-
-
-@dataclass(frozen=True)
-class BandLimitedTorus:
-    dim: int = 2
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ValueError(f"band-limited model dimension {self.dim} unsupported")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError(f"alpha={self.alpha} outside [0, 1]")
-
-    def to_dict(self) -> dict:
-        return {"type": "band_limited", "dim": self.dim, "alpha": self.alpha}
-
-
-@dataclass(frozen=True)
-class SphericalHarmonic:
-    degree: int
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("spherical harmonic degree must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {"type": "spherical_harmonic", "degree": self.degree}
-
-
-SpectralModel = PlaneWave2D | BandLimitedTorus | SphericalHarmonic
-
-
-def model_from_dict(d: dict) -> SpectralModel:
-    kind = d.get("type")
-    if kind == "plane_wave":
-        return PlaneWave2D()
-    if kind == "band_limited":
-        return BandLimitedTorus(dim=int(d.get("dim", 2)), alpha=float(d.get("alpha", 0.0)))
-    if kind == "spherical_harmonic":
-        return SphericalHarmonic(degree=int(d["degree"]))
-    raise ValueError(f"unknown model type {kind!r}")
-
-
 @dataclass
 class FieldSample:
     """One realization: node values plus enough provenance to reproduce it.
 
-    `model` is None for synthetic fields built directly from a value array;
-    those cannot be evaluated off-grid and fall back to the coefficient-free
-    code paths downstream.
+    `coeffs` holds the model's Gaussian draws; synthetic fields, built
+    directly from a value array, have neither model nor coeffs and fall back
+    to the coefficient-free code paths downstream.
     """
 
     values: np.ndarray
@@ -205,21 +161,49 @@ def build_plane_wave_basis(grid: PlanarWindow) -> PlaneWaveBasis:
     return PlaneWaveBasis(n_trunc=n_trunc, cos_basis=cos_b, sin_basis=sin_b)
 
 
-def sample_plane_wave(model: PlaneWave2D, grid: PlanarWindow, stream: RngStream) -> FieldSample:
-    """Draw one random plane wave on the window.
+@dataclass(frozen=True)
+class PlaneWave2D:
+    def to_dict(self) -> dict:
+        return {"type": "plane_wave"}
 
-    Coefficients are drawn in a fixed order (a_0, a_1..a_N, b_1..b_N), so the
-    value at the window-center node is exactly the first Gaussian draw.
-    """
-    basis = _grid_table(model, grid)
-    n_trunc = basis.n_trunc
-    gen = stream.generator()
-    a = gen.standard_normal(n_trunc + 1)
-    b = gen.standard_normal(n_trunc)
-    values = basis.cos_basis @ a + basis.sin_basis @ b
-    values = values.reshape(grid.shape)
-    coeffs = {"a": a, "b": b, "n_trunc": n_trunc}
-    return FieldSample(values=values, grid=grid, model=model, stream=stream, coeffs=coeffs)
+    def table(self, grid: PlanarWindow) -> PlaneWaveBasis:
+        basis = build_plane_wave_basis(grid)
+        basis.cos_basis.setflags(write=False)
+        basis.sin_basis.setflags(write=False)
+        return basis
+
+    def draw(self, grid: PlanarWindow, stream: RngStream) -> dict:
+        """Coefficients (a_0, a_1..a_N, b_1..b_N) in that order, so the value
+        at the window-center node is exactly the first Gaussian draw."""
+        if not isinstance(grid, PlanarWindow):
+            raise ValueError("plane-wave sampling needs a PlanarWindow grid")
+        n_trunc = plane_wave_truncation(grid.max_radius())
+        gen = stream.generator()
+        a = gen.standard_normal(n_trunc + 1)
+        b = gen.standard_normal(n_trunc)
+        return {"a": a, "b": b}
+
+    def synthesize(self, grid: PlanarWindow, coeffs: dict) -> np.ndarray:
+        basis = _grid_table(self, grid)
+        values = basis.cos_basis @ coeffs["a"] + basis.sin_basis @ coeffs["b"]
+        return values.reshape(grid.shape)
+
+    def evaluate(self, grid: PlanarWindow, coeffs: dict, pts: np.ndarray) -> np.ndarray:
+        cx, cy = grid.center
+        dx = pts[:, 0] - cx
+        dy = pts[:, 1] - cy
+        r = np.hypot(dx, dy)
+        theta = np.arctan2(dy, dx)
+        n_trunc = plane_wave_truncation(grid.max_radius())
+        jmat = bessel_j_orders(n_trunc, r)
+        a, b = coeffs["a"], coeffs["b"]
+        ns = np.arange(1, n_trunc + 1)
+        ang = np.outer(theta, ns)
+        vals = jmat[:, 0] * a[0]
+        vals = vals + math.sqrt(2.0) * np.sum(
+            jmat[:, 1:] * (np.cos(ang) * a[1:] + np.sin(ang) * b), axis=1
+        )
+        return vals
 
 
 def torus_modes(grid: Torus, alpha: float) -> tuple[np.ndarray, float]:
@@ -234,99 +218,120 @@ def torus_modes(grid: Torus, alpha: float) -> tuple[np.ndarray, float]:
     lo = 1.0 - two_pi / grid.side if alpha == 1.0 else alpha
     mmax = int(math.floor(grid.side / two_pi))
     rng = np.arange(-mmax, mmax + 1)
-    if grid.dim == 2:
-        m1, m2 = np.meshgrid(rng, rng, indexing="ij")
-        lattice = np.stack([m1.ravel(), m2.ravel()], axis=1)
-    else:
-        m1, m2, m3 = np.meshgrid(rng, rng, rng, indexing="ij")
-        lattice = np.stack([m1.ravel(), m2.ravel(), m3.ravel()], axis=1)
+    # "ij" meshgrid raveled in C order lists the lattice lexicographically
+    lattice = np.stack([m.ravel() for m in np.meshgrid(*[rng] * grid.dim, indexing="ij")], axis=1)
     norms = np.sqrt(np.sum(lattice.astype(np.float64) ** 2, axis=1)) * (two_pi / grid.side)
     in_band = (norms >= lo - 1e-12) & (norms <= 1.0 + 1e-12)
-    # half-lattice: first nonzero component positive
-    keep = np.zeros(lattice.shape[0], dtype=bool)
-    for d in range(grid.dim):
-        col = lattice[:, d]
-        earlier_zero = np.ones(lattice.shape[0], dtype=bool)
-        for e in range(d):
-            earlier_zero &= lattice[:, e] == 0
-        keep |= earlier_zero & (col > 0)
-    if alpha == 0.0:
-        keep |= np.all(lattice == 0, axis=1)
-    sel = lattice[in_band & keep]
-    order = np.lexsort(tuple(sel[:, d] for d in range(grid.dim - 1, -1, -1)))
-    return sel[order], lo
+    # half-lattice: first nonzero component positive (m = 0 has first 0)
+    first = lattice[np.arange(lattice.shape[0]), np.argmax(lattice != 0, axis=1)]
+    keep = (first > 0) | ((first == 0) & (alpha == 0.0))
+    return lattice[in_band & keep], lo
 
 
-def sample_band_limited(model: BandLimitedTorus, grid: Torus, stream: RngStream) -> FieldSample:
-    """Draw one band-limited field on the torus via an inverse FFT.
+@dataclass(frozen=True)
+class BandLimitedTorus:
+    dim: int = 2
+    alpha: float = 0.0
 
-    The node phases 2 pi m (j + 1/2) / n are handled exactly by a half-cell
-    phase twist on the spectral array, so the construction is a finite
-    trigonometric sum with genuine torus frequencies.
+    def __post_init__(self):
+        if self.dim not in (2, 3):
+            raise ValueError(f"band-limited model dimension {self.dim} unsupported")
+        if not (0.0 <= self.alpha <= 1.0):
+            raise ValueError(f"alpha={self.alpha} outside [0, 1]")
 
-    The inverse FFT is pruned (Markel 1971).  The spectrum holds, on each
-    leading axis, only the sorted distinct rows m_d mod n that carry a mode;
-    the last axis stays full length.  The 1-D inverse transforms then run in
-    ``np.fft.ifftn``'s order, last axis first, and before each earlier axis's
-    pass the result is scattered into rows of zeros of full length on that
-    axis.  ``ifftn`` transforms each line on its own and an all-zero line
-    stays zero, so every line that can be nonzero sees the input it would see
-    in the full transform, and the values are byte-identical to ``ifftn`` of
-    the full (n,)*dim spectrum.  On the 160^3 torus this is 33,841 line
-    transforms instead of 76,800, with no full-size spectrum.
-    """
-    if not isinstance(grid, Torus) or grid.dim != model.dim:
-        raise ValueError("band-limited sampling needs a Torus grid of matching dimension")
-    if grid.side < _MIN_TORUS_SIDE - 1e-9:
-        raise ValueError(
-            f"torus side {grid.side:.2f} too small for the lattice spectral measure; "
-            f"need at least {_MIN_TORUS_SIDE:.2f}"
-        )
-    modes, lo = _grid_table(model, grid)
-    if modes.shape[0] == 0:
-        raise ValueError(
-            f"no torus frequencies in the band [{lo:.4f}, 1]; "
-            f"increase the side beyond {2.0 * math.pi / max(1.0 - model.alpha, 1e-9):.2f}"
-        )
-    gen = stream.generator()
-    nonzero = ~np.all(modes == 0, axis=1)
-    a = gen.standard_normal(modes.shape[0])
-    b = np.zeros(modes.shape[0])
-    b[nonzero] = gen.standard_normal(int(np.sum(nonzero)))
-    norm = 1.0 / math.sqrt(modes.shape[0])
-    n = grid.n_intervals
-    k = modes.shape[0]
-    twist = np.exp(1j * math.pi * np.sum(modes, axis=1) / n)
-    amp = 0.5 * (a - 1j * b) * twist
-    amp[~nonzero] *= 2.0  # zero mode has no conjugate partner
-    # leading axes keep only their rows holding a mode (+m or -m, mod n)
-    rows = []
-    idx_pos = []
-    idx_neg = []
-    for d in range(grid.dim - 1):
-        row, at = np.unique(np.mod(np.concatenate([modes[:, d], -modes[:, d]]), n),
-                            return_inverse=True)
-        rows.append(row)
-        idx_pos.append(at[:k])
-        idx_neg.append(at[k:])
-    idx_pos.append(np.mod(modes[:, -1], n))
-    idx_neg.append(np.mod(-modes[:, -1], n))
-    spec = np.zeros(tuple(row.shape[0] for row in rows) + (n,), dtype=np.complex128)
-    np.add.at(spec, tuple(idx_pos), amp)
-    np.add.at(spec, tuple(idx_neg), np.conj(amp))
-    if not np.all(nonzero):
-        # the m = 0 entry (row 0 on every axis) was added twice
-        spec[(0,) * grid.dim] /= 2.0
-    # ifftn's passes, last axis first, over the lines that can be nonzero
-    x = np.fft.ifft(spec)
-    for d in range(grid.dim - 2, -1, -1):
-        full = np.zeros(x.shape[:d] + (n,) + x.shape[d + 1 :], dtype=np.complex128)
-        full[(slice(None),) * d + (rows[d],)] = x
-        x = np.fft.ifft(full, axis=d)
-    values = x.real * n**grid.dim
-    values *= norm
-    coeffs = {"modes": modes, "a": a, "b": b, "norm": norm}
-    return FieldSample(values=values, grid=grid, model=model, stream=stream, coeffs=coeffs)
+    def to_dict(self) -> dict:
+        return {"type": "band_limited", "dim": self.dim, "alpha": self.alpha}
+
+    def table(self, grid: Torus) -> tuple[np.ndarray, float]:
+        modes, lo = torus_modes(grid, self.alpha)
+        modes.setflags(write=False)
+        return modes, lo
+
+    def draw(self, grid: Torus, stream: RngStream) -> dict:
+        """One cosine draw per mode in mode order, then one sine draw per
+        nonzero mode (the m = 0 sine coefficient is 0)."""
+        if not isinstance(grid, Torus) or grid.dim != self.dim:
+            raise ValueError("band-limited sampling needs a Torus grid of matching dimension")
+        if grid.side < _MIN_TORUS_SIDE - 1e-9:
+            raise ValueError(
+                f"torus side {grid.side:.2f} too small for the lattice spectral measure; "
+                f"need at least {_MIN_TORUS_SIDE:.2f}"
+            )
+        modes, lo = _grid_table(self, grid)
+        if modes.shape[0] == 0:
+            raise ValueError(
+                f"no torus frequencies in the band [{lo:.4f}, 1]; "
+                f"increase the side beyond {2.0 * math.pi / max(1.0 - self.alpha, 1e-9):.2f}"
+            )
+        gen = stream.generator()
+        nonzero = ~np.all(modes == 0, axis=1)
+        a = gen.standard_normal(modes.shape[0])
+        b = np.zeros(modes.shape[0])
+        b[nonzero] = gen.standard_normal(int(np.sum(nonzero)))
+        return {"a": a, "b": b}
+
+    def synthesize(self, grid: Torus, coeffs: dict) -> np.ndarray:
+        """The field on the torus nodes via an inverse FFT.
+
+        The node phases 2 pi m (j + 1/2) / n are handled exactly by a
+        half-cell phase twist on the spectral array, so the construction is
+        a finite trigonometric sum with genuine torus frequencies.
+
+        The inverse FFT is pruned (Markel 1971).  The spectrum holds, on each
+        leading axis, only the sorted distinct rows m_d mod n that carry a
+        mode; the last axis stays full length.  The 1-D inverse transforms
+        then run in ``np.fft.ifftn``'s order, last axis first, and before
+        each earlier axis's pass the result is scattered into rows of zeros
+        of full length on that axis.  ``ifftn`` transforms each line on its
+        own and an all-zero line stays zero, so every line that can be
+        nonzero sees the input it would see in the full transform, and the
+        values are byte-identical to ``ifftn`` of the full (n,)*dim
+        spectrum.  On the 160^3 torus this is 33,841 line transforms
+        instead of 76,800, with no full-size spectrum.
+        """
+        modes = _grid_table(self, grid)[0]
+        nonzero = ~np.all(modes == 0, axis=1)
+        norm = 1.0 / math.sqrt(modes.shape[0])
+        n = grid.n_intervals
+        k = modes.shape[0]
+        twist = np.exp(1j * math.pi * np.sum(modes, axis=1) / n)
+        amp = 0.5 * (coeffs["a"] - 1j * coeffs["b"]) * twist
+        amp[~nonzero] *= 2.0  # zero mode has no conjugate partner
+        # leading axes keep only their rows holding a mode (+m or -m, mod n)
+        rows = []
+        idx_pos = []
+        idx_neg = []
+        for d in range(grid.dim - 1):
+            row, at = np.unique(np.mod(np.concatenate([modes[:, d], -modes[:, d]]), n),
+                                return_inverse=True)
+            rows.append(row)
+            idx_pos.append(at[:k])
+            idx_neg.append(at[k:])
+        idx_pos.append(np.mod(modes[:, -1], n))
+        idx_neg.append(np.mod(-modes[:, -1], n))
+        spec = np.zeros(tuple(row.shape[0] for row in rows) + (n,), dtype=np.complex128)
+        np.add.at(spec, tuple(idx_pos), amp)
+        np.add.at(spec, tuple(idx_neg), np.conj(amp))
+        if not np.all(nonzero):
+            # the m = 0 entry (row 0 on every axis) was added twice
+            spec[(0,) * grid.dim] /= 2.0
+        # ifftn's passes, last axis first, over the lines that can be nonzero
+        x = np.fft.ifft(spec)
+        for d in range(grid.dim - 2, -1, -1):
+            full = np.zeros(x.shape[:d] + (n,) + x.shape[d + 1 :], dtype=np.complex128)
+            full[(slice(None),) * d + (rows[d],)] = x
+            x = np.fft.ifft(full, axis=d)
+        values = x.real * n**grid.dim
+        values *= norm
+        return values
+
+    def evaluate(self, grid: Torus, coeffs: dict, pts: np.ndarray) -> np.ndarray:
+        modes = _grid_table(self, grid)[0]
+        norm = 1.0 / math.sqrt(modes.shape[0])
+        xi = modes.astype(np.float64) * (2.0 * math.pi / grid.side)
+        # canonicalize into one period so x and x + L give bit-identical values
+        phase = np.mod(pts, grid.side) @ xi.T
+        return norm * (np.cos(phase) @ coeffs["a"] + np.sin(phase) @ coeffs["b"])
 
 
 def legendre_matrix(degree: int, cos_theta: np.ndarray) -> np.ndarray:
@@ -360,120 +365,58 @@ def legendre_matrix(degree: int, cos_theta: np.ndarray) -> np.ndarray:
     return out.T.copy()
 
 
-def sample_spherical_harmonic(
-    model: SphericalHarmonic, grid: LatLongSphere, stream: RngStream
-) -> FieldSample:
-    """Draw one random spherical harmonic of the model's degree.
+@dataclass(frozen=True)
+class SphericalHarmonic:
+    degree: int
 
-    Grid resolution below 4*degree nodes per great circle (2*n_lat meridian
-    nodes, n_lon equatorial nodes) is rejected.  Coefficient draw order:
-    the m = 0 coefficient, then the l cosine coefficients, then the l sine
-    coefficients.
-    """
-    if not isinstance(grid, LatLongSphere):
-        raise ValueError("spherical harmonic sampling needs a LatLongSphere grid")
-    l = model.degree
-    need = 4 * l
-    if 2 * grid.n_lat < need or grid.n_lon < need:
-        raise ValueError(
-            f"sphere grid {grid.n_lat}x{grid.n_lon} under-resolves degree {l}: "
-            f"need n_lat >= {need // 2} and n_lon >= {need}"
+    def __post_init__(self):
+        if self.degree < 1:
+            raise ValueError("spherical harmonic degree must be >= 1")
+
+    def to_dict(self) -> dict:
+        return {"type": "spherical_harmonic", "degree": self.degree}
+
+    def table(self, grid: LatLongSphere) -> np.ndarray:
+        legendre = legendre_matrix(self.degree, np.cos(grid.colatitudes()))
+        legendre.setflags(write=False)
+        return legendre
+
+    def draw(self, grid: LatLongSphere, stream: RngStream) -> dict:
+        """Grid resolution below 4*degree nodes per great circle (2*n_lat
+        meridian nodes, n_lon equatorial nodes) is rejected.  Draw order:
+        the m = 0 coefficient, then the l cosine coefficients, then the l
+        sine coefficients."""
+        if not isinstance(grid, LatLongSphere):
+            raise ValueError("spherical harmonic sampling needs a LatLongSphere grid")
+        l = self.degree
+        need = 4 * l
+        if 2 * grid.n_lat < need or grid.n_lon < need:
+            raise ValueError(
+                f"sphere grid {grid.n_lat}x{grid.n_lon} under-resolves degree {l}: "
+                f"need n_lat >= {need // 2} and n_lon >= {need}"
+            )
+        return {"z": stream.generator().standard_normal(2 * l + 1)}
+
+    def synthesize(self, grid: LatLongSphere, coeffs: dict) -> np.ndarray:
+        l = self.degree
+        legendre = _grid_table(self, grid)
+        z = coeffs["z"]
+        scale = math.sqrt(4.0 * math.pi / (2.0 * l + 1.0))
+        half = grid.n_lon // 2 + 1
+        spec = np.zeros((grid.n_lat, half), dtype=np.complex128)
+        spec[:, 0] = scale * z[0] * legendre[:, 0]
+        ms = np.arange(1, l + 1)
+        twist = np.exp(1j * math.pi * ms / grid.n_lon)
+        cpart = z[1 : l + 1]
+        spart = z[l + 1 :]
+        spec[:, 1 : l + 1] = (
+            scale * math.sqrt(2.0) * legendre[:, 1:] * (0.5 * (cpart - 1j * spart) * twist)
         )
-    legendre = _grid_table(model, grid)
-    gen = stream.generator()
-    z = gen.standard_normal(2 * l + 1)
-    scale = math.sqrt(4.0 * math.pi / (2.0 * l + 1.0))
-    half = grid.n_lon // 2 + 1
-    spec = np.zeros((grid.n_lat, half), dtype=np.complex128)
-    spec[:, 0] = scale * z[0] * legendre[:, 0]
-    ms = np.arange(1, l + 1)
-    twist = np.exp(1j * math.pi * ms / grid.n_lon)
-    cpart = z[1 : l + 1]
-    spart = z[l + 1 :]
-    spec[:, 1 : l + 1] = (
-        scale * math.sqrt(2.0) * legendre[:, 1:] * (0.5 * (cpart - 1j * spart) * twist)
-    )
-    values = np.fft.irfft(spec, n=grid.n_lon, axis=1) * grid.n_lon
-    coeffs = {"z": z, "degree": l}
-    return FieldSample(values=values, grid=grid, model=model, stream=stream, coeffs=coeffs)
+        return np.fft.irfft(spec, n=grid.n_lon, axis=1) * grid.n_lon
 
-
-_TABLE_LOCK = threading.Lock()
-
-
-@functools.lru_cache(maxsize=4)
-def _built_table(model: SpectralModel, grid: GridSpec):
-    if isinstance(model, PlaneWave2D):
-        table = build_plane_wave_basis(grid)
-        arrays = (table.cos_basis, table.sin_basis)
-    elif isinstance(model, SphericalHarmonic):
-        table = legendre_matrix(model.degree, np.cos(grid.colatitudes()))
-        arrays = (table,)
-    else:
-        table = torus_modes(grid, model.alpha)
-        arrays = table[:1]
-    for array in arrays:
-        array.setflags(write=False)
-    return table
-
-
-def _grid_table(model: SpectralModel, grid: GridSpec):
-    """The model's per-grid table, built on the first call for a (model,
-    grid) and shared read-only after: the plane-wave basis, the Legendre
-    matrix at the grid's colatitudes, or the torus modes and band edge.
-    The lock makes concurrent first calls build the table once."""
-    with _TABLE_LOCK:
-        return _built_table(model, grid)
-
-
-def sample_field(model: SpectralModel, grid: GridSpec, stream: RngStream) -> FieldSample:
-    """Dispatch to the sampler matching the model type."""
-    if isinstance(model, PlaneWave2D):
-        return sample_plane_wave(model, grid, stream)
-    if isinstance(model, BandLimitedTorus):
-        return sample_band_limited(model, grid, stream)
-    if isinstance(model, SphericalHarmonic):
-        return sample_spherical_harmonic(model, grid, stream)
-    raise ValueError(f"unknown model {model!r}")
-
-
-def evaluate_at(sample: FieldSample, points: np.ndarray) -> np.ndarray:
-    """Evaluate the realization at arbitrary coordinates from its coefficients.
-
-    Exact (same finite series as the grid values); needs the in-memory
-    coefficients, which file round trips do not preserve.
-    """
-    if sample.coeffs is None:
-        raise ValueError("sample carries no spectral coefficients (loaded from file?)")
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if isinstance(sample.model, PlaneWave2D):
-        cx, cy = sample.grid.center
-        dx = pts[:, 0] - cx
-        dy = pts[:, 1] - cy
-        r = np.hypot(dx, dy)
-        theta = np.arctan2(dy, dx)
-        n_trunc = sample.coeffs["n_trunc"]
-        jmat = bessel_j_orders(n_trunc, r)
-        a = sample.coeffs["a"]
-        b = sample.coeffs["b"]
-        ns = np.arange(1, n_trunc + 1)
-        ang = np.outer(theta, ns)
-        vals = jmat[:, 0] * a[0]
-        vals = vals + math.sqrt(2.0) * np.sum(
-            jmat[:, 1:] * (np.cos(ang) * a[1:] + np.sin(ang) * b), axis=1
-        )
-        return vals
-    if isinstance(sample.model, BandLimitedTorus):
-        modes = sample.coeffs["modes"]
-        xi = modes.astype(np.float64) * (2.0 * math.pi / sample.grid.side)
-        # canonicalize into one period so x and x + L give bit-identical values
-        phase = np.mod(pts, sample.grid.side) @ xi.T
-        return sample.coeffs["norm"] * (
-            np.cos(phase) @ sample.coeffs["a"] + np.sin(phase) @ sample.coeffs["b"]
-        )
-    if isinstance(sample.model, SphericalHarmonic):
-        l = sample.model.degree
-        z = sample.coeffs["z"]
+    def evaluate(self, grid: LatLongSphere, coeffs: dict, pts: np.ndarray) -> np.ndarray:
+        l = self.degree
+        z = coeffs["z"]
         leg = legendre_matrix(l, np.cos(pts[:, 0]))
         ang = np.outer(pts[:, 1], np.arange(1, l + 1))
         scale = math.sqrt(4.0 * math.pi / (2.0 * l + 1.0))
@@ -482,7 +425,57 @@ def evaluate_at(sample: FieldSample, points: np.ndarray) -> np.ndarray:
             + math.sqrt(2.0)
             * np.sum(leg[:, 1:] * (np.cos(ang) * z[1 : l + 1] + np.sin(ang) * z[l + 1 :]), axis=1)
         )
-    raise ValueError(f"off-grid evaluation undefined for model {sample.model!r}")
+
+
+SpectralModel = PlaneWave2D | BandLimitedTorus | SphericalHarmonic
+
+
+def model_from_dict(d: dict) -> SpectralModel:
+    kind = d.get("type")
+    if kind == "plane_wave":
+        return PlaneWave2D()
+    if kind == "band_limited":
+        return BandLimitedTorus(dim=int(d.get("dim", 2)), alpha=float(d.get("alpha", 0.0)))
+    if kind == "spherical_harmonic":
+        return SphericalHarmonic(degree=int(d["degree"]))
+    raise ValueError(f"unknown model type {kind!r}")
+
+
+_TABLE_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=4)
+def _built_table(model: SpectralModel, grid: GridSpec):
+    return model.table(grid)
+
+
+def _grid_table(model: SpectralModel, grid: GridSpec):
+    """The model's per-grid table, built on the first call for a (model,
+    grid) and shared read-only after; the lock makes it built once."""
+    with _TABLE_LOCK:
+        return _built_table(model, grid)
+
+
+def sample_field(model: SpectralModel, grid: GridSpec, stream: RngStream) -> FieldSample:
+    """Draw the model's coefficients for the grid, then synthesize its values."""
+    if not isinstance(model, SpectralModel):
+        raise ValueError(f"unknown model {model!r}")
+    coeffs = model.draw(grid, stream)
+    return FieldSample(model.synthesize(grid, coeffs), grid, model, stream, coeffs)
+
+
+def evaluate_at(sample: FieldSample, points: np.ndarray) -> np.ndarray:
+    """Evaluate the realization at arbitrary coordinates from its coefficients.
+
+    Exact (same finite series as the grid values); needs the coefficients,
+    which every sampled field carries, also one reloaded from a container.
+    """
+    if sample.coeffs is None:
+        raise ValueError("sample carries no spectral coefficients (a synthetic field?)")
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    return sample.model.evaluate(sample.grid, sample.coeffs, pts)
+
+
 
 
 def helmholtz_residual(sample: FieldSample) -> float:
@@ -576,13 +569,12 @@ def covariance_probe_means(sample: FieldSample, lags) -> np.ndarray:
     base[:, :2] = np.array(_PROBE_FRACTIONS) * side
     if isinstance(grid, PlanarWindow) and np.max(base[:, 0]) + np.max(lags) > side:
         raise ValueError("probe set plus maximal lag leaves the window")
-    step = np.zeros(dim)
-    out = np.empty(lags.shape[0])
-    v0 = evaluate_at(sample, base)
-    for j, lag in enumerate(lags):
-        step[0] = lag
-        out[j] = float(np.mean(v0 * evaluate_at(sample, base + step)))
-    return out
+    # the base probes and every lagged copy of them in one evaluation
+    n_probes = base.shape[0]
+    shifted = np.tile(base, (lags.shape[0], 1))
+    shifted[:, 0] += np.repeat(lags, n_probes)
+    v = evaluate_at(sample, np.concatenate([base, shifted]))
+    return np.mean(v[:n_probes] * v[n_probes:].reshape(-1, n_probes), axis=1)
 
 
 def empirical_covariance(samples: list[FieldSample], lags) -> CovarianceEstimate:

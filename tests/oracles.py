@@ -267,7 +267,7 @@ def critical_cells_brute_force(values, grid, center=None, radius=None) -> int:
 
 def full_grid_torus_values(model, grid, stream) -> np.ndarray:
     """Band-limited torus values from the whole (n,)*dim spectrum and one
-    `np.fft.ifftn`, with the same modes and draws as `sample_band_limited`."""
+    `np.fft.ifftn`, with the same modes and draws as `sample_field`."""
     modes, _ = torus_modes(grid, model.alpha)
     gen = stream.generator()
     nonzero = ~np.all(modes == 0, axis=1)

@@ -8,9 +8,13 @@ import pytest
 
 import nodal_census.io
 from nodal_census import (
+    BandLimitedTorus,
+    LatLongSphere,
     PlanarWindow,
     PlaneWave2D,
     RngStream,
+    SphericalHarmonic,
+    Torus,
     label_domains,
     load_field,
     measure_domains,
@@ -81,7 +85,13 @@ def test_field_container_round_trip(tmp_path):
     assert back.grid == grid
     assert back.model == sample.model
     assert back.stream == RngStream(12, 34)
-    assert back.coeffs is None
+    assert back.coeffs.keys() == sample.coeffs.keys()
+    for key, coeffs in sample.coeffs.items():
+        assert np.array_equal(back.coeffs[key], coeffs)
+
+    synthetic = tmp_path / "synthetic.ncfs"
+    write_field(synthetic_sample(sample.values, grid), synthetic)
+    assert load_field(synthetic).coeffs is None
 
     sidecar = read_json(tmp_path / "field.ncfs.json")
     assert sidecar["kind"] == "field-sample"
@@ -110,6 +120,27 @@ def test_field_container_rejects_corruption(tmp_path):
     truncated.write_bytes(raw[:-16])
     with pytest.raises(ValueError, match="truncated"):
         load_field(truncated)
+
+    # values that are not the field the stored model and seed draw
+    sample.values[0, 0] += 1e-6
+    write_field(sample, tmp_path / "foreign.ncfs")
+    with pytest.raises(ValueError, match="model and seed"):
+        load_field(tmp_path / "foreign.ncfs")
+
+
+@pytest.mark.parametrize("model, grid, index", [
+    (PlaneWave2D(), PlanarWindow(side=40 * math.pi, spacing=2 * math.pi / 10), 0),
+    (SphericalHarmonic(degree=20), LatLongSphere(n_lat=100, n_lon=200), 2),
+    (BandLimitedTorus(dim=2, alpha=1.0), Torus(side=40 * math.pi, spacing=2 * math.pi / 8), 0),
+], ids=["plane", "sphere", "torus"])
+def test_reloaded_field_measures_as_in_memory(tmp_path, model, grid, index):
+    # saddle cells are resolved from the coefficients, so a container must
+    # restore them for its domain table to match the in-memory one
+    sample = sample_field(model, grid, RngStream(7, index))
+    write_field(sample, tmp_path / "field.ncfs")
+    back = load_field(tmp_path / "field.ncfs")
+    table = domain_table_csv(measure_domains(label_domains(sample)))
+    assert domain_table_csv(measure_domains(label_domains(back))) == table
 
 
 class _FullDisk:

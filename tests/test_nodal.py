@@ -39,6 +39,7 @@ from nodal_census.nodal import (
     _march_loop,
     _march_table,
 )
+from nodal_census.sampler import torus_modes
 
 
 def _graph_cases():
@@ -431,7 +432,7 @@ def test_torus_3d_face_area_matches_kac_rice(seed):
     sample = sample_field(BandLimitedTorus(dim=3, alpha=1.0), grid, RngStream(seed, 0))
     dec = measure_domains(label_domains(sample))
     density = dec.total_nodal_length / grid.side**3
-    xi = sample.coeffs["modes"] * (2 * math.pi / grid.side)
+    xi = torus_modes(grid, 1.0)[0] * (2 * math.pi / grid.side)
     lam = float(np.mean(np.sum(xi**2, axis=1)))
     assert density == pytest.approx(1.5 * (2 / math.pi) * math.sqrt(lam / 3), rel=0.02)
     h = grid.spacing

@@ -27,8 +27,6 @@ from nodal_census.sampler import (
     build_plane_wave_basis,
     covariance_probe_means,
     legendre_matrix,
-    sample_band_limited,
-    sample_spherical_harmonic,
     torus_modes,
 )
 
@@ -117,6 +115,19 @@ def test_grid_tables_are_shared_read_only():
             table.flat[0] = 0
 
 
+@pytest.mark.parametrize("model, grid, message", [
+    (PlaneWave2D(), Torus(side=TORUS_L, spacing=2 * math.pi / 8), "needs a PlanarWindow grid"),
+    (BandLimitedTorus(dim=2), TINY, "needs a Torus grid of matching dimension"),
+    (BandLimitedTorus(dim=3), Torus(side=TORUS_L, spacing=2 * math.pi / 8),
+     "needs a Torus grid of matching dimension"),
+    (SphericalHarmonic(degree=2), TINY, "needs a LatLongSphere grid"),
+    ("plane_wave", TINY, "unknown model"),
+], ids=["plane-on-torus", "band-on-plane", "band-wrong-dim", "harmonic-on-plane", "unknown"])
+def test_sample_field_rejects_model_grid_mismatch(model, grid, message):
+    with pytest.raises(ValueError, match=message):
+        sample_field(model, grid, RngStream(0, 0))
+
+
 def test_window_radius_guard():
     big = PlanarWindow(side=700 * (2 * math.pi / 10), spacing=2 * math.pi / 10)
     with pytest.raises(ValueError, match="at most 300"):
@@ -126,7 +137,7 @@ def test_window_radius_guard():
 def test_torus_opposite_faces_bitwise():
     model = BandLimitedTorus(dim=2, alpha=0.0)
     grid = Torus(side=TORUS_L, spacing=2 * math.pi / 8)
-    sample = sample_band_limited(model, grid, RngStream(11, 0))
+    sample = sample_field(model, grid, RngStream(11, 0))
     pts = np.array(
         [[0.0, 5.0], [TORUS_L, 5.0], [7.0, 0.0], [7.0, TORUS_L]]
     )
@@ -145,7 +156,7 @@ def test_torus_values_match_full_grid_oracle(dim, n, alpha):
     model = BandLimitedTorus(dim=dim, alpha=alpha)
     grid = Torus(side=TORUS_L, spacing=TORUS_L / n, dim=dim)
     stream = RngStream(7, n)
-    values = sample_band_limited(model, grid, stream).values
+    values = sample_field(model, grid, stream).values
     expected = oracles.full_grid_torus_values(model, grid, stream)
     assert values.dtype == np.float64
     assert values.flags.c_contiguous
@@ -156,7 +167,7 @@ def test_torus_values_match_full_grid_oracle(dim, n, alpha):
 
 def test_torus_3d_values_and_faces():
     grid = Torus(side=TORUS_L, spacing=math.pi / 4, dim=3)
-    sample = sample_band_limited(BandLimitedTorus(dim=3, alpha=1.0), grid, RngStream(7, 0))
+    sample = sample_field(BandLimitedTorus(dim=3, alpha=1.0), grid, RngStream(7, 0))
     rng = np.random.default_rng(160)
     nodes = rng.integers(0, grid.n_intervals, size=(200, 3))
     vals = evaluate_at(sample, grid.axis_coords()[nodes])
@@ -175,7 +186,7 @@ def test_torus_covariance_matches_band_kernel():
     grid = Torus(side=TORUS_L, spacing=2 * math.pi / 8)
     lags = (1.0, 2.0, 5.0)
     rows = np.array(
-        [covariance_probe_means(sample_band_limited(model, grid, RngStream(11, i)), lags)
+        [covariance_probe_means(sample_field(model, grid, RngStream(11, i)), lags)
          for i in range(2000)]
     )
     means = rows.mean(axis=0)
@@ -189,7 +200,7 @@ def test_torus_node_variance():
     grid = Torus(side=TORUS_L, spacing=2 * math.pi / 8)
     n = 2000
     vals = np.array(
-        [sample_band_limited(model, grid, RngStream(29, i)).values[40, 95] for i in range(n)]
+        [sample_field(model, grid, RngStream(29, i)).values[40, 95] for i in range(n)]
     )
     var = vals.var(ddof=1)
     assert abs(var - 1.0) <= 3.0 * var * math.sqrt(2.0 / (n - 1))
@@ -198,10 +209,10 @@ def test_torus_node_variance():
 def test_torus_alpha_one_shell():
     model = BandLimitedTorus(dim=2, alpha=1.0)
     grid = Torus(side=TORUS_L, spacing=2 * math.pi / 8)
-    sample = sample_band_limited(model, grid, RngStream(3, 0))
+    sample = sample_field(model, grid, RngStream(3, 0))
     assert np.isfinite(sample.values).all()
     # every kept frequency sits in the shell [1 - 2pi/L, 1]
-    xi = sample.coeffs["modes"] * (2 * math.pi / TORUS_L)
+    xi = torus_modes(grid, 1.0)[0] * (2 * math.pi / TORUS_L)
     norms = np.hypot(xi[:, 0], xi[:, 1])
     assert np.all(norms >= 1.0 - 2 * math.pi / TORUS_L - 1e-12)
     assert np.all(norms <= 1.0 + 1e-12)
@@ -211,13 +222,13 @@ def test_torus_empty_band_names_minimal_side():
     # at side 41pi the annulus [0.997, 1] misses every lattice frequency
     grid = Torus(side=41 * math.pi, spacing=2 * math.pi / 8)
     with pytest.raises(ValueError, match="increase the side"):
-        sample_band_limited(BandLimitedTorus(dim=2, alpha=0.997), grid, RngStream(0, 0))
+        sample_field(BandLimitedTorus(dim=2, alpha=0.997), grid, RngStream(0, 0))
 
 
 def test_torus_too_small_rejected():
     grid = Torus(side=20 * math.pi, spacing=2 * math.pi / 8)
     with pytest.raises(ValueError, match="too small"):
-        sample_band_limited(BandLimitedTorus(dim=2, alpha=0.0), grid, RngStream(0, 0))
+        sample_field(BandLimitedTorus(dim=2, alpha=0.0), grid, RngStream(0, 0))
 
 
 def test_sphere_pole_equator_isotropy():
@@ -239,7 +250,7 @@ def test_sphere_pole_equator_isotropy():
 def test_sphere_degree_one_has_two_domains():
     grid = LatLongSphere(n_lat=8, n_lon=16)
     for i in range(10):
-        sample = sample_spherical_harmonic(model_from_dict(
+        sample = sample_field(model_from_dict(
             {"type": "spherical_harmonic", "degree": 1}), grid, RngStream(4, i))
         assert label_domains(sample).n_domains == 2
 
@@ -257,7 +268,7 @@ def test_sphere_laplacian_second_order():
 
 def test_sphere_resolution_guard():
     with pytest.raises(ValueError):
-        sample_spherical_harmonic(
+        sample_field(
             model_from_dict({"type": "spherical_harmonic", "degree": 8}),
             LatLongSphere(n_lat=16, n_lon=16),
             RngStream(0, 0),

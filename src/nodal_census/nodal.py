@@ -16,7 +16,8 @@ The measures:
   the sphere), the primary estimator;
 * refined_area: the area of the piecewise-linear interpolant's sign region,
   accumulated cell by cell from the marching-squares clipping -- used where
-  sub-cell sensitivity matters (perturbation matching);
+  sub-cell sensitivity matters (perturbation matching, where the perturbed
+  field is labelled and gets refined areas only, from `_refined_areas`);
 * perimeter: total marching-squares segment length adjacent to the domain,
   with linear interpolation of edge crossings;
 * boundary_components: number of connected crossing contours touching the
@@ -585,6 +586,42 @@ def _pick(rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
     return rows.ravel()[slots * n + np.arange(n)[:, None]]
 
 
+def _edge_crossings(values: np.ndarray) -> np.ndarray:
+    """Crossing fractions t of the edges AB, BC, CD, DA from the (4, n)
+    corner values, as (4, n) rows; inf or nan on edges without a crossing."""
+    a, b, c, d = values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.stack([a / (a - b), b / (b - c), d / (d - c), a / (a - d)])
+
+
+def _refined_areas(cells: _Cells, t: np.ndarray) -> np.ndarray:
+    """Per-label refined areas of a decomposition, from its crossing cells
+    and their edge crossings t: each uniform cell's area goes to its label,
+    and each crossing cell's area is split as its class's area slots say.
+    The numbers of `_march_loop`, bit for bit, at any number of cells."""
+    n = cells.pattern.shape[0]
+    cls = cells.pattern + 16 * cells.center_pos
+    saddle = cells.saddle
+    with np.errstate(invalid="ignore"):  # edges without a crossing
+        tt = np.concatenate([t, 1.0 - t])
+        frac = np.concatenate([(0.5 * tt[_CORNER_X]) * tt[_CORNER_Y], 0.5 * (t[:2] + t[2:])])
+        frac = np.concatenate([frac, 1.0 - frac])
+    f = _pick(frac, _FRAC_COLS[cls])
+    ca = cells.area
+    rest = (1.0 - (f[:, 0] + f[:, 1])) * ca
+    owner = _pick(cells.labels, _AREA_CORNERS[cls])
+    shared = owner[:, 2] == owner[:, 3]
+    half = 0.5 * rest
+    share = np.column_stack([f * ca[:, None], np.where(shared, rest, half), half])
+    every = np.ones(n, dtype=bool)
+    gets = np.stack([every, every, saddle, saddle & ~shared], axis=1)
+    return _label_sums(
+        np.concatenate([cells.uniform_labels, owner[gets]]),
+        np.concatenate([cells.uniform_areas, share[gets]]),
+        cells.k,
+    )
+
+
 def _march_table(cells: _Cells) -> _Geometry:
     """Marching squares over all crossing cells at once, by crossing class.
 
@@ -595,19 +632,13 @@ def _march_table(cells: _Cells) -> _Geometry:
     n, k = cells.pattern.shape[0], cells.k
     cls = cells.pattern + 16 * cells.center_pos
     saddle = cells.saddle
-    a, b, c, d = cells.values
-    with np.errstate(divide="ignore", invalid="ignore"):  # edges without a crossing
-        t = np.stack([a / (a - b), b / (b - c), d / (d - c), a / (a - d)])
-        tt = np.concatenate([t, 1.0 - t])
-        frac = np.concatenate([(0.5 * tt[_CORNER_X]) * tt[_CORNER_Y], 0.5 * (t[:2] + t[2:])])
-        frac = np.concatenate([frac, 1.0 - frac])
+    t = _edge_crossings(cells.values)
     # crossing point of each edge AB, BC, CD, DA; A = (0, 0), C = (1, 1)
     zero, one = np.zeros(n), np.ones(n)
     u = np.stack([t[0], one, t[2], zero])
     v = np.stack([zero, t[1], one, t[3]])
 
-    every = np.ones(n, dtype=bool)
-    live = np.stack([every, saddle], axis=1)
+    live = np.stack([np.ones(n, dtype=bool), saddle], axis=1)
     edges = _SEG_EDGES[cls].reshape(n, 4)
     e1, e2 = edges[:, 0::2], edges[:, 1::2]
     du = (_pick(u, e2) - _pick(u, e1)) * cells.d0[:, None]
@@ -621,20 +652,7 @@ def _march_table(cells: _Cells) -> _Geometry:
     touch = np.stack([live, live, live & (sides[:, :, 2] != sides[:, :, 1])], axis=2)
     adjacent = sides[touch]
     perimeter = _label_sums(adjacent, np.broadcast_to(seg_len[:, :, None], sides.shape)[touch], k)
-
-    f = _pick(frac, _FRAC_COLS[cls])
-    ca = cells.area
-    rest = (1.0 - (f[:, 0] + f[:, 1])) * ca
-    owner = _pick(cells.labels, _AREA_CORNERS[cls])
-    shared = owner[:, 2] == owner[:, 3]
-    half = 0.5 * rest
-    share = np.column_stack([f * ca[:, None], np.where(shared, rest, half), half])
-    gets = np.stack([every, every, saddle, saddle & ~shared], axis=1)
-    refined = _label_sums(
-        np.concatenate([cells.uniform_labels, owner[gets]]),
-        np.concatenate([cells.uniform_areas, share[gets]]),
-        k,
-    )
+    refined = _refined_areas(cells, t)
 
     ends = _pick(cells.edges, edges).reshape(n, 2, 2)[live].ravel()
     contour, n_contours = _segment_contours(ends, cells.n_edges)
@@ -778,7 +796,10 @@ def perturbation_stability(
     Matching is by maximal node overlap, ties to the smaller perturbed label.
     Returns (label, matched_label, |area change|, perimeter) per interior
     domain of F, with the area change measured on the refined (sub-cell)
-    estimator so that changes below one cell are visible.
+    estimator so that changes below one cell are visible.  F + b*G is
+    labelled and gets its refined areas only (on a 3-D torus, where face
+    counting sets refined_area = area, its count areas), not a full
+    measure_domains: the check reads nothing else of it.
     """
     if b < 0:
         raise ValueError("perturbation size must be >= 0")
@@ -796,7 +817,12 @@ def perturbation_stability(
         stream=None,
         coeffs=coeffs,
     )
-    pert = measure_domains(label_domains(pert_sample))
+    pert = label_domains(pert_sample)
+    if pert.labels.ndim == 3:  # face counting: the refined area is the count area
+        pert_areas = [rec.area for rec in pert.domains]
+    else:
+        cells = _crossing_cells(pert)
+        pert_areas = _refined_areas(cells, _edge_crossings(cells.values)).tolist()
 
     k2 = len(pert.domains)
     pairs = base.labels.ravel().astype(np.int64) * k2 + pert.labels.ravel()
@@ -815,7 +841,7 @@ def perturbation_stability(
         if rec.touches_window:
             continue
         match = best[rec.label]
-        delta = abs(rec.refined_area - pert.domains[match].refined_area)
+        delta = abs(rec.refined_area - pert_areas[match])
         out.append((rec.label, match, delta, rec.perimeter))
     return out
 

@@ -330,8 +330,14 @@ class BandLimitedTorus:
         norm = 1.0 / math.sqrt(modes.shape[0])
         xi = modes.astype(np.float64) * (2.0 * math.pi / grid.side)
         # canonicalize into one period so x and x + L give bit-identical values
-        phase = np.mod(pts, grid.side) @ xi.T
-        return norm * (np.cos(phase) @ coeffs["a"] + np.sin(phase) @ coeffs["b"])
+        x = np.mod(pts, grid.side)
+        # per-axis and per-row sums, not BLAS products, whose rounding follows
+        # the batch: a point's value does not depend on the others in the call
+        phase = x[:, :1] * xi[:, 0]
+        for ax in range(1, grid.dim):
+            phase += x[:, ax : ax + 1] * xi[:, ax]
+        cos, sin = np.cos(phase), np.sin(phase)
+        return norm * ((cos * coeffs["a"]).sum(axis=1) + (sin * coeffs["b"]).sum(axis=1))
 
 
 def legendre_matrix(degree: int, cos_theta: np.ndarray) -> np.ndarray:

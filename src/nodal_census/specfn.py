@@ -177,7 +177,7 @@ def bessel_j_orders(nmax: int, x: np.ndarray) -> np.ndarray:
         if order > 0 and order % 2 == 0:
             neumann += 2.0 * jc
         big = np.abs(jc) > _RESCALE_LIMIT
-        if np.any(big):
+        if big.any():
             jc[big] *= _RESCALE
             jp[big] *= _RESCALE
             neumann[big] *= _RESCALE

@@ -5,13 +5,15 @@ values and zeros come from mpmath at 30 digits, integrals from scipy
 quadrature, grid labeling from a recursive flood fill or from breadth-first
 search over every same-sign node pair, graph components from
 breadth-first search, and the geometry of one marching-squares cell from
-polygons cut along its crossing segments.  Two exceptions keep an earlier implementation as the
+polygons cut along its crossing segments.  Three exceptions keep an earlier implementation as the
 reference.  The sandwich oracle is the key-sort `sandwich_check_many`: it
 shares the package's node-distance convention and verdict record, and counts
 every (center, label) pair by materialising and sorting their keys.  The
 torus oracle is the full-grid band-limited sampler: it shares the package's
 mode table and draw order, and runs one `np.fft.ifftn` over the whole
-spectrum.
+spectrum.  The perturbation oracle is the full-measure
+`perturbation_stability`: it runs the whole `measure_domains` on the
+perturbed field and reads the refined areas from its domain records.
 """
 
 from __future__ import annotations
@@ -24,7 +26,14 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
-from nodal_census import PlanarWindow, SandwichVerdict, Torus
+from nodal_census import (
+    FieldSample,
+    PlanarWindow,
+    SandwichVerdict,
+    Torus,
+    label_domains,
+    measure_domains,
+)
 from nodal_census.nodal import domain_distance_extrema
 from nodal_census.sampler import torus_modes
 
@@ -375,3 +384,43 @@ def sandwich_keys_oracle(dec, geometries, thresholds, center=None) -> list:
                 )
             )
     return verdicts
+
+
+def perturbation_stability_oracle(base, direction, b: float) -> list:
+    """(label, matched label, |refined area change|, perimeter) per interior
+    domain of `base` against base + b * direction, with the perturbed field
+    labelled and fully measured."""
+    sample = base.sample
+    measure_domains(base)
+    coeffs = None
+    if sample.coeffs is not None and direction.coeffs is not None:
+        coeffs = {key: c + b * direction.coeffs[key] for key, c in sample.coeffs.items()}
+    pert_sample = FieldSample(
+        values=sample.values + b * direction.values,
+        grid=sample.grid,
+        model=sample.model,
+        stream=None,
+        coeffs=coeffs,
+    )
+    pert = measure_domains(label_domains(pert_sample))
+
+    k2 = len(pert.domains)
+    pairs = base.labels.ravel().astype(np.int64) * k2 + pert.labels.ravel()
+    uniq, counts = np.unique(pairs, return_counts=True)
+    b_lab = uniq // k2
+    p_lab = uniq % k2
+    order = np.lexsort((p_lab, -counts, b_lab))
+    best: dict[int, int] = {}
+    for pos_i in order.tolist():
+        bl = int(b_lab[pos_i])
+        if bl not in best:
+            best[bl] = int(p_lab[pos_i])
+
+    out = []
+    for rec in base.domains:
+        if rec.touches_window:
+            continue
+        match = best[rec.label]
+        delta = abs(rec.refined_area - pert.domains[match].refined_area)
+        out.append((rec.label, match, delta, rec.perimeter))
+    return out

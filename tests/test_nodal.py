@@ -26,18 +26,22 @@ from nodal_census import (
     sample_field,
     synthetic_sample,
 )
+from nodal_census.engine import PERTURBATION_B, PERTURBATION_STREAM_BASE
 from nodal_census.nodal import (
     _AREA_CORNERS,
     _FRAC_COLS,
     _ONE_POSITIVE,
     _SEG_EDGES,
     _SEG_SIDES,
+    _TABLE_MIN_CELLS,
     _cell_tables,
     _class_tables,
     _components,
     _crossing_cells,
+    _edge_crossings,
     _march_loop,
     _march_table,
+    _refined_areas,
 )
 from nodal_census.sampler import torus_modes
 
@@ -281,6 +285,44 @@ def test_class_rows_match_cell_geometry_oracle(march, magnitude):
         assert geometry.total_length == pytest.approx(total, rel=1e-12), cls
         assert sorted(geometry.contour_adjacency) == contours, cls
         assert geometry.boundary_components == [counts.get(i, 0) for i in labels], cls
+
+
+def _refined_only(dec):
+    cells = _crossing_cells(dec)
+    return _refined_areas(cells, _edge_crossings(cells.values)).tolist()
+
+
+@pytest.mark.parametrize("case, table", [
+    ("desk", True), ("window-3pi", False), ("sphere-l20", True), ("torus-2d", True),
+])
+def test_refined_areas_match_measure_on_sampled_fields(case, table, desk_grid):
+    model, grid = {
+        "desk": (PlaneWave2D(), desk_grid),
+        "window-3pi": (PlaneWave2D(), PlanarWindow(side=3 * math.pi, spacing=2 * math.pi / 10)),
+        "sphere-l20": (SphericalHarmonic(degree=20), LatLongSphere(n_lat=40, n_lon=80)),
+        "torus-2d": (BandLimitedTorus(dim=2, alpha=1.0),
+                     Torus(side=40 * math.pi, spacing=2 * math.pi / 10)),
+    }[case]
+    # seed 43 puts a saddle among the 65 crossing cells of the 3pi window
+    dec = label_domains(sample_field(model, grid, RngStream(43, 0)))
+    cells = _crossing_cells(dec)
+    # the table pass measures at _TABLE_MIN_CELLS crossing cells, the loop below
+    assert (cells.pattern.size >= _TABLE_MIN_CELLS) == table
+    assert np.any(cells.saddle)
+    assert _refined_only(dec) == [d.refined_area for d in measure_domains(dec).domains]
+
+
+def test_refined_areas_match_measure_on_synthetic_saddles():
+    # no coefficients: every saddle connects its positive corners
+    rng = np.random.default_rng(23)
+    grid = PlanarWindow(side=5.5, spacing=0.5)
+    saddles = 0
+    for _ in range(200):
+        values = rng.choice([-1.0, 1.0], size=(12, 12)) * rng.uniform(0.1, 1.0, size=(12, 12))
+        dec = label_domains(synthetic_sample(values, grid))
+        saddles += int(np.count_nonzero(_crossing_cells(dec).saddle))
+        assert _refined_only(dec) == [d.refined_area for d in measure_domains(dec).domains]
+    assert saddles > 1000
 
 
 # sha256 of the measure outputs below; the per-cell loop gave the same value
@@ -539,6 +581,38 @@ def test_perturbation_rejects_bad_arguments(mini_ensemble):
                          RngStream(3, 2**32))
     with pytest.raises(ValueError, match="share"):
         perturbation_stability(dec, other, 1e-3)
+
+
+def _perturbation_case(case, desk_grid):
+    """(base decomposition, direction) of each perturbation oracle case."""
+    if case == "synthetic":
+        rng = np.random.default_rng(31)
+        grid = PlanarWindow(side=20.0, spacing=0.5)
+        base, direction = (synthetic_sample(rng.standard_normal(grid.shape), grid)
+                           for _ in range(2))
+        return label_domains(base), direction
+    model, grid = {
+        "desk": (PlaneWave2D(), desk_grid),
+        "sphere-l20": (SphericalHarmonic(degree=20), LatLongSphere(n_lat=40, n_lon=80)),
+        "torus-2d": (BandLimitedTorus(dim=2, alpha=1.0),
+                     Torus(side=40 * math.pi, spacing=2 * math.pi / 10)),
+        "torus-3d": (BandLimitedTorus(dim=3, alpha=1.0),
+                     Torus(side=40 * math.pi, spacing=2 * math.pi / 8, dim=3)),
+    }[case]
+    seed = 7 if case == "desk" else 4
+    base = label_domains(sample_field(model, grid, RngStream(seed, 0)))
+    return base, sample_field(model, grid, RngStream(seed, PERTURBATION_STREAM_BASE))
+
+
+@pytest.mark.parametrize("case", ["desk", "sphere-l20", "torus-2d", "synthetic", "torus-3d"])
+def test_perturbation_matches_full_measure_oracle(case, desk_grid):
+    base, direction = _perturbation_case(case, desk_grid)
+    for b in PERTURBATION_B:
+        result = perturbation_stability(base, direction, b)
+        expected = oracles.perturbation_stability_oracle(base, direction, b)
+        assert result
+        assert result == expected
+        assert _types(result) == _types(expected)
 
 
 @pytest.mark.parametrize("grid, center", [

@@ -165,6 +165,16 @@ def test_torus_values_match_full_grid_oracle(dim, n, alpha):
     assert values.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("dim, alpha", [(2, 0.0), (3, 1.0)])
+def test_torus_evaluation_does_not_depend_on_the_batch(dim, alpha):
+    grid = Torus(side=TORUS_L, spacing=2 * math.pi / 8, dim=dim)
+    sample = sample_field(BandLimitedTorus(dim=dim, alpha=alpha), grid, RngStream(5, dim))
+    pts = np.random.default_rng(dim).uniform(0.0, TORUS_L, size=(32, dim))
+    whole = evaluate_at(sample, pts)
+    for size in (8, 1):
+        parts = [evaluate_at(sample, pts[i : i + size]) for i in range(0, 32, size)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
 def test_torus_3d_values_and_faces():
     grid = Torus(side=TORUS_L, spacing=math.pi / 4, dim=3)
     sample = sample_field(BandLimitedTorus(dim=3, alpha=1.0), grid, RngStream(7, 0))

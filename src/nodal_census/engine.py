@@ -257,7 +257,7 @@ def _run_checks(config: EnsembleConfig, sample, dec, index: int) -> dict:
             deltas = [m[2] for m in matches]
             medians.append(float(np.median(deltas)) if deltas else None)
         ratio = None
-        if medians[0] and medians[1]:
+        if medians[0] is not None and medians[1]:
             ratio = medians[0] / medians[1]
         out["perturbation"] = {"b": list(PERTURBATION_B), "medians": medians, "ratio": ratio}
     return out

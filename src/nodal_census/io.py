@@ -163,8 +163,10 @@ def write_field(sample: FieldSample, path) -> None:
 
 
 def load_field(path) -> FieldSample:
-    """Read a container; a sampled field's coefficients are redrawn from its
-    model and seed and checked against the stored values at a few nodes."""
+    """Read a container whose header shape is its grid's shape and whose
+    file ends with the value payload; a sampled field's coefficients are
+    redrawn from its model and seed and checked against the stored values
+    at a few nodes."""
     path = Path(path)
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
@@ -176,13 +178,17 @@ def load_field(path) -> FieldSample:
         header = json.loads(fh.read(hlen).decode("utf-8"))
         if header["dtype"] != "<f8":
             raise ValueError(f"unsupported dtype {header['dtype']}")
+        grid = grid_from_dict(header["grid"])
         shape = tuple(header["shape"])
+        if shape != grid.shape:
+            raise ValueError(f"{path}: header shape {shape} does not match the grid's {grid.shape}")
         count = int(np.prod(shape))
         payload = fh.read(count * 8)
         if len(payload) != count * 8:
             raise ValueError(f"{path}: truncated payload")
+        if fh.read(1):
+            raise ValueError(f"{path}: bytes after the value payload")
     values = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-    grid = grid_from_dict(header["grid"])
     model = model_from_dict(header["model"]) if header["model"] is not None else None
     stream = None
     if header.get("seed"):

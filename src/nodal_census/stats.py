@@ -31,19 +31,28 @@ lattice).  Conversely every domain in B(c, R) is hit by at least the K
 centers x0 + m h, all of which lie in B(c, R + r).  The verdicts are
 therefore computed in integer arithmetic and must hold on every sample.
 
-The counts come from a hit matrix, one row per center in B(c, R + r) and one
-column per label found within reach of those centers.  The label image is
-padded by that reach (wrapped on a torus, a sentinel label outside a window)
-and each lattice offset m adds 1 to (u, label at u + m h) for every center u
-at once; a center meets exactly one node per offset, so no two additions of
-one offset land in the same cell.  The strict offsets (|m h| < r) go first:
-at that point a domain is inside the open disk around u exactly when its
-hits equal its node count, which gives N(t; u, r).  Then the offsets with
-|m h| = r are added, and a domain meets the closed disk exactly when its
-hits are positive, which gives N*(t; u, r).  Each threshold then sums the
-per-label column totals of the domains with area <= t.  Every step is an
-integer count of the same (center, offset, label) triples the bound speaks
-of, so the verdicts are exact.
+The counts come from a count cube over the centers' bounding rectangle: one
+entry per (position, label) for every label found within reach of those
+centers.  The label image is padded by that reach (wrapped on a torus, a
+sentinel label outside a window).  The offset set is split into runs, the
+maximal stretches of consecutive m_j in one m_i row (one run per row for
+the strict disk).  The first column of the rectangle counts every offset
+directly.  A step along a row, from column j-1 to j, changes the count of
+each run by two nodes only: it gains the label at column j + b and loses
+the one at column j - 1 + a of every run (a, b).  Those deltas are added
+(each run and sign meets one node per position, so no two additions of one
+pass collide), and one cumulative sum along the rows turns them into the
+counts.  Each entry is therefore the number of (position, offset) pairs
+whose node carries that label, the same integer a per-offset count gives.
+The strict offsets (|m h| < r) go first: at that point a domain is inside
+the open disk around u exactly when its count equals its node count, which
+gives N(t; u, r).  Then the offsets with |m h| = r are split and counted the
+same way and added, and a domain meets the closed disk exactly when its count
+is positive, which gives N*(t; u, r).  Only the rectangle positions that
+are centers enter either sum.  Each threshold then sums the per-label
+column totals of the domains with area <= t.  Every step is an integer
+count of the same (center, offset, label) triples the bound speaks of, so
+the verdicts are exact.
 """
 
 from __future__ import annotations
@@ -367,6 +376,41 @@ def _lattice_offsets(grid, r: float):
     return mi.ravel()[keep], mj.ravel()[keep], int(np.count_nonzero(strict)), reach
 
 
+def _row_runs(mi, mj) -> list[tuple[int, int, int]]:
+    """The offsets (listed row by row, mj increasing) as maximal runs
+    (mi, a, b) of consecutive mj = a..b in one mi row."""
+    starts = np.ones(mi.size, dtype=bool)
+    starts[1:] = (mi[1:] != mi[:-1]) | (mj[1:] != mj[:-1] + 1)
+    ends = np.ones(mi.size, dtype=bool)
+    ends[:-1] = starts[1:]
+    return list(zip(mi[starts].tolist(), mj[starts].tolist(), mj[ends].tolist()))
+
+
+def _run_counts(image, runs, reach: int, nloc: int) -> np.ndarray:
+    """counts[p, l]: the offsets in `runs` that take position p (row-major)
+    of a rectangle to a node of local label l, where `image` holds the
+    local labels of that rectangle padded by `reach` on every side."""
+    rows, cols = image.shape[0] - 2 * reach, image.shape[1] - 2 * reach
+    counts = np.zeros((rows, cols, nloc), dtype=np.int32)
+    # the first column meets every offset directly
+    first = np.concatenate(
+        [image[reach + mi : reach + mi + rows, reach + a : reach + b + 1] for mi, a, b in runs],
+        axis=1,
+    )
+    first += (np.arange(rows) * nloc)[:, None]
+    counts[:, 0] = np.bincount(first.ravel(), minlength=rows * nloc).reshape(rows, nloc)
+    # a step j-1 -> j gains the node at j + b and loses the one at j-1 + a
+    # of every run; within one run and sign each position gets one label
+    flat = counts.reshape(-1)
+    steps = (np.arange(rows)[:, None] * cols + np.arange(1, cols)) * nloc
+    for mi, a, b in runs:
+        band = image[reach + mi : reach + mi + rows]
+        flat[steps + band[:, reach + b + 1 : reach + b + cols]] += 1
+        flat[steps + band[:, reach + a : reach + a + cols - 1]] -= 1
+    np.cumsum(counts, axis=1, out=counts)
+    return counts.reshape(-1, nloc)
+
+
 def sandwich_check_many(
     dec: NodalDecomposition, geometries, thresholds, center=None
 ) -> list[SandwichVerdict]:
@@ -402,29 +446,27 @@ def sandwich_check_many(
             padded = np.pad(labels, reach, mode="wrap")
         else:
             padded = np.pad(labels, reach, constant_values=nlab)
-        # the image the offsets reach from the centers, in local label ids
+        # the centers' bounding rectangle padded by the reach, in local label ids
         i0, j0 = ci.min(), cj.min()
-        box = padded[i0 : ci.max() + 2 * reach + 1, j0 : cj.max() + 2 * reach + 1]
+        rows, cols = ci.max() - i0 + 1, cj.max() - j0 + 1
+        box = padded[i0 : i0 + rows + 2 * reach, j0 : j0 + cols + 2 * reach]
         present = np.zeros(nlab + 1, dtype=bool)
         present[box] = True
         glob = np.flatnonzero(present)
         local = np.cumsum(present) - 1
         nloc = glob.size
-        image = local[box].ravel()
-        width = box.shape[1]
-        base = (ci - i0 + reach) * width + (cj - j0 + reach)
-        rows = np.arange(centers_idx.size) * nloc
-        # counts[c, l]: offsets from center c whose node carries local label l
-        counts = np.zeros((centers_idx.size, nloc), dtype=np.int32)
-        hits = counts.reshape(-1)
-        offsets = mi * width + mj
-        for off in offsets[:K]:
-            hits[rows + image[base + off]] += 1
+        image = local[box]
+        at = (ci - i0) * cols + (cj - j0)
+        # the centers are the rectangle positions `at`
+        counts = _run_counts(image, _row_runs(mi[:K], mj[:K]), reach, nloc)
         # N: the domains all of whose nodes lie in the open r-disk
-        lower_cols = np.count_nonzero(counts[in_lo] == node_count[glob], axis=0)
-        for off in offsets[K:]:
-            hits[rows + image[base + off]] += 1
-        # N*: the domains that meet the closed r-disk
+        lower_cols = np.count_nonzero(counts[at[in_lo]] == node_count[glob], axis=0)
+        if mi.size > K:
+            counts += _run_counts(image, _row_runs(mi[K:], mj[K:]), reach, nloc)
+        # N*: the domains that meet the closed r-disk, at the centers only
+        outside = np.ones(rows * cols, dtype=bool)
+        outside[at] = False
+        counts[outside] = 0
         upper_cols = np.count_nonzero(counts, axis=0)
         for t in thresholds:
             ok = areas <= t

@@ -313,7 +313,7 @@ def _lattice_offsets(grid, r: float):
 
 def sandwich_keys_oracle(dec, geometries, thresholds, center=None) -> list:
     """Sandwich verdicts from sorted (center, label) keys: the reference the
-    per-offset counting of stats.sandwich_check_many must match exactly."""
+    run-count sums of stats.sandwich_check_many must match exactly."""
     grid = dec.sample.grid
     if not isinstance(grid, (PlanarWindow, Torus)) or dec.labels.ndim != 2:
         raise ValueError("sandwich checking runs on planar and 2-D torus grids")

@@ -65,6 +65,23 @@ def test_report_identical_across_directories(tmp_path):
     assert read_json(a / "manifest.json") == read_json(b / "manifest.json")
 
 
+@pytest.mark.parametrize("deltas, ratio", [
+    ({1e-3: 0.0, 5e-4: 0.25}, 0.0),
+    ({1e-3: 0.25, 5e-4: 0.0}, None),
+])
+def test_perturbation_ratio_of_a_zero_median(tmp_path, monkeypatch, deltas, ratio):
+    # 0.0 / m is a ratio; only a 0.0 median at b = 5e-4 leaves it undefined
+    assert tuple(deltas) == engine.PERTURBATION_B
+    monkeypatch.setattr(
+        engine, "perturbation_stability", lambda dec, direction, b: [(0, 0, deltas[b])]
+    )
+    config = _config(tmp_path, checks=("perturbation",))
+    sample = sample_field(config.model, config.grid, RngStream(config.master_seed, 0))
+    out = engine._run_checks(config, sample, label_domains(sample), 0)["perturbation"]
+    assert out["medians"] == list(deltas.values())
+    assert out["ratio"] == ratio
+
+
 def test_report_independent_of_worker_count(tmp_path, monkeypatch):
     a, b = tmp_path / "a", tmp_path / "b"
     monkeypatch.setenv("NODAL_CENSUS_THREADS", "1")

@@ -121,6 +121,22 @@ def test_field_container_rejects_corruption(tmp_path):
     with pytest.raises(ValueError, match="truncated"):
         load_field(truncated)
 
+    # a synthetic container with bytes after its values, or a header shape
+    # that is not its grid's
+    grid9 = PlanarWindow(side=4.0, spacing=0.5)
+    write_field(synthetic_sample(np.arange(81.0).reshape(9, 9), grid9), tmp_path / "nine.ncfs")
+    nine = (tmp_path / "nine.ncfs").read_bytes()
+    trailing = tmp_path / "trailing.ncfs"
+    trailing.write_bytes(nine + bytes(8))
+    with pytest.raises(ValueError, match="bytes after the value payload"):
+        load_field(trailing)
+    assert b'"shape":[9,9]' in nine
+    reshaped = tmp_path / "reshaped.ncfs"
+    reshaped.write_bytes(nine.replace(b'"shape":[9,9]', b'"shape":[9,8]'))
+    with pytest.raises(ValueError, match="does not match the grid"):
+        load_field(reshaped)
+    assert load_field(tmp_path / "nine.ncfs").values.shape == (9, 9)
+
     # values that are not the field the stored model and seed draw
     sample.values[0, 0] += 1e-6
     write_field(sample, tmp_path / "foreign.ncfs")

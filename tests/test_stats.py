@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from nodal_census import (
     synthetic_sample,
 )
 from nodal_census.engine import DEFAULT_SANDWICH_GEOMETRIES
-from nodal_census.stats import _lattice_offsets
+from nodal_census.stats import _lattice_offsets, _row_runs
 
 FK_FLOOR = 18.168414535536805
 
@@ -188,6 +189,66 @@ def test_sandwich_matches_key_sort_oracle(sandwich_cases, case):
     expected = oracles.sandwich_keys_oracle(dec, geometries, thresholds, center=center)
     assert len(verdicts) == len(geometries) * len(thresholds)
     assert verdicts == expected
+
+
+def _random_sandwich_case(seed):
+    """A seeded planar window or 2-D torus with blobs of a few nodes, a
+    radius in [0.3h, 6h] (5h or another lattice radius in two cases of
+    three, so the closed ring is mostly not empty), an off-center center
+    and, half the time, R + r at the window edge or half the torus side."""
+    rng = np.random.default_rng(seed)
+    h = 0.5
+    n = int(rng.integers(36, 60))
+    grid = Torus(side=n * h, spacing=h) if seed % 2 else PlanarWindow(side=n * h, spacing=h)
+    values = rng.standard_normal(grid.shape)
+    for _ in range(int(rng.integers(0, 4))):
+        values = values + sum(np.roll(values, s, axis=a) for s in (1, -1) for a in (0, 1))
+    if seed % 3 == 0:
+        r = 5 * h
+    elif seed % 3 == 1:
+        p, q = rng.integers(0, 5, size=2)
+        r = max(math.hypot(p, q), 1.0) * h
+    else:
+        r = float(rng.uniform(0.3, 6.0)) * h
+    if isinstance(grid, Torus):
+        center = tuple(rng.uniform(0.0, grid.side, size=2))
+        room = 0.5 * grid.side
+    else:
+        center = tuple(rng.uniform(0.4 * grid.side, 0.6 * grid.side, size=2))
+        room = min(min(c, grid.side - c) for c in center)
+    R = room - r if rng.random() < 0.5 else float(rng.uniform(r, room - r))
+    dec = label_domains(synthetic_sample(values, grid))
+    thresholds = (float(np.median(dec.areas())), math.inf)
+    return dec, ((r, R),), thresholds, center
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_sandwich_matches_key_sort_oracle_on_random_cases(seed):
+    dec, geometries, thresholds, center = _random_sandwich_case(seed)
+    (r, _), = geometries
+    mi, mj, K, _ = _lattice_offsets(dec.sample.grid, r)
+    offsets = list(zip(mi.tolist(), mj.tolist()))
+    rebuilt = [
+        [(i, j) for i, a, b in _row_runs(mi[part], mj[part]) for j in range(a, b + 1)]
+        for part in (slice(None, K), slice(K, None))
+    ]
+    assert rebuilt == [offsets[:K], offsets[K:]]
+    verdicts = sandwich_check_many(dec, geometries, thresholds, center=center)
+    assert verdicts == oracles.sandwich_keys_oracle(dec, geometries, thresholds, center=center)
+
+
+def test_sandwich_transient_memory():
+    # the counts live in one int32 cube per geometry; gathering every
+    # (center, offset) pair at once would need several times the memory
+    desk = PlanarWindow(side=40 * math.pi, spacing=2 * math.pi / 10)
+    dec = label_domains(sample_field(PlaneWave2D(), desk, RngStream(7, 0)))
+    tracemalloc.start()
+    try:
+        sandwich_check_many(dec, DEFAULT_SANDWICH_GEOMETRIES, (20.0, 50.0, math.inf))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6
 
 
 def test_sandwich_geometry_guards():

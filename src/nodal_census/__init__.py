@@ -11,13 +11,10 @@ from .grids import LatLongSphere, PlanarWindow, Torus, grid_from_dict
 from .io import domain_table_csv, load_field, write_field
 from .nodal import (
     DomainRecord,
-    NestingGraph,
     NodalDecomposition,
     critical_cell_count,
     label_domains,
     measure_domains,
-    nesting_graph,
-    nesting_is_forest,
     perturbation_stability,
     restrict_counts,
     synthetic_sample,
@@ -61,7 +58,6 @@ __all__ = [
     "EnsembleReport",
     "FieldSample",
     "LatLongSphere",
-    "NestingGraph",
     "NodalDecomposition",
     "NsEstimate",
     "PlanarWindow",
@@ -87,8 +83,6 @@ __all__ = [
     "load_field",
     "measure_domains",
     "model_from_dict",
-    "nesting_graph",
-    "nesting_is_forest",
     "nodal_length_density",
     "ns_constant_estimate",
     "perturbation_stability",

@@ -426,7 +426,8 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleReport:
 def resume_ensemble(config: EnsembleConfig, partial_dir) -> EnsembleReport:
     """Complete a partial run: recompute only missing or corrupted realizations.
 
-    The partial directory must carry a manifest whose config hash matches.
+    The partial directory must carry a manifest of this `ENGINE_VERSION`
+    whose config hash matches.
     A sidecar that cannot be parsed, that was written for another config, or
     whose stored checksum disagrees with its table is treated as missing, so
     torn, stale and tampered realizations are recomputed.
@@ -437,6 +438,11 @@ def resume_ensemble(config: EnsembleConfig, partial_dir) -> EnsembleReport:
     if not manifest_path.exists():
         raise ValueError(f"{outdir} has no manifest.json to resume from")
     manifest = read_json(manifest_path)
+    if manifest.get("version") != ENGINE_VERSION:
+        raise ValueError(
+            f"engine version mismatch: manifest has {manifest.get('version')}, "
+            f"this engine is version {ENGINE_VERSION}"
+        )
     config_hash = config.config_hash()
     if manifest.get("config_hash") != config_hash:
         raise ValueError(

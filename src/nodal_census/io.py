@@ -176,6 +176,11 @@ def load_field(path) -> FieldSample:
             raise ValueError(f"unsupported container version {version}")
         (hlen,) = struct.unpack("<Q", fh.read(8))
         header = json.loads(fh.read(hlen).decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: header is not a JSON object")
+        for key in ("dtype", "grid", "shape", "model"):
+            if key not in header:
+                raise ValueError(f"{path}: header lacks {key!r}")
         if header["dtype"] != "<f8":
             raise ValueError(f"unsupported dtype {header['dtype']}")
         grid = grid_from_dict(header["grid"])

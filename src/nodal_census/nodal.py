@@ -4,12 +4,12 @@ A decomposition labels every grid node with its connected sign component
 (4-connectivity, 6 in three dimensions; value exactly 0 counts as positive)
 and then measures each domain.  One connected-components routine,
 `_components`, finds both the domains and the crossing contours (over the
-crossing points each segment joins), and also decides whether the nesting
-graph is a forest.  Domains are the components of same-sign runs, the
-stretches of one sign along the last axis, joined where they touch on
-another axis.  On a 160^3 torus the run graph has about a seventh of the
-nodes and a tenth of the same-sign node pairs.  Each domain's smallest node
-starts a run, so the labels keep the order of the domains' smallest nodes.
+crossing points each segment joins).  Domains are the components of
+same-sign runs, the stretches of one sign along the last axis, joined where
+they touch on another axis.  On a 160^3 torus the run graph has about a
+seventh of the nodes and a tenth of the same-sign node pairs.  Each domain's
+smallest node starts a run, so the labels keep the order of the domains'
+smallest nodes.
 The measures:
 
 * area: member-node count times cell volume (exact per-cell solid angles on
@@ -21,7 +21,8 @@ The measures:
 * perimeter: total marching-squares segment length adjacent to the domain,
   with linear interpolation of edge crossings;
 * boundary_components: number of connected crossing contours touching the
-  domain, traced through shared cell-edge crossing points.
+  domain, traced through shared cell-edge crossing points and counted as the
+  distinct (contour, label) pairs of the segments beside it.
 
 Marching squares measures only the crossing cells (corners of both signs);
 a uniform cell adds its area to its corners' label.  A crossing cell falls
@@ -64,13 +65,10 @@ from .sampler import FieldSample, evaluate_at
 __all__ = [
     "DomainRecord",
     "NodalDecomposition",
-    "NestingGraph",
     "label_domains",
     "measure_domains",
     "restrict_counts",
     "domain_distance_extrema",
-    "nesting_graph",
-    "nesting_is_forest",
     "perturbation_stability",
     "critical_cell_count",
     "synthetic_sample",
@@ -94,11 +92,8 @@ class NodalDecomposition:
     sample: FieldSample
     labels: np.ndarray
     domains: list[DomainRecord]
-    connectivity: str
     measured: bool = False
     total_nodal_length: float | None = None
-    # contour adjacency, one entry per traced contour: (positive labels, negative labels)
-    contour_adjacency: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=list)
     _extrema_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -107,14 +102,6 @@ class NodalDecomposition:
 
     def areas(self) -> np.ndarray:
         return np.array([d.area for d in self.domains])
-
-
-@dataclass
-class NestingGraph:
-    labels: np.ndarray
-    edges: list[tuple[int, int]]
-    degrees: np.ndarray
-    interior: bool
 
 
 def synthetic_sample(values, grid: GridSpec) -> FieldSample:
@@ -195,8 +182,7 @@ def label_domains(sample: FieldSample) -> NodalDecomposition:
     domain = _components(runs, np.concatenate(us), np.concatenate(vs)).astype(np.int32)
     labels = domain[run]
     domains = _count_records(sample, labels, domain, pos[start])
-    conn = "6-connected" if v.ndim == 3 else "4-connected"
-    return NodalDecomposition(sample=sample, labels=labels, domains=domains, connectivity=conn)
+    return NodalDecomposition(sample=sample, labels=labels, domains=domains)
 
 
 def _count_records(
@@ -302,18 +288,17 @@ class _Cells(NamedTuple):
 
 
 class _Geometry(NamedTuple):
-    """Per-label lists (Python floats and ints) and the contour adjacency."""
+    """Per-label lists (Python floats and ints) and the total crossing length."""
 
     perimeter: list
     refined_area: list
     boundary_components: list
-    contour_adjacency: list
     total_length: float
 
 
 def measure_domains(dec: NodalDecomposition) -> NodalDecomposition:
     """Complete the decomposition's geometry: perimeters, refined areas,
-    boundary components, contour adjacency, and the total crossing length.
+    boundary components and the total crossing length.
 
     Idempotent; returns the same decomposition object.
     """
@@ -326,7 +311,6 @@ def measure_domains(dec: NodalDecomposition) -> NodalDecomposition:
     cells = _crossing_cells(dec)
     march = _march_table if cells.pattern.shape[0] >= _TABLE_MIN_CELLS else _march_loop
     geometry = march(cells)
-    dec.contour_adjacency = geometry.contour_adjacency
     for rec in dec.domains:
         rec.perimeter = geometry.perimeter[rec.label]
         rec.boundary_components = geometry.boundary_components[rec.label]
@@ -408,11 +392,10 @@ def _label_sums(labels: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
     return np.bincount(labels, weights=weights, minlength=k).astype(np.float64, copy=False)
 
 
-def _segment_contours(ends: np.ndarray, n_edges: int) -> tuple[np.ndarray, int]:
+def _segment_contours(ends: np.ndarray, n_edges: int) -> np.ndarray:
     """Contour of each segment, given its two crossing-point edge ids (below
     `n_edges`) in `ends[2s]`, `ends[2s + 1]`: the components of the segments
-    over their crossing points, numbered by smallest edge id.  Also the
-    contour count."""
+    over their crossing points, numbered by smallest edge id."""
     # crossing points numbered in edge-id order, without sorting the ids
     seen = np.zeros(n_edges, dtype=bool)
     seen[ends] = True
@@ -420,7 +403,7 @@ def _segment_contours(ends: np.ndarray, n_edges: int) -> tuple[np.ndarray, int]:
     number -= 1
     point = number[ends]
     contour = _components(int(number[-1]) + 1, point[0::2], point[1::2])
-    return contour[point[0::2]], int(contour.max(initial=-1)) + 1
+    return contour[point[0::2]]
 
 
 def _march_loop(cells: _Cells) -> _Geometry:
@@ -431,14 +414,14 @@ def _march_loop(cells: _Cells) -> _Geometry:
     perimeter = [0.0] * k
     ref = _label_sums(cells.uniform_labels, cells.uniform_areas, k).tolist()
     total_len = 0.0
-    # per segment: its two crossing-point edge ids, its (plus, minus) labels
+    # per segment: its two crossing-point edge ids and the labels beside it
     ends: list[int] = []
-    segments: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    beside: list[tuple[int, ...]] = []
     hypot = math.hypot
     columns = (cells.pattern, cells.center_pos, cells.values.T, cells.labels.T, cells.edges.T,
                cells.d0, cells.d1, cells.area)
     for pattern, center_pos, x, lab, edge_id, d0, d1, ca in zip(*(c.tolist() for c in columns)):
-        live, crossing, (o1, o2, _, _), cols, positive = _CLASS_ROWS[pattern + 16 * center_pos]
+        live, crossing, (o1, o2, _, _), cols = _CLASS_ROWS[pattern + 16 * center_pos]
         t = [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]  # t, then 1 - t, on AB, BC, CD, DA
         for e, p, q in crossing:
             te = t[e] = x[p] / (x[p] - x[q])
@@ -457,7 +440,7 @@ def _march_loop(cells: _Cells) -> _Geometry:
                 perimeter[other2] += seg_len
                 channel = (other, other2)
             ends += (edge_id[e1], edge_id[e2])
-            segments.append(((one,), channel) if positive else (channel, (one,)))
+            beside.append((one, *channel))
         f = _fraction(cols[0], t)
         ref[lab[o1]] += f * ca
         if len(live) == 1:
@@ -470,48 +453,37 @@ def _march_loop(cells: _Cells) -> _Geometry:
         for label in channel:
             ref[label] += share
 
-    contour, n_contours = _segment_contours(np.array(ends, dtype=np.int64), cells.n_edges)
-    label_contours: list[set[int]] = [set() for _ in range(k)]
-    plus_by_contour: list[set[int]] = [set() for _ in range(n_contours)]
-    minus_by_contour: list[set[int]] = [set() for _ in range(n_contours)]
-    for c, (plus, minus) in zip(contour.tolist(), segments):
-        plus_by_contour[c].update(plus)
-        minus_by_contour[c].update(minus)
-        for lab_i in plus + minus:
-            label_contours[lab_i].add(c)
+    contour = _segment_contours(np.array(ends, dtype=np.int64), cells.n_edges)
+    # each distinct (contour, label) pair is one boundary component of the label
+    boundary = [0] * k
+    for _, lab_i in {(c, lab_i) for c, labs in zip(contour.tolist(), beside) for lab_i in labs}:
+        boundary[lab_i] += 1
     return _Geometry(
-        perimeter=perimeter,
-        refined_area=ref,
-        boundary_components=[len(s) for s in label_contours],
-        contour_adjacency=[
-            (tuple(sorted(plus)), tuple(sorted(minus)))
-            for plus, minus in zip(plus_by_contour, minus_by_contour)
-        ],
-        total_length=total_len,
+        perimeter=perimeter, refined_area=ref, boundary_components=boundary, total_length=total_len
     )
 
 
 def _class_tables():
     """Read-only tables of the 32 crossing classes, pattern + 16 * (center >= 0).
 
-    Returns (segment edges, segment sides, area corners, fraction rows, one
-    positive).  A cell has up to two segments; each segment lists its two
-    edges and three corners: its `one` side, then one or two corners of the
-    other side (repeated when one).  A single-segment class repeats its
-    segment in the unused second slot, so no slot reads an edge without a
-    crossing.  A cell's four refined-area slots name the corner whose label
-    takes each share, and its two fraction rows index the per-cell
-    fractions of `_march_table`: the corner cuts A, B, C, D (0-3), the
-    AB|CD and BC|DA splits (4, 5), and 6 plus any of these for its
-    complement.  Saddles (5, 10) cut off the two corners whose sign differs
-    from the center's, and the channel of the other two takes the rest of
-    the cell.  Classes 0, 15, 16 and 31 never cross.  These tables are the
-    one description of the classes; `_march_loop` reads them as Python rows.
+    Returns (segment edges, segment sides, area corners, fraction rows).  A
+    cell has up to two segments; each segment lists its two edges and three
+    corners: its `one` side, then one or two corners of the other side
+    (repeated when one).  A single-segment class repeats its segment in the
+    unused second slot, so no slot reads an edge without a crossing.  A
+    cell's four refined-area slots name the corner whose label takes each
+    share, and its two fraction rows index the per-cell fractions of
+    `_march_table`: the corner cuts A, B, C, D (0-3), the AB|CD and BC|DA
+    splits (4, 5), and 6 plus any of these for its complement.  Saddles
+    (5, 10) cut off the two corners whose sign differs from the center's, and
+    the channel of the other two takes the rest of the cell.  Classes 0, 15,
+    16 and 31 never cross.  These tables are the one description of the
+    classes; `_march_loop` reads them as Python rows.
     """
     a, b, c, d = range(4)
     ab, bc, cd, da = range(4)
     cut = {a: (da, ab), b: (ab, bc), c: (bc, cd), d: (cd, da)}
-    # pattern whose `one` side is positive, its complement: edges, one, other, fraction
+    # a pattern and its complement: edges, one, other, fraction
     single = {
         (1, 14): (cut[a], a, b, a),
         (2, 13): (cut[b], b, a, b),
@@ -524,7 +496,6 @@ def _class_tables():
     seg_sides = np.zeros((32, 2, 3), dtype=np.intp)
     area_corners = np.zeros((32, 4), dtype=np.intp)
     frac_cols = np.zeros((32, 2), dtype=np.intp)
-    one_positive = np.zeros(32, dtype=bool)
     for center in (0, 16):
         for pair, (edges, one, other, col) in single.items():
             for p in pair:
@@ -533,7 +504,6 @@ def _class_tables():
                 seg_sides[cls] = (one, other, other)
                 area_corners[cls] = (one, other, other, other)
                 frac_cols[cls] = (col, 6 + col)
-                one_positive[cls] = p == pair[0]
         for p in (5, 10):
             cls = p + center
             iso, channel = ((b, d), (a, c)) if (p == 5) == bool(center) else ((a, c), (b, d))
@@ -542,14 +512,13 @@ def _class_tables():
                 seg_sides[cls, s] = (corner, *channel)
             area_corners[cls] = (*iso, *channel)
             frac_cols[cls] = iso
-            one_positive[cls] = not center
-    tables = (seg_edges, seg_sides, area_corners, frac_cols, one_positive)
+    tables = (seg_edges, seg_sides, area_corners, frac_cols)
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
-_SEG_EDGES, _SEG_SIDES, _AREA_CORNERS, _FRAC_COLS, _ONE_POSITIVE = _class_tables()
+_SEG_EDGES, _SEG_SIDES, _AREA_CORNERS, _FRAC_COLS = _class_tables()
 # corner-cut fractions (0.5 * x) * y of corners A, B, C, D, as rows of
 # [t_ab, t_bc, t_cd, t_da, 1 - t_ab, 1 - t_bc, 1 - t_cd, 1 - t_da]
 _CORNER_X = [0, 4, 5, 2]
@@ -561,12 +530,12 @@ _EDGE_ENDS = ((0, 1), (1, 2), (3, 2), (0, 3))
 def _class_rows():
     """The class tables as one Python row per class, for `_march_loop`:
     (live segments as (e1, e2, one, other, other), crossing edges as
-    (edge, p, q), area-owner corners, fraction columns, one positive)."""
-    for edges, sides, owners, cols, positive in zip(*(t.tolist() for t in _class_tables())):
+    (edge, p, q), area-owner corners, fraction columns)."""
+    for edges, sides, owners, cols in zip(*(t.tolist() for t in _class_tables())):
         # a single-segment class repeats its segment in the second slot
         live = tuple((*e, *s) for e, s in zip(edges, sides))[: 1 + (edges[1] != edges[0])]
         crossing = tuple((e, *_EDGE_ENDS[e]) for seg in live for e in seg[:2])
-        yield live, crossing, tuple(owners), tuple(cols), positive
+        yield live, crossing, tuple(owners), tuple(cols)
 
 
 _CLASS_ROWS = tuple(_class_rows())
@@ -655,25 +624,15 @@ def _march_table(cells: _Cells) -> _Geometry:
     refined = _refined_areas(cells, t)
 
     ends = _pick(cells.edges, edges).reshape(n, 2, 2)[live].ravel()
-    contour, n_contours = _segment_contours(ends, cells.n_edges)
-    # one key per (contour, sign, label); a label has one sign, so each
-    # distinct key is one (contour, label) pair
-    positive = _ONE_POSITIVE[cls]
-    minus = np.stack([~positive, positive, positive], axis=1)
-    sign = np.broadcast_to(minus[:, None, :], sides.shape)[touch]
     by_segment = np.zeros((n, 2), dtype=np.int64)
-    by_segment[live] = contour
+    by_segment[live] = _segment_contours(ends, cells.n_edges)
     segment_contour = np.broadcast_to(by_segment[:, :, None], sides.shape)[touch]
-    pairs = np.unique((segment_contour * 2 + sign) * k + adjacent)
-    label = pairs % k
-    bounds = np.cumsum(np.bincount(pairs // k, minlength=2 * n_contours)).tolist()
-    labels = label.tolist()
-    groups = [tuple(labels[i:j]) for i, j in zip([0, *bounds], bounds)]
+    # each distinct (contour, label) pair is one boundary component of the label
+    pairs = np.unique(segment_contour * k + adjacent)
     return _Geometry(
         perimeter=perimeter.tolist(),
         refined_area=refined.tolist(),
-        boundary_components=np.bincount(label, minlength=k).tolist(),
-        contour_adjacency=list(zip(groups[0::2], groups[1::2])),
+        boundary_components=np.bincount(pairs % k, minlength=k).tolist(),
         total_length=float(np.cumsum(np.concatenate([[0.0], lengths]))[-1]),
     )
 
@@ -750,41 +709,6 @@ def restrict_counts(
     n_full = int(np.sum(ok & (dmax < R)))
     n_meet = int(np.sum(ok & (dmin <= R)))
     return n_full, n_meet
-
-
-def nesting_graph(dec: NodalDecomposition) -> NestingGraph:
-    """Adjacency of domains across traced contours (planar windows only)."""
-    if not isinstance(dec.sample.grid, PlanarWindow):
-        raise ValueError("nesting graph is defined for planar windows")
-    measure_domains(dec)
-    edges = set()
-    for plus, minus in dec.contour_adjacency:
-        for p in plus:
-            for m in minus:
-                edges.add((p, m) if p < m else (m, p))
-    edge_list = sorted(edges)
-    k = len(dec.domains)
-    degrees = np.zeros(k, dtype=np.int64)
-    for a, b in edge_list:
-        degrees[a] += 1
-        degrees[b] += 1
-    interior = not any(d.touches_window for d in dec.domains)
-    return NestingGraph(
-        labels=np.arange(k), edges=edge_list, degrees=degrees, interior=interior
-    )
-
-
-def nesting_is_forest(dec: NodalDecomposition) -> bool:
-    """True when the nesting edges among interior domains contain no cycle."""
-    graph = nesting_graph(dec)
-    interior = [not d.touches_window for d in dec.domains]
-    edges = np.array(
-        [(a, b) for a, b in graph.edges if interior[a] and interior[b]], dtype=np.int64
-    ).reshape(-1, 2)
-    # a simple graph is a forest exactly when #edges == #nodes - #components
-    k = len(dec.domains)
-    n_components = int(_components(k, edges[:, 0], edges[:, 1]).max()) + 1
-    return edges.shape[0] == k - n_components
 
 
 def perturbation_stability(

@@ -186,8 +186,8 @@ def cell_geometry(values, labels, d0: float, d1: float, center_positive: bool):
     A region's area (shoelace formula) is split equally among the distinct
     labels of its corners; a segment's length goes to every distinct label
     on either side of it; each segment is a contour of its own.  Returns
-    (area by label, perimeter by label, contours as sorted (positive
-    labels, negative labels), contour count by label, total length).
+    (area by label, perimeter by label, contour count by label, total
+    length).
     """
     corners = [(0.0, 0.0), (d0, 0.0), (d0, d1), (0.0, d1)]
     positive = [v >= 0 for v in values]
@@ -225,20 +225,15 @@ def cell_geometry(values, labels, d0: float, d1: float, center_positive: bool):
         for lab in owners:
             area[lab] = area.get(lab, 0.0) + _shoelace(polygon) / len(owners)
     perimeter: dict[int, float] = {}
-    contours = []
     counts: dict[int, int] = {}
     total = 0.0
     for p, q, r1, r2 in segments:
         length = math.dist(p, q)
         total += length
-        plus, minus = set(), set()
-        for members in (regions[r1][1], regions[r2][1]):
-            (plus if positive[members[0]] else minus).update(labels[c] for c in members)
-        for lab in plus | minus:
+        for lab in {labels[c] for members in (regions[r1][1], regions[r2][1]) for c in members}:
             perimeter[lab] = perimeter.get(lab, 0.0) + length
             counts[lab] = counts.get(lab, 0) + 1
-        contours.append((tuple(sorted(plus)), tuple(sorted(minus))))
-    return area, perimeter, sorted(contours), counts, total
+    return area, perimeter, counts, total
 
 
 def critical_cells_brute_force(values, grid, center=None, radius=None) -> int:

@@ -199,6 +199,10 @@ def test_resume_validates_directory(tmp_path):
         resume_ensemble(_config(a, realizations=2, master_seed=4), a)
     with pytest.raises(ValueError, match="no manifest"):
         resume_ensemble(_config(tmp_path / "empty", realizations=2), tmp_path / "empty")
+    manifest = read_json(a / "manifest.json")
+    write_json(a / "manifest.json", {**manifest, "version": engine.ENGINE_VERSION + 1})
+    with pytest.raises(ValueError, match="engine version mismatch"):
+        resume_ensemble(_config(a, realizations=2), a)
 
 
 def test_single_failure_is_logged(tmp_path, fail_realizations):

@@ -1,5 +1,6 @@
 import builtins
 import errno
+import json
 import math
 import struct
 
@@ -136,6 +137,19 @@ def test_field_container_rejects_corruption(tmp_path):
     with pytest.raises(ValueError, match="does not match the grid"):
         load_field(reshaped)
     assert load_field(tmp_path / "nine.ncfs").values.shape == (9, 9)
+
+    # a header that is not an object, or lacks a key `load_field` reads
+    (hlen,) = struct.unpack("<Q", nine[8:16])
+    header = json.loads(nine[16 : 16 + hlen])
+    headers = {"not a JSON object": [1, 2]}
+    for key in ("dtype", "grid", "shape", "model"):
+        headers[repr(key)] = {k: v for k, v in header.items() if k != key}
+    for message, bad in headers.items():
+        hbytes = canonical_json(bad).encode()
+        cut = tmp_path / "cut.ncfs"
+        cut.write_bytes(nine[:8] + struct.pack("<Q", len(hbytes)) + hbytes + nine[16 + hlen :])
+        with pytest.raises(ValueError, match=message):
+            load_field(cut)
 
     # values that are not the field the stored model and seed draw
     sample.values[0, 0] += 1e-6

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
+import nodal_census
+import nodal_census.nodal
 import oracles
 from nodal_census import (
     BandLimitedTorus,
-    DomainRecord,
     LatLongSphere,
-    NodalDecomposition,
     PlanarWindow,
     PlaneWave2D,
     RngStream,
@@ -19,8 +19,6 @@ from nodal_census import (
     domain_table_csv,
     label_domains,
     measure_domains,
-    nesting_graph,
-    nesting_is_forest,
     perturbation_stability,
     restrict_counts,
     sample_field,
@@ -30,7 +28,6 @@ from nodal_census.engine import PERTURBATION_B, PERTURBATION_STREAM_BASE
 from nodal_census.nodal import (
     _AREA_CORNERS,
     _FRAC_COLS,
-    _ONE_POSITIVE,
     _SEG_EDGES,
     _SEG_SIDES,
     _TABLE_MIN_CELLS,
@@ -44,6 +41,11 @@ from nodal_census.nodal import (
     _refined_areas,
 )
 from nodal_census.sampler import torus_modes
+
+
+@pytest.mark.parametrize("module", [nodal_census, nodal_census.nodal], ids=["package", "nodal"])
+def test_export_lists_resolve(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 def _graph_cases():
@@ -132,7 +134,6 @@ def test_labels_match_node_pair_oracle(grid, fields):
 def _geometry(dec):
     return (
         [(d.perimeter, d.refined_area, d.boundary_components) for d in dec.domains],
-        dec.contour_adjacency,
         dec.total_nodal_length,
     )
 
@@ -225,7 +226,7 @@ def test_marches_agree_without_crossing_cells():
     assert cells.pattern.size == 0
     geometry = _assert_marches_agree(cells)
     assert geometry.total_length == 0.0
-    assert geometry.contour_adjacency == []
+    assert geometry.boundary_components == [0]
 
 
 @pytest.mark.parametrize("case", ["desk", "sphere-l40", "torus-2d"])
@@ -273,7 +274,7 @@ def test_class_rows_match_cell_geometry_oracle(march, magnitude):
         cells = cells._replace(d0=np.full(n, d0), d1=np.full(n, d1), area=np.full(n, d0 * d1),
                                uniform_areas=np.full(m, d0 * d1),
                                center_pos=np.full(n, center_pos))
-        area, perimeter, contours, counts, total = oracles.cell_geometry(
+        area, perimeter, counts, total = oracles.cell_geometry(
             [float(values[c]) for c in corners], [int(dec.labels[c]) for c in corners],
             d0, d1, center_pos)
         geometry = march(cells)
@@ -283,7 +284,6 @@ def test_class_rows_match_cell_geometry_oracle(march, magnitude):
         assert geometry.perimeter == pytest.approx([perimeter.get(i, 0.0) for i in labels],
                                                    rel=1e-12), cls
         assert geometry.total_length == pytest.approx(total, rel=1e-12), cls
-        assert sorted(geometry.contour_adjacency) == contours, cls
         assert geometry.boundary_components == [counts.get(i, 0) for i in labels], cls
 
 
@@ -325,18 +325,18 @@ def test_refined_areas_match_measure_on_synthetic_saddles():
     assert saddles > 1000
 
 
-# sha256 of the measure outputs below; the per-cell loop gave the same value
-# when it still spelled out each sign pattern
-_MEASURE_DIGEST = "9737663cd9b130cbaddd7090ee63f843819410b69a42eea133ce13d563e9b4a8"
+# sha256 of the measure outputs below; the code that also built the contour
+# adjacency gave the same value
+_MEASURE_DIGEST = "1f613b3ff845a4b5f1461fe8c6956705c8084924beb1a080188ab3221a00c840"
 
 
 def test_measure_bytes_match_golden_digest(desk_grid):
-    """The labels, domain table, refined areas, nodal length and contour
-    adjacency of fixed inputs hash to a pinned value: desk (seed 7, index
-    0), an l = 40 sphere and a 2-D torus on the table pass; twenty sampled
-    5pi windows (saddles resolved at the cell center) and 200 seeded random
-    4x4 windows on the per-cell loop.  Only a declared estimator change
-    (ROADMAP item 1) updates `_MEASURE_DIGEST`, by hand."""
+    """The labels, domain table, refined areas and nodal length of fixed
+    inputs hash to a pinned value: desk (seed 7, index 0), an l = 40 sphere
+    and a 2-D torus on the table pass; twenty sampled 5pi windows (saddles
+    resolved at the cell center) and 200 seeded random 4x4 windows on the
+    per-cell loop.  Only a declared estimator change (ROADMAP item 1)
+    updates `_MEASURE_DIGEST`, by hand."""
     digest = hashlib.sha256()
 
     def feed(sample):
@@ -345,7 +345,6 @@ def test_measure_bytes_match_golden_digest(desk_grid):
         digest.update(domain_table_csv(dec).encode())
         digest.update(repr([d.refined_area for d in dec.domains]).encode())
         digest.update(repr(dec.total_nodal_length).encode())
-        digest.update(repr(dec.contour_adjacency).encode())
 
     feed(sample_field(PlaneWave2D(), desk_grid, RngStream(7, 0)))
     feed(sample_field(SphericalHarmonic(degree=40), LatLongSphere(n_lat=80, n_lon=160),
@@ -365,8 +364,7 @@ def test_measure_bytes_match_golden_digest(desk_grid):
 
 def test_class_tables_are_read_only():
     fresh = _class_tables()
-    for table, expected in zip((_SEG_EDGES, _SEG_SIDES, _AREA_CORNERS, _FRAC_COLS, _ONE_POSITIVE),
-                               fresh):
+    for table, expected in zip((_SEG_EDGES, _SEG_SIDES, _AREA_CORNERS, _FRAC_COLS), fresh):
         np.testing.assert_array_equal(table, expected)
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0
@@ -421,7 +419,7 @@ def test_single_cell_island_geometry():
     assert island.perimeter == pytest.approx(2 * math.sqrt(2) * grid.spacing, abs=1e-12)
     assert 0.0 < island.perimeter <= 4 * grid.spacing
     assert island.boundary_components == 1
-    assert nesting_graph(dec).edges == [(0, 1)]
+    assert dec.domains[0].boundary_components == 1
 
 
 def test_partition_invariants(mini_ensemble):
@@ -508,50 +506,15 @@ def test_restrict_counts_rejects_escaping_ball():
         restrict_counts(dec, (1.0, 1.0), 2.0, math.inf)
 
 
-def test_nesting_annuli_form_a_path():
+def test_annuli_boundary_components():
+    # the disc and the outer domain touch one contour, each annulus two
     grid = PlanarWindow(side=4.0, spacing=0.25)
     xx, yy = grid.node_coords()
     r = np.hypot(xx - 2.0, yy - 2.0)
     values = np.where(r < 0.7, 1.0, np.where(r < 1.3, -1.0, np.where(r < 1.9, 1.0, -1.0)))
-    dec = label_domains(synthetic_sample(values, grid))
-    graph = nesting_graph(dec)
+    dec = measure_domains(label_domains(synthetic_sample(values, grid)))
     assert dec.n_domains == 4
-    assert graph.edges == [(0, 1), (1, 2), (2, 3)]
-    assert sorted(graph.degrees.tolist()) == [1, 1, 2, 2]
-    assert not graph.interior
-    assert nesting_is_forest(dec)
-
-
-def test_nesting_cycle_is_not_a_forest():
-    # one contour between positive {0, 2} and negative {1, 3}: the nesting
-    # edges 0-1, 1-2, 2-3, 3-0 close a cycle among interior domains
-    grid = PlanarWindow(side=2.0, spacing=0.5)
-    domains = [
-        DomainRecord(label=i, sign=(-1) ** i, area=1.0, node_count=1, touches_window=False)
-        for i in range(4)
-    ]
-    dec = NodalDecomposition(
-        sample=synthetic_sample(np.ones((5, 5)), grid),
-        labels=np.zeros((5, 5), dtype=np.int32),
-        domains=domains,
-        connectivity="4-connected",
-        measured=True,
-        contour_adjacency=[((0, 2), (1, 3))],
-    )
-    assert nesting_graph(dec).edges == [(0, 1), (0, 3), (1, 2), (2, 3)]
-    assert not nesting_is_forest(dec)
-    # a domain on the window edge leaves the interior graph: a path remains
-    domains[3].touches_window = True
-    assert nesting_is_forest(dec)
-
-
-def test_nesting_boundary_cut_domains():
-    grid = PlanarWindow(side=2 * math.pi, spacing=2 * math.pi / 8)
-    xx, yy = grid.node_coords()
-    dec = label_domains(synthetic_sample(np.sin(xx) * np.sin(yy), grid))
-    graph = nesting_graph(dec)
-    assert all(d.touches_window for d in dec.domains)
-    assert not graph.interior
+    assert [d.boundary_components for d in dec.domains] == [1, 2, 2, 1]
 
 
 def test_perturbation_zero_is_identity(mini_ensemble):

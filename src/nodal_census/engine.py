@@ -2,9 +2,9 @@
 
 A run directory holds `manifest.json` (config echo, config hash, version),
 `realizations/#####.csv` (the pinned per-domain tables), `realizations/
-#####.json` (per-realization sidecars carrying the config hash, the table
-checksum and, as payload, the census record of `stats.census_record` plus
-the check results),
+#####.json` (per-realization sidecars carrying the engine version, the
+config hash, the table checksum and, as payload, the census record of
+`stats.census_record` plus the check results),
 `report.json`, and the CSV exports.  The report payload is a pure fold of the
 sidecar payloads sorted by index, through the same `stats` estimators the
 library calls, so it is byte-identical across execution orders, worker
@@ -280,6 +280,7 @@ def _persist(outdir: Path, config: EnsembleConfig, index: int, csv_text: str, pa
     csv_path, json_path = _realization_paths(outdir, index)
     write_text(csv_path, csv_text)
     sidecar = {
+        "version": ENGINE_VERSION,
         "index": index,
         "master_seed": config.master_seed,
         "config_hash": config.config_hash(),
@@ -428,8 +429,9 @@ def resume_ensemble(config: EnsembleConfig, partial_dir) -> EnsembleReport:
 
     The partial directory must carry a manifest of this `ENGINE_VERSION`
     whose config hash matches.
-    A sidecar that cannot be parsed, that was written for another config, or
-    whose stored checksum disagrees with its table is treated as missing, so
+    A sidecar that cannot be parsed or is not a JSON object, that was
+    written by another engine version or for another config, or whose
+    stored checksum disagrees with its table is treated as missing, so
     torn, stale and tampered realizations are recomputed.
     """
     config.validate()
@@ -457,6 +459,8 @@ def resume_ensemble(config: EnsembleConfig, partial_dir) -> EnsembleReport:
         try:
             sidecar = read_json(json_path)
         except ValueError:
+            continue
+        if not isinstance(sidecar, dict) or sidecar.get("version") != ENGINE_VERSION:
             continue
         if sidecar.get("index") != i or sidecar.get("config_hash") != config_hash:
             continue

@@ -181,6 +181,13 @@ def load_field(path) -> FieldSample:
         for key in ("dtype", "grid", "shape", "model"):
             if key not in header:
                 raise ValueError(f"{path}: header lacks {key!r}")
+        seed = header.get("seed")
+        if seed is not None:
+            if not isinstance(seed, dict):
+                raise ValueError(f"{path}: header seed is not a JSON object")
+            for key in ("master_seed", "stream_id"):
+                if key not in seed:
+                    raise ValueError(f"{path}: header seed lacks {key!r}")
         if header["dtype"] != "<f8":
             raise ValueError(f"unsupported dtype {header['dtype']}")
         grid = grid_from_dict(header["grid"])
@@ -195,9 +202,7 @@ def load_field(path) -> FieldSample:
             raise ValueError(f"{path}: bytes after the value payload")
     values = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
     model = model_from_dict(header["model"]) if header["model"] is not None else None
-    stream = None
-    if header.get("seed"):
-        stream = RngStream(header["seed"]["master_seed"], header["seed"]["stream_id"])
+    stream = RngStream(seed["master_seed"], seed["stream_id"]) if seed is not None else None
     sample = FieldSample(values=values, grid=grid, model=model, stream=stream)
     if model is not None and stream is not None:
         sample.coeffs = model.draw(grid, stream)

@@ -754,11 +754,10 @@ def perturbation_stability(
     b_lab = uniq // k2
     p_lab = uniq % k2
     order = np.lexsort((p_lab, -counts, b_lab))
-    best: dict[int, int] = {}
-    for pos_i in order.tolist():
-        bl = int(b_lab[pos_i])
-        if bl not in best:
-            best[bl] = int(p_lab[pos_i])
+    # every base label has a node, so the first row of each base label in
+    # this order is its match, and the i-th such row belongs to label i
+    first = np.r_[True, b_lab[order[1:]] != b_lab[order[:-1]]]
+    best = p_lab[order[first]].tolist()
 
     out = []
     for rec in base.domains:

@@ -1,11 +1,11 @@
 """Bessel functions of the first kind, their zeros, and annulus covariance kernels.
 
 Everything here is plain double-precision numerics with one algorithm per
-order class.  Integer orders: the ascending power series for x <= 12, and
-beyond it Miller's backward recurrence (`bessel_j_orders`) started above
-max(n, x) and normalized by the Neumann sum; a scalar J_n is one column of
-that sweep.  Half-integer orders: the spherical Bessel recurrence against
-the closed forms of j_0 and j_1 (the series for x <= 12 below the order).
+regime, the same for integer and half-integer orders: the ascending power
+series for x <= 12, and beyond it one vectorized Miller backward sweep
+(`_sweep`) started above max(n, x), normalized by the Neumann sum for
+integer orders and by the closed forms of J_{1/2} and J_{-1/2} for
+half-integer ones; a scalar J_nu is one column of that sweep.
 Accuracy contract: absolute error <= 1e-10 for J_nu on x in [0, 1000] with
 integer or half-integer order nu <= 200, and <= 1e-9 for zero locations.
 """
@@ -33,22 +33,16 @@ def _is_half_integer(nu: float) -> bool:
     return abs(2.0 * nu - round(2.0 * nu)) < 1e-12 and abs(nu - round(nu)) > 0.25
 
 
-def _is_integer(nu: float) -> bool:
-    return abs(nu - round(nu)) < 1e-12
-
-
 def _validate_order(nu: float) -> float:
     if not (0.0 <= nu <= _MAX_ORDER):
         raise ValueError(f"order nu={nu} outside supported range [0, {_MAX_ORDER:.0f}]")
-    if not (_is_integer(nu) or _is_half_integer(nu)):
+    if not (abs(nu - round(nu)) < 1e-12 or _is_half_integer(nu)):
         raise ValueError(f"order nu={nu} must be an integer or half-integer")
     return float(nu)
 
 
-def _series_j(nu: float, x: float) -> float:
-    """Ascending power series; accurate for x <= 12 (any supported order)."""
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
+def _series_sum(nu: float, x: float) -> float:
+    """J_nu(x) (2/x)^nu Gamma(nu+1) as its power series; accurate for x <= 12."""
     q = 0.25 * x * x
     term = 1.0
     total = 1.0
@@ -59,102 +53,45 @@ def _series_j(nu: float, x: float) -> float:
         total += term
         if abs(term) < 1e-18 * (1.0 + abs(total)):
             break
+    return total
+
+
+def _series_j(nu: float, x: float) -> float:
+    """Ascending power series; accurate for x <= 12 (any supported order)."""
+    if x == 0.0:
+        return 1.0 if nu == 0.0 else 0.0
+    total = _series_sum(nu, x)
     log_pre = nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)
     if log_pre < -745.0:
         return 0.0
     return math.exp(log_pre) * total
 
 
-def _sph_pair(x: float) -> tuple[float, float]:
-    """Spherical Bessel j_0, j_1 from trigonometric closed forms."""
-    j0 = math.sin(x) / x
-    j1 = (math.sin(x) / x - math.cos(x)) / x
-    return j0, j1
+def _split_order(nu: float) -> tuple[int, float]:
+    """An order as n + offset, with offset 0 or 1/2."""
+    offset = 0.5 if _is_half_integer(nu) else 0.0
+    return int(round(nu - offset)), offset
 
 
-def _spherical_j(n: int, x: float) -> float:
-    """Spherical Bessel j_n via forward or Miller recurrence against sin x / x."""
-    j0, j1 = _sph_pair(x)
-    if n == 0:
-        return j0
-    if n == 1:
-        return j1
-    if x >= n + 0.5:
-        jm, jc = j0, j1
-        for k in range(1, n):
-            jm, jc = jc, ((2.0 * k + 1.0) / x) * jc - jm
-        return jc
-    m = n + int(math.sqrt(40.0 * n)) + 15
-    jp = 0.0
-    jc = 1e-300
-    target = 0.0
-    got0 = 1e-300
-    got1 = 1e-300
-    for k in range(m, 0, -1):
-        jm = ((2.0 * k + 1.0) / x) * jc - jp
-        jp, jc = jc, jm
-        if k - 1 == n:
-            target = jc
-        if k - 1 == 1:
-            got1 = jc
-        if abs(jc) > _RESCALE_LIMIT:
-            jc *= _RESCALE
-            jp *= _RESCALE
-            target *= _RESCALE
-            got1 *= _RESCALE
-    got0 = jc
-    # normalize against whichever closed form is better conditioned
-    if abs(j0) >= abs(j1):
-        return target * (j0 / got0)
-    return target * (j1 / got1)
+def _sweep(nmax: int, offset: float, x: np.ndarray) -> np.ndarray:
+    """J_{n+offset}(x) for n = 0..nmax at each of `x` (offset 0 or 1/2).
 
-
-def bessel_j(nu: float, x: float) -> float:
-    """Bessel function of the first kind J_nu(x).
-
-    Supports integer and half-integer orders 0 <= nu <= 200 and x >= 0.
-    Absolute error <= 1e-10 on x in [0, 1000].
+    Vectorized Miller backward recurrence with per-node rescaling, started
+    above max(nmax, max x).  Integer orders are normalized by the Neumann
+    sum J_0 + 2 (J_2 + J_4 + ...) = 1; half-integer orders take one more
+    step, to J_{-1/2}, and are scaled to the closed form of J_{1/2} or
+    J_{-1/2}, sqrt(2/(pi x)) times sin x or cos x, whichever is larger.
+    Each node is swept independently, so a value does not depend on the
+    other nodes beyond the shared start order.
     """
-    nu = _validate_order(nu)
-    x = float(x)
-    if x < 0.0:
-        raise ValueError(f"negative argument x={x}")
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    if _is_integer(nu):
-        n = int(round(nu))
-        if x <= 12.0:
-            return _series_j(float(n), x)
-        return float(bessel_j_orders(n, np.array([x]))[0, n])
-    # half-integer: route through spherical Bessel functions
-    n = int(round(nu - 0.5))
-    if x <= 12.0 and x < nu:
-        return _series_j(nu, x)
-    return math.sqrt(2.0 * x / math.pi) * _spherical_j(n, x)
-
-
-def bessel_j_orders(nmax: int, x: np.ndarray) -> np.ndarray:
-    """All integer orders at once: returns a (len(x), nmax+1) matrix of J_n(x).
-
-    Vectorized Miller backward recurrence with per-node rescaling and
-    Neumann-sum normalization, started above max(nmax, max x).  Each node
-    is swept independently, so a value does not depend on the other nodes
-    beyond the shared start order.  This is the only integer-order path
-    past the power series: the plane-wave sampler and scalar `bessel_j`
-    both read it.
-    """
-    if nmax < 0:
-        raise ValueError("nmax must be non-negative")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("x must be one-dimensional")
-    if np.any(x < 0.0):
-        raise ValueError("negative arguments in x")
-    npts = x.shape[0]
-    out = np.zeros((npts, nmax + 1), dtype=np.float64)
-    zero = x == 0.0
-    out[zero, 0] = 1.0
-    live = ~zero
+    out = np.zeros((x.shape[0], nmax + 1), dtype=np.float64)
+    # Below 1e-50 every J_{n+offset}(x) lies within sqrt(x) of its value at
+    # x = 0, and one step of the sweep, a factor of up to 2m/x, could carry
+    # a value at the rescale limit past the largest double.
+    tiny = x < 1e-50
+    if not offset:
+        out[tiny, 0] = 1.0
+    live = ~tiny
     if not np.any(live):
         return out
     xv = x[live]
@@ -169,12 +106,12 @@ def bessel_j_orders(nmax: int, x: np.ndarray) -> np.ndarray:
     jc = np.full_like(xv, 1e-300)
     neumann = np.zeros_like(xv)
     stored = np.zeros((xv.shape[0], nmax + 1), dtype=np.float64)
-    for k in range(m, 0, -1):
-        jp, jc = jc, (2.0 * k) * inv_x * jc - jp
+    for k in range(m, -1 if offset else 0, -1):
+        jp, jc = jc, (2.0 * (k + offset)) * inv_x * jc - jp
         order = k - 1
-        if order <= nmax:
+        if 0 <= order <= nmax:
             stored[:, order] = jc
-        if order > 0 and order % 2 == 0:
+        if not offset and order > 0 and order % 2 == 0:
             neumann += 2.0 * jc
         big = np.abs(jc) > _RESCALE_LIMIT
         if big.any():
@@ -182,10 +119,49 @@ def bessel_j_orders(nmax: int, x: np.ndarray) -> np.ndarray:
             jp[big] *= _RESCALE
             neumann[big] *= _RESCALE
             stored[big, :] *= _RESCALE
-    neumann += jc
-    stored /= neumann[:, None]
+    if offset:
+        # jp is J_{1/2} and jc is J_{-1/2}, both up to the same factor
+        sin, cos = np.sin(xv), np.cos(xv)
+        use_sin = np.abs(sin) >= np.abs(cos)
+        closed = np.where(use_sin, sin, cos) * np.sqrt(2.0 / (math.pi * xv))
+        stored *= (closed / np.where(use_sin, jp, jc))[:, None]
+    else:
+        neumann += jc
+        stored /= neumann[:, None]
     out[live, :] = stored
     return out
+
+
+def bessel_j(nu: float, x: float) -> float:
+    """Bessel function of the first kind J_nu(x).
+
+    Supports integer and half-integer orders 0 <= nu <= 200 and x >= 0.
+    Absolute error <= 1e-10 on x in [0, 1000].
+    """
+    nu = _validate_order(nu)
+    x = float(x)
+    if x < 0.0:
+        raise ValueError(f"negative argument x={x}")
+    n, offset = _split_order(nu)
+    if x <= 12.0:
+        return _series_j(n + offset, x)
+    return float(_sweep(n, offset, np.array([x]))[0, n])
+
+
+def bessel_j_orders(nmax: int, x: np.ndarray) -> np.ndarray:
+    """All integer orders at once: returns a (len(x), nmax+1) matrix of J_n(x).
+
+    One Miller sweep over every node, the same one that scalar `bessel_j`
+    and `kernel_eval` read past the power series at any order.
+    """
+    if nmax < 0:
+        raise ValueError("nmax must be non-negative")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("x must be one-dimensional")
+    if np.any(x < 0.0):
+        raise ValueError("negative arguments in x")
+    return _sweep(nmax, 0.0, x)
 
 
 def bessel_zero(nu: float, k: int) -> float:
@@ -246,32 +222,18 @@ def faber_krahn_floor(n: int) -> float:
     return math.pi ** (0.5 * n) / math.gamma(0.5 * n + 1.0) * j1**n
 
 
-def _scaled_jn(nu: float, x: float) -> float:
-    """J_nu(x) / x^nu, continued through x = 0 by the entire power series."""
-    if x < 0.5:
-        q = 0.25 * x * x
-        term = 1.0 / (2.0**nu * math.gamma(nu + 1.0))
-        total = term
-        for k in range(1, 30):
-            term *= -q / (k * (nu + k))
-            total += term
-            if abs(term) < 1e-20:
-                break
-        return total
-    return bessel_j(nu, x) / x**nu
-
-
 def _scaled_jn_many(nu: float, xs: np.ndarray) -> np.ndarray:
-    """`_scaled_jn` at each of `xs`; an integer order takes every x > 12
-    from one Miller sweep instead of a sweep per point."""
+    """J_nu(x) / x^nu at each of `xs`, continued through x = 0 by its limit
+    1 / (2^nu Gamma(nu+1)): the power series for x <= 12, one sweep above."""
     out = np.empty_like(xs)
-    swept = (xs > 12.0) & _is_integer(nu)
+    swept = xs > 12.0
     if np.any(swept):
-        n = int(round(nu))
+        n, offset = _split_order(nu)
         x = xs[swept]
-        out[swept] = bessel_j_orders(n, x)[:, n] / x**nu
+        out[swept] = _sweep(n, offset, x)[:, n] / x**nu
     rest = np.flatnonzero(~swept)
-    out[rest] = [_scaled_jn(nu, x) for x in xs[rest].tolist()]
+    limit = 1.0 / (2.0**nu * math.gamma(nu + 1.0))
+    out[rest] = [limit * _series_sum(nu, x) for x in xs[rest].tolist()]
     return out
 
 

@@ -165,6 +165,31 @@ def test_resume_ignores_sidecar_of_another_config(tmp_path, monkeypatch, fail_re
     assert _stripped(a) == _stripped(b)
 
 
+def test_resume_ignores_sidecar_without_this_engine_version(tmp_path):
+    # Two sidecars with this config's hash and a matching table checksum,
+    # one stamped with another engine version and one with none, carry a
+    # forged payload, and a third is a JSON list; resume must recompute all
+    # three.
+    a, b = tmp_path / "a", tmp_path / "b"
+    config = _config(a, realizations=4, checks=(), radii=(), thresholds=())
+    run_ensemble(config)
+    for index, version in ((1, engine.ENGINE_VERSION + 1), (2, None)):
+        path = a / "realizations" / f"{index:05d}.json"
+        sidecar = read_json(path)
+        assert sidecar["version"] == engine.ENGINE_VERSION
+        sidecar["payload"]["nodal_length"] *= 2.0
+        if version is None:
+            del sidecar["version"]
+        else:
+            sidecar["version"] = version
+        write_json(path, sidecar)
+    write_json(a / "realizations" / "00003.json", [1, 2])
+
+    resume_ensemble(config, a)
+    run_ensemble(_config(b, realizations=4, checks=(), radii=(), thresholds=()))
+    assert _stripped(a) == _stripped(b)
+
+
 def test_resume_complete_run_never_samples(tmp_path, monkeypatch):
     a = tmp_path / "a"
     run_ensemble(_config(a, realizations=3))

@@ -151,6 +151,19 @@ def test_field_container_rejects_corruption(tmp_path):
         with pytest.raises(ValueError, match=message):
             load_field(cut)
 
+    # a seed that is not an object, or lacks a key `load_field` reads
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + hlen])
+    seeds = {"seed is not a JSON object": [1, 0]}
+    for key in ("master_seed", "stream_id"):
+        seeds[repr(key)] = {k: v for k, v in header["seed"].items() if k != key}
+    for message, bad in seeds.items():
+        hbytes = canonical_json({**header, "seed": bad}).encode()
+        cut = tmp_path / "cut.ncfs"
+        cut.write_bytes(raw[:8] + struct.pack("<Q", len(hbytes)) + hbytes + raw[16 + hlen :])
+        with pytest.raises(ValueError, match=message):
+            load_field(cut)
+
     # values that are not the field the stored model and seed draw
     sample.values[0, 0] += 1e-6
     write_field(sample, tmp_path / "foreign.ncfs")

@@ -6,7 +6,7 @@ import pytest
 from nodal_census import bessel_j, bessel_zero, faber_krahn_floor, kernel_eval
 from nodal_census.specfn import bessel_j_orders
 
-from oracles import mp_band_kernel, mp_bessel, mp_bessel_zero
+from oracles import mp_band_kernel, mp_bessel, mp_bessel_zero, mp_kernel
 
 
 def test_bessel_pinned_values():
@@ -16,9 +16,13 @@ def test_bessel_pinned_values():
     assert bessel_j(1, 0.0) == 0.0
 
 
-@pytest.mark.parametrize("nu", [0, 1, 2, 3, 7, 20, 57, 131, 0.5, 1.5, 7.5, 60.5])
+@pytest.mark.parametrize("nu", [0, 1, 2, 3, 7, 20, 57, 131, 0.5, 1.5, 7.5, 60.5, 199.5])
 def test_bessel_matches_series_oracle(nu):
-    xs = np.concatenate([[0.0, 0.3], np.geomspace(1.0, 1000.0, 13)])
+    # 10 pi and 10.5 pi sit on either side of the half-integer sweep's
+    # switch between the sin x and cos x closed forms
+    xs = np.concatenate([
+        [0.0, 1e-300, 1e-60, 0.3], np.geomspace(1.0, 1000.0, 13), [10.0 * math.pi, 10.5 * math.pi]
+    ])
     ref = np.array([mp_bessel(nu, float(x)) for x in xs])
     for x, want in zip(xs, ref):
         assert abs(bessel_j(nu, float(x)) - want) <= 1e-10
@@ -78,10 +82,11 @@ def test_kernel_unit_at_origin(dim, alpha):
     assert kernel_eval(dim, alpha, 0.0) == 1.0
 
 
-@pytest.mark.parametrize("dim,alpha", [(2, 0.5), (2, 0.25), (3, 0.5)])
+@pytest.mark.parametrize("dim,alpha", [(2, 0.5), (2, 0.25), (3, 0.5), (3, 1.0)])
 def test_kernel_matches_quadrature_oracle(dim, alpha):
-    for r in (0.5, 1.0, 2.0, 5.0, 10.0):
-        assert abs(kernel_eval(dim, alpha, r) - mp_band_kernel(dim, alpha, r)) <= 1e-8
+    for r in (0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 50.0):
+        want = mp_kernel(dim, r) if alpha == 1.0 else mp_band_kernel(dim, alpha, r)
+        assert abs(kernel_eval(dim, alpha, r) - want) <= 1e-8
 
 
 @pytest.mark.parametrize("dim,alpha", [(2, 1.0), (2, 0.5), (3, 1.0)])

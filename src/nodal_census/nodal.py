@@ -27,14 +27,17 @@ The measures:
 Marching squares measures only the crossing cells (corners of both signs);
 a uniform cell adds its area to its corners' label.  A crossing cell falls
 in one of 32 classes, its corner-sign pattern plus 16 when the field is
-non-negative at its center.  One set of read-only class tables gives each
-class its segments, the corners on each side and the slots of its area
+non-negative at its center.  One set of read-only class tables, one row
+per segment slot, gives each class its segments, the corners on each side,
+the fraction each segment cuts off and the corners that take the area
 shares, and two marching paths read it.  At `_TABLE_MIN_CELLS` crossing
-cells and above, `_march_table` measures all of them with a few numpy
-passes; below it, `_march_loop` visits them one by one through the tables'
-Python rows, because every numpy step has a fixed cost of some microseconds
-that a small field (a 4x4 window has at most 9 crossing cells) cannot
-repay.  The two give the same numbers, bit for bit.
+cells and above, `_march_table` expands the cells into segment rows (two
+for a saddle, one for any other crossing cell), in cell order, and measures
+all rows with a few numpy passes that gather each row's table entries and
+corner data; below it, `_march_loop` visits the cells one by one through
+the tables' Python rows, because every numpy step has a fixed cost of some
+microseconds that a small field (a 4x4 window has at most 9 crossing
+cells) cannot repay.  The two give the same numbers, bit for bit.
 
 The ambiguous saddle cell (equal diagonal signs) is resolved by the sign of
 the field at the cell center when the sample carries spectral coefficients
@@ -223,15 +226,17 @@ def _count_records(
 
 @functools.lru_cache(maxsize=8)
 def _cell_tables(grid: GridSpec):
-    """Per-row metric and per-axis center tables of the marching cells of a
-    2-D grid: (d0, d1, area, cu, cv).
+    """Per-row metric, per-axis center and per-axis node tables of the
+    marching cells of a 2-D grid: (d0, d1, area, cu, cv, node_i, node_j).
 
     Cell (i, j) has corners A = (i, j), B = (i+1, j), C = (i+1, j+1) and
-    D = (i, j+1), indices taken modulo the node shape on a wrapped axis.
-    Its side lengths d0[i], d1[i] and its area[i] depend on its row alone,
-    and its center is (cu[i], cv[j]), so the tables grow with the side of
-    the grid, not its area.  They depend on the grid alone: built once per
-    grid and shared read-only by every measure_domains call on it.
+    D = (i, j+1), indices taken modulo the node shape on a wrapped axis:
+    corner (i, j) is node node_i[i] + node_j[j], with node_i[i] = (i mod
+    n0) * n1 and node_j[j] = j mod n1.  Its side lengths d0[i], d1[i] and
+    its area[i] depend on its row alone, and its center is (cu[i], cv[j]),
+    so the tables grow with the side of the grid, not its area.  They depend
+    on the grid alone: built once per grid and shared read-only by every
+    measure_domains call on it.
     """
     if isinstance(grid, (PlanarWindow, Torus)):
         n = grid.n_intervals
@@ -250,9 +255,11 @@ def _cell_tables(grid: GridSpec):
         area = dph * (np.cos(theta_mid - 0.5 * dth) - np.cos(theta_mid + 0.5 * dth))
         cu = theta_mid
         cv = ((np.arange(grid.n_lon) + 1.0) * dph) % (2.0 * math.pi)
-    for table in (d0, d1, area, cu, cv):
+    n0, n1 = grid.shape
+    tables = (d0, d1, area, cu, cv, np.arange(cu.size + 1) % n0 * n1, np.arange(cv.size + 1) % n1)
+    for table in tables:
         table.setflags(write=False)
-    return d0, d1, area, cu, cv
+    return tables
 
 
 # Marching squares runs the per-cell loop below this many crossing cells and
@@ -276,7 +283,7 @@ class _Cells(NamedTuple):
     n_edges: int
     uniform_labels: np.ndarray
     uniform_areas: np.ndarray
-    pattern: np.ndarray  # corner sign bits A=1, B=2, C=4, D=8
+    pattern: np.ndarray  # uint8 corner sign bits A=1, B=2, C=4, D=8
     saddle: np.ndarray
     center_pos: np.ndarray
     values: np.ndarray  # (4, n) corner values
@@ -320,8 +327,8 @@ def measure_domains(dec: NodalDecomposition) -> NodalDecomposition:
     return dec
 
 
-# node offsets of corners A, B, C, D from a cell's first node, and the
-# corner and axis (0 for +i, 1 for +j) of edges AB, BC, CD, DA
+# row and column offsets of corners A, B, C, D from a cell's first node, and
+# the corner and axis (0 for +i, 1 for +j) of edges AB, BC, CD, DA
 _CORNER_DI = np.array([[0], [1], [1], [0]])
 _CORNER_DJ = np.array([[0], [0], [1], [1]])
 _EDGE_START = np.array([0, 1, 3, 0])
@@ -339,28 +346,31 @@ def _wrap_extended(a: np.ndarray, wraps) -> np.ndarray:
 
 
 def _crossing_cells(dec: NodalDecomposition) -> _Cells:
+    """The crossing cells of a 2-D decomposition, and the labels and areas
+    of the uniform ones.  A pattern ors four shifted uint8 sign slices; the
+    corner node ids add the grid's wrapping node tables at a cell's row and
+    column and the next ones, so no per-cell index is taken modulo."""
     grid = dec.sample.grid
     values = np.asarray(dec.sample.values, dtype=np.float64)
     n0, n1 = dec.labels.shape
-    d0_row, d1_row, area_row, cu, cv = _cell_tables(grid)
+    d0_row, d1_row, area_row, cu, cv, node_i, node_j = _cell_tables(grid)
     rows, cols = area_row.size, cv.size
-    # the corners of every cell are four shifted slices of the node signs
-    pos = _wrap_extended(values >= 0, grid.wraps)
+    pos = _wrap_extended(values >= 0, grid.wraps).view(np.uint8)
     pattern = (
-        pos[:rows, :cols] * 1
-        + pos[1 : rows + 1, :cols] * 2
-        + pos[1 : rows + 1, 1 : cols + 1] * 4
-        + pos[:rows, 1 : cols + 1] * 8
+        pos[:rows, :cols]
+        | pos[1 : rows + 1, :cols] << 1
+        | pos[1 : rows + 1, 1 : cols + 1] << 2
+        | pos[:rows, 1 : cols + 1] << 3
     ).ravel()
     crossing = (pattern != 0) & (pattern != 15)
     uniform = ~crossing
 
-    cidx = np.nonzero(crossing)[0]
+    cidx = np.flatnonzero(crossing)
     ci, cj = np.divmod(cidx, cols)
     pattern = pattern[cidx]
     # corner node indices; a node index is also the id of the edge to its
     # +i neighbour, and n0 * n1 plus it the id of the edge to its +j one
-    corners = ((ci + _CORNER_DI) % n0) * n1 + (cj + _CORNER_DJ) % n1
+    corners = node_i[ci + _CORNER_DI] + node_j[cj + _CORNER_DJ]
     edges = corners[_EDGE_START] + _EDGE_AXIS * (n0 * n1)
     # saddle resolution: field sign at the cell center when evaluable
     center_pos = np.ones(cidx.shape[0], dtype=bool)
@@ -421,7 +431,7 @@ def _march_loop(cells: _Cells) -> _Geometry:
     columns = (cells.pattern, cells.center_pos, cells.values.T, cells.labels.T, cells.edges.T,
                cells.d0, cells.d1, cells.area)
     for pattern, center_pos, x, lab, edge_id, d0, d1, ca in zip(*(c.tolist() for c in columns)):
-        live, crossing, (o1, o2, _, _), cols = _CLASS_ROWS[pattern + 16 * center_pos]
+        live, crossing, (o1, o2), cols = _CLASS_ROWS[pattern + 16 * center_pos]
         t = [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]  # t, then 1 - t, on AB, BC, CD, DA
         for e, p, q in crossing:
             te = t[e] = x[p] / (x[p] - x[q])
@@ -464,21 +474,23 @@ def _march_loop(cells: _Cells) -> _Geometry:
 
 
 def _class_tables():
-    """Read-only tables of the 32 crossing classes, pattern + 16 * (center >= 0).
+    """Read-only tables of the 32 crossing classes, cls = pattern + 16 *
+    (center >= 0), with one row per segment slot: row 2 * cls + s is slot s
+    of class cls.  Every crossing class fills slot 0; saddles (5, 10) also
+    fill slot 1.
 
-    Returns (segment edges, segment sides, area corners, fraction rows).  A
-    cell has up to two segments; each segment lists its two edges and three
-    corners: its `one` side, then one or two corners of the other side
-    (repeated when one).  A single-segment class repeats its segment in the
-    unused second slot, so no slot reads an edge without a crossing.  A
-    cell's four refined-area slots name the corner whose label takes each
-    share, and its two fraction rows index the per-cell fractions of
-    `_march_table`: the corner cuts A, B, C, D (0-3), the AB|CD and BC|DA
-    splits (4, 5), and 6 plus any of these for its complement.  Saddles
-    (5, 10) cut off the two corners whose sign differs from the center's, and
-    the channel of the other two takes the rest of the cell.  Classes 0, 15,
-    16 and 31 never cross.  These tables are the one description of the
-    classes; `_march_loop` reads them as Python rows.
+    Returns (segment edges, segment sides, area corners, fraction columns).
+    A slot lists its segment's two edges and three corners: its `one` side,
+    then one or two corners of the other side (repeated when one).  Its
+    fraction column names the fraction of the cell it cuts off (see
+    `_fraction`): the corner cuts A, B, C, D (0-3) or the AB|CD and BC|DA
+    splits (4, 5).  Its two area corners take the area shares: in slot 0 of
+    a single-segment class the fraction and the rest of the cell; in a
+    saddle's slot 0 its two corner cuts, and in its slot 1 the two corners
+    of its channel, which share the rest.  Saddles cut off the two corners
+    whose sign differs from the center's.  Classes 0, 15, 16 and 31 never
+    cross.  These tables are the one description of the classes;
+    `_march_loop` reads them as Python rows.
     """
     a, b, c, d = range(4)
     ab, bc, cd, da = range(4)
@@ -492,26 +504,26 @@ def _class_tables():
         (9, 6): ((ab, cd), a, b, 4),
         (3, 12): ((bc, da), a, d, 5),
     }
-    seg_edges = np.zeros((32, 2, 2), dtype=np.intp)
-    seg_sides = np.zeros((32, 2, 3), dtype=np.intp)
-    area_corners = np.zeros((32, 4), dtype=np.intp)
-    frac_cols = np.zeros((32, 2), dtype=np.intp)
+    seg_edges = np.zeros((64, 2), dtype=np.intp)
+    seg_sides = np.zeros((64, 3), dtype=np.intp)
+    area_corners = np.zeros((64, 2), dtype=np.intp)
+    frac_cols = np.zeros(64, dtype=np.intp)
     for center in (0, 16):
         for pair, (edges, one, other, col) in single.items():
             for p in pair:
-                cls = p + center
-                seg_edges[cls] = edges
-                seg_sides[cls] = (one, other, other)
-                area_corners[cls] = (one, other, other, other)
-                frac_cols[cls] = (col, 6 + col)
+                row = 2 * (p + center)
+                seg_edges[row] = edges
+                seg_sides[row] = (one, other, other)
+                area_corners[row] = (one, other)
+                frac_cols[row] = col
         for p in (5, 10):
-            cls = p + center
+            row = 2 * (p + center)
             iso, channel = ((b, d), (a, c)) if (p == 5) == bool(center) else ((a, c), (b, d))
             for s, corner in enumerate(iso):
-                seg_edges[cls, s] = cut[corner]
-                seg_sides[cls, s] = (corner, *channel)
-            area_corners[cls] = (*iso, *channel)
-            frac_cols[cls] = iso
+                seg_edges[row + s] = cut[corner]
+                seg_sides[row + s] = (corner, *channel)
+                frac_cols[row + s] = corner
+            area_corners[row : row + 2] = (iso, channel)
     tables = (seg_edges, seg_sides, area_corners, frac_cols)
     for table in tables:
         table.setflags(write=False)
@@ -519,10 +531,11 @@ def _class_tables():
 
 
 _SEG_EDGES, _SEG_SIDES, _AREA_CORNERS, _FRAC_COLS = _class_tables()
-# corner-cut fractions (0.5 * x) * y of corners A, B, C, D, as rows of
+# the operands p, q of fraction columns 0-5, as rows of
 # [t_ab, t_bc, t_cd, t_da, 1 - t_ab, 1 - t_bc, 1 - t_cd, 1 - t_da]
-_CORNER_X = [0, 4, 5, 2]
-_CORNER_Y = [3, 1, 6, 7]
+_FRAC_P = [0, 4, 5, 2, 0, 1]
+_FRAC_Q = [3, 1, 6, 7, 2, 3]
+_FRAC_OPERANDS = np.array([_FRAC_P, _FRAC_Q]).T
 # corners (p, q) of edges AB, BC, CD, DA; a crossing lies at x[p] / (x[p] - x[q])
 _EDGE_ENDS = ((0, 1), (1, 2), (3, 2), (0, 3))
 
@@ -530,29 +543,26 @@ _EDGE_ENDS = ((0, 1), (1, 2), (3, 2), (0, 3))
 def _class_rows():
     """The class tables as one Python row per class, for `_march_loop`:
     (live segments as (e1, e2, one, other, other), crossing edges as
-    (edge, p, q), area-owner corners, fraction columns)."""
-    for edges, sides, owners, cols in zip(*(t.tolist() for t in _class_tables())):
-        # a single-segment class repeats its segment in the second slot
-        live = tuple((*e, *s) for e, s in zip(edges, sides))[: 1 + (edges[1] != edges[0])]
+    (edge, p, q), the two area corners of slot 0, fraction columns)."""
+    edges, sides, owners, cols = (t.tolist() for t in _class_tables())
+    for cls in range(32):
+        slots = range(2 * cls, 2 * cls + 1 + (cls % 16 in (5, 10)))
+        live = tuple((*edges[row], *sides[row]) for row in slots)
         crossing = tuple((e, *_EDGE_ENDS[e]) for seg in live for e in seg[:2])
-        yield live, crossing, tuple(owners), tuple(cols)
+        yield live, crossing, tuple(owners[2 * cls]), tuple(cols[row] for row in slots)
 
 
 _CLASS_ROWS = tuple(_class_rows())
 
 
 def _fraction(col: int, t: list) -> float:
-    """Fraction column `col` < 6 of `_class_tables` for one cell, by the
-    table pass's expressions, from its edge crossings t and 1 - t."""
-    if col >= 4:  # the AB|CD or BC|DA split
-        return 0.5 * (t[col - 4] + t[col - 2])
-    return (0.5 * t[_CORNER_X[col]]) * t[_CORNER_Y[col]]
-
-
-def _pick(rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """out[i, s] = rows[slots[i, s], i] for per-cell rows of shape (m, n)."""
-    n = rows.shape[1]
-    return rows.ravel()[slots * n + np.arange(n)[:, None]]
+    """Fraction column `col` of `_class_tables` for one cell, by the table
+    pass's expressions, from its edge crossings t and 1 - t: a corner cut
+    (0.5 * p) * q, or a split 0.5 * (p + q), of its operands p and q."""
+    p, q = t[_FRAC_P[col]], t[_FRAC_Q[col]]
+    if col >= 4:
+        return 0.5 * (p + q)
+    return (0.5 * p) * q
 
 
 def _edge_crossings(values: np.ndarray) -> np.ndarray:
@@ -563,27 +573,41 @@ def _edge_crossings(values: np.ndarray) -> np.ndarray:
         return np.stack([a / (a - b), b / (b - c), d / (d - c), a / (a - d)])
 
 
+def _segment_rows(cells: _Cells) -> tuple[np.ndarray, np.ndarray]:
+    """One row per segment of the crossing cells, in cell order with a
+    saddle's slot 0 before its slot 1: the cell of each row, and its row
+    2 * class + slot of the class tables."""
+    saddle = cells.saddle
+    cell = np.repeat(np.arange(saddle.shape[0]), 1 + saddle)
+    row = 2 * (cells.pattern + 16 * cells.center_pos)[cell]
+    # the j-th saddle's slot 1 lies j + 1 rows past its cell
+    row[np.flatnonzero(saddle) + np.arange(1, np.count_nonzero(saddle) + 1)] += 1
+    return cell, row
+
+
 def _refined_areas(cells: _Cells, t: np.ndarray) -> np.ndarray:
     """Per-label refined areas of a decomposition, from its crossing cells
-    and their edge crossings t: each uniform cell's area goes to its label,
-    and each crossing cell's area is split as its class's area slots say.
+    and their edge crossings t: uniform cells first, then segment rows.  A
+    row reads the one fraction f its slot cuts off; a single-segment cell
+    gives f * ca and (1 - f) * ca to its two area corners, a saddle's slot 0
+    its two corner cuts and its slot 1 the rest to its channel's label(s).
     The numbers of `_march_loop`, bit for bit, at any number of cells."""
     n = cells.pattern.shape[0]
-    cls = cells.pattern + 16 * cells.center_pos
-    saddle = cells.saddle
-    with np.errstate(invalid="ignore"):  # edges without a crossing
-        tt = np.concatenate([t, 1.0 - t])
-        frac = np.concatenate([(0.5 * tt[_CORNER_X]) * tt[_CORNER_Y], 0.5 * (t[:2] + t[2:])])
-        frac = np.concatenate([frac, 1.0 - frac])
-    f = _pick(frac, _FRAC_COLS[cls])
-    ca = cells.area
-    rest = (1.0 - (f[:, 0] + f[:, 1])) * ca
-    owner = _pick(cells.labels, _AREA_CORNERS[cls])
-    shared = owner[:, 2] == owner[:, 3]
-    half = 0.5 * rest
-    share = np.column_stack([f * ca[:, None], np.where(shared, rest, half), half])
-    every = np.ones(n, dtype=bool)
-    gets = np.stack([every, every, saddle, saddle & ~shared], axis=1)
+    cell, row = _segment_rows(cells)
+    col = _FRAC_COLS[row]
+    p, q = np.concatenate([t, 1.0 - t]).ravel()[_FRAC_OPERANDS[col] * n + cell[:, None]].T
+    f = np.where(col >= 4, 0.5 * (p + q), (0.5 * p) * q)
+    ca = cells.area[cell]
+    share = np.column_stack([f * ca, (1.0 - f) * ca])
+    owner = cells.labels.ravel()[_AREA_CORNERS[row] * n + cell[:, None]]
+    # a saddle's slot 0 takes both corner cuts, its slot 1 the rest
+    second = np.flatnonzero(row & 1)
+    share[second - 1, 1] = share[second, 0]
+    rest = (1.0 - (f[second - 1] + f[second])) * ca[second]
+    shared = owner[second, 0] == owner[second, 1]
+    share[second] = np.where(shared, rest, 0.5 * rest)[:, None]
+    gets = np.ones(owner.shape, dtype=bool)
+    gets[second[shared], 1] = False
     return _label_sums(
         np.concatenate([cells.uniform_labels, owner[gets]]),
         np.concatenate([cells.uniform_areas, share[gets]]),
@@ -592,47 +616,43 @@ def _refined_areas(cells: _Cells, t: np.ndarray) -> np.ndarray:
 
 
 def _march_table(cells: _Cells) -> _Geometry:
-    """Marching squares over all crossing cells at once, by crossing class.
+    """Marching squares over all crossing cells at once, one row per segment
+    (see `_segment_rows`), each reading its flat class-table rows.
 
     The same numbers as `_march_loop`, bit for bit: every value is computed
     by the loop's expression, and each bincount adds a label's
-    contributions in the loop's order (cell by cell, then slot by slot).
+    contributions in the loop's order (segment by segment, side by side).
     """
     n, k = cells.pattern.shape[0], cells.k
-    cls = cells.pattern + 16 * cells.center_pos
-    saddle = cells.saddle
+    cell, row = _segment_rows(cells)
     t = _edge_crossings(cells.values)
-    # crossing point of each edge AB, BC, CD, DA; A = (0, 0), C = (1, 1)
-    zero, one = np.zeros(n), np.ones(n)
-    u = np.stack([t[0], one, t[2], zero])
-    v = np.stack([zero, t[1], one, t[3]])
-
-    live = np.stack([np.ones(n, dtype=bool), saddle], axis=1)
-    edges = _SEG_EDGES[cls].reshape(n, 4)
-    e1, e2 = edges[:, 0::2], edges[:, 1::2]
-    du = (_pick(u, e2) - _pick(u, e1)) * cells.d0[:, None]
-    dv = (_pick(v, e2) - _pick(v, e1)) * cells.d1[:, None]
-    lengths = np.array(list(map(math.hypot, du[live].tolist(), dv[live].tolist())))
-    seg_len = np.zeros((n, 2))
-    seg_len[live] = lengths
-
-    sides = _pick(cells.labels, _SEG_SIDES[cls].reshape(n, 6)).reshape(n, 2, 3)
-    # a channel of one label is adjacent once
-    touch = np.stack([live, live, live & (sides[:, :, 2] != sides[:, :, 1])], axis=2)
-    adjacent = sides[touch]
-    perimeter = _label_sums(adjacent, np.broadcast_to(seg_len[:, :, None], sides.shape)[touch], k)
     refined = _refined_areas(cells, t)
+    # each segment's two edges, and their crossing points (u, v): on AB, BC,
+    # CD, DA at (t, 0), (1, t), (t, 1), (0, t), with A = (0, 0), C = (1, 1)
+    at = _SEG_EDGES[row] * n + cell[:, None]
+    along_u = np.array([[True], [False], [True], [False]])
+    u = np.where(along_u, t, [[0.0], [1.0], [0.0], [0.0]]).ravel()[at]
+    v = np.where(along_u, [[0.0], [0.0], [1.0], [0.0]], t).ravel()[at]
+    du = (u[:, 1] - u[:, 0]) * cells.d0[cell]
+    dv = (v[:, 1] - v[:, 0]) * cells.d1[cell]
+    lengths = np.array(list(map(math.hypot, du.tolist(), dv.tolist())))
 
-    ends = _pick(cells.edges, edges).reshape(n, 2, 2)[live].ravel()
-    by_segment = np.zeros((n, 2), dtype=np.int64)
-    by_segment[live] = _segment_contours(ends, cells.n_edges)
-    segment_contour = np.broadcast_to(by_segment[:, :, None], sides.shape)[touch]
+    sides = cells.labels.ravel()[_SEG_SIDES[row] * n + cell[:, None]]
+    # a channel of one label is adjacent once
+    touch = np.ones(sides.shape, dtype=bool)
+    np.not_equal(sides[:, 2], sides[:, 1], out=touch[:, 2])
+    adjacent = sides[touch]
+    perimeter = _label_sums(adjacent, np.broadcast_to(lengths[:, None], sides.shape)[touch], k)
+
+    contour = _segment_contours(cells.edges.ravel()[at].ravel(), cells.n_edges)
     # each distinct (contour, label) pair is one boundary component of the label
-    pairs = np.unique(segment_contour * k + adjacent)
+    pairs = np.sort(np.broadcast_to(contour[:, None], sides.shape)[touch] * k + adjacent)
+    distinct = np.ones(pairs.shape, dtype=bool)
+    np.not_equal(pairs[1:], pairs[:-1], out=distinct[1:])
     return _Geometry(
         perimeter=perimeter.tolist(),
         refined_area=refined.tolist(),
-        boundary_components=np.bincount(pairs % k, minlength=k).tolist(),
+        boundary_components=np.bincount(pairs[distinct] % k, minlength=k).tolist(),
         total_length=float(np.cumsum(np.concatenate([[0.0], lengths]))[-1]),
     )
 
@@ -782,7 +802,7 @@ def critical_cell_count(sample: FieldSample, center=None, radius: float | None =
     sgy = np.diff(v, axis=1) >= 0
     crit = (sgx[:, :-1] != sgx[:, 1:]) & (sgy[:-1, :] != sgy[1:, :])
     if radius is not None:  # the dual cells are the marching cells
-        _, _, _, cu, cv = _cell_tables(grid)
+        cu, cv = _cell_tables(grid)[3:5]
         center = grid.center if center is None else center
         crit &= grid.node_distances(center, (cu, cv)) <= radius
     return int(np.sum(crit))

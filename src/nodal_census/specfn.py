@@ -13,6 +13,7 @@ integer or half-integer order nu <= 200, and <= 1e-9 for zero locations.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -164,25 +165,41 @@ def bessel_j_orders(nmax: int, x: np.ndarray) -> np.ndarray:
     return _sweep(nmax, 0.0, x)
 
 
+def _scan(nu: float, x: float, step: float, count: int) -> Iterator[tuple[float, float]]:
+    """(x, J_nu(x)) at `count` scan points from `x` on, each the last plus
+    `step`, lazily: the power series one point at a time up to x = 12, then
+    one sweep over every point past it."""
+    n, offset = _split_order(nu)
+    for left in range(count, 0, -1):
+        if x > 12.0:
+            xs = [x]
+            for _ in range(left - 1):
+                xs.append(xs[-1] + step)
+            yield from zip(xs, _sweep(n, offset, np.array(xs))[:, n].tolist())
+            return
+        yield x, _series_j(n + offset, x)
+        x += step
+
+
 def bessel_zero(nu: float, k: int) -> float:
     """k-th positive zero of J_nu, located to 1e-9 by bracketed bisection.
 
     Sign changes are scanned left to right starting at x = max(nu, 0.5) with a
     step well under the minimal spacing of consecutive zeros, so no zero can
     be skipped; failure to find the bracket raises rather than returning junk.
+    The scan reads the power series point by point up to x = 12 and one
+    Miller sweep over all its points beyond; the bisection stays scalar.
     """
     nu = _validate_order(nu)
     if k < 1:
         raise ValueError("zero index k must be >= 1")
     step = 1.2
-    a = max(nu, 0.5)
-    fa = bessel_j(nu, a)
     found = 0
     bracket = None
     guard = int((k * (math.pi + 1.0) + 10.0 * (1.0 + nu ** (1.0 / 3.0))) / step) + 200
-    for _ in range(guard):
-        b = a + step
-        fb = bessel_j(nu, b)
+    scan = _scan(nu, max(nu, 0.5), step, guard + 1)
+    a, fa = next(scan)
+    for b, fb in scan:
         if fa == 0.0:
             bracket = (a - 1e-9, a + 1e-9)
             found += 1

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own numerics: Bessel
 values and zeros come from mpmath at 30 digits, integrals from scipy
 quadrature, grid labeling from a recursive flood fill or from breadth-first
 search over every same-sign node pair, graph components from
-breadth-first search, and the geometry of one marching-squares cell from
+breadth-first search, the crossing cells of a decomposition from a loop
+over every cell, and the geometry of one marching-squares cell from
 polygons cut along its crossing segments.  Three exceptions keep an earlier implementation as the
 reference.  The sandwich oracle is the key-sort `sandwich_check_many`: it
 shares the package's node-distance convention and verdict record, and counts
@@ -35,7 +36,7 @@ from nodal_census import (
     measure_domains,
 )
 from nodal_census.nodal import domain_distance_extrema
-from nodal_census.sampler import torus_modes
+from nodal_census.sampler import evaluate_at, torus_modes
 
 mp.mp.dps = 30
 
@@ -234,6 +235,71 @@ def cell_geometry(values, labels, d0: float, d1: float, center_positive: bool):
             perimeter[lab] = perimeter.get(lab, 0.0) + length
             counts[lab] = counts.get(lab, 0) + 1
     return area, perimeter, counts, total
+
+
+def crossing_cells(dec) -> dict:
+    """The fields of `nodal._Cells` for a 2-D decomposition, cell by cell,
+    each as an array of the dtype the package gives it.
+
+    Cell (i, j) has corners A = (i, j), B = (i+1, j), C = (i+1, j+1) and
+    D = (i, j+1), each index taken mod the node shape on a wrapped axis; the
+    crossing point on edge AB, BC, CD or DA is named by the node id of A, B,
+    D or A, plus the node count N on the +j edges BC and DA.  A saddle's
+    center lies midway between A and C in grid coordinates, a coordinate
+    past a wrapped axis's last node continuing by one period.  Side lengths
+    and areas come from the node coordinates: on the sphere the colatitude
+    step, the longitude step times sin of the mid colatitude, and the
+    longitude step times the difference of the corner rows' cosines.
+    """
+    sample, grid, labels = dec.sample, dec.sample.grid, dec.labels
+    values = np.asarray(sample.values, dtype=np.float64)
+    n0, n1 = labels.shape
+    n_nodes = n0 * n1
+    sphere = not isinstance(grid, (PlanarWindow, Torus))
+    period = 2.0 * math.pi if sphere else getattr(grid, "side", 0.0)
+    axes = [list(a) for a in grid.axes()]
+
+    def coord(axis, i):
+        x = axes[axis]
+        return x[i] if i < len(x) else x[i - len(x)] + period
+
+    out = {name: [] for name in ("uniform_labels", "uniform_areas", "pattern", "saddle",
+                                 "center_pos", "values", "labels", "edges", "d0", "d1", "area")}
+    for i in range(n0 if grid.wraps[0] else n0 - 1):
+        u0, u1 = coord(0, i), coord(0, i + 1)
+        for j in range(n1 if grid.wraps[1] else n1 - 1):
+            v0, v1 = coord(1, j), coord(1, j + 1)
+            if sphere:
+                d0, d1 = u1 - u0, math.sin(0.5 * (u0 + u1)) * (v1 - v0)
+                area = (v1 - v0) * (math.cos(u0) - math.cos(u1))
+            else:
+                d0, d1 = u1 - u0, v1 - v0
+                area = d0 * d1
+            node = [(a % n0) * n1 + b % n1 for a, b in ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))]
+            x = [float(values.flat[v]) for v in node]
+            lab = [int(labels.flat[v]) for v in node]
+            pattern = sum(1 << c for c in range(4) if x[c] >= 0)
+            if pattern in (0, 15):
+                out["uniform_labels"].append(lab[0])
+                out["uniform_areas"].append(area)
+                continue
+            saddle = pattern in (5, 10)
+            center_pos = True
+            if saddle and sample.coeffs is not None:
+                center = np.array([[0.5 * (u0 + u1), 0.5 * (v0 + v1)]])
+                center_pos = bool(evaluate_at(sample, center)[0] >= 0)
+            for name, value in (("pattern", pattern), ("saddle", saddle),
+                                ("center_pos", center_pos), ("values", x), ("labels", lab),
+                                ("edges", [node[0], n_nodes + node[1], node[3], n_nodes + node[0]]),
+                                ("d0", d0), ("d1", d1), ("area", area)):
+                out[name].append(value)
+    dtypes = {"uniform_labels": np.int32, "pattern": np.uint8, "saddle": bool,
+              "center_pos": bool, "labels": np.int32, "edges": np.int64}
+    cells = {name: np.array(column, dtype=dtypes.get(name, np.float64))
+             for name, column in out.items()}
+    for name in ("values", "labels", "edges"):  # (4, n) rows, one per corner or edge
+        cells[name] = cells[name].reshape(-1, 4).T
+    return {"k": len(dec.domains), "n_edges": 2 * n_nodes, **cells}
 
 
 def critical_cells_brute_force(values, grid, center=None, radius=None) -> int:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,65 @@ def test_marches_agree_on_random_small_fields():
         _assert_marches_agree(cells)
 
 
+def test_marches_agree_on_saddle_dense_fields():
+    # random signs give thousands of saddles, many of whose channels carry
+    # one label, at far more than _TABLE_MIN_CELLS crossing cells: the only
+    # fields where the table pass meets saddle segment rows in bulk
+    rng = np.random.default_rng(41)
+    grid = PlanarWindow(side=31.5, spacing=0.5)
+    saddles = shared = 0
+    for _ in range(20):
+        values = rng.choice([-1.0, 1.0], size=(64, 64)) * rng.uniform(0.1, 1.0, size=(64, 64))
+        cells = _cells(values, grid)
+        cells = cells._replace(center_pos=rng.random(cells.pattern.shape) < 0.5)
+        assert cells.pattern.size >= _TABLE_MIN_CELLS
+        _assert_marches_agree(cells)
+        # the channel joins A and C where the center takes their sign
+        a, b, c, d = cells.labels
+        on_ac = (cells.pattern == 5) == cells.center_pos
+        saddles += int(np.count_nonzero(cells.saddle))
+        shared += int(np.count_nonzero(cells.saddle & np.where(on_ac, a == c, b == d)))
+    assert saddles > 5000
+    assert shared > 500
+
+
+@pytest.mark.parametrize("case", ["torus", "sphere", "planar"])
+def test_crossing_cells_match_per_cell_oracle(case):
+    # the last row or column of cells on a wrapped axis (both torus axes, the
+    # sphere's longitude) takes corners from the first; both marches read
+    # the same cells, so a seam fault here is otherwise seen only by a digest
+    sphere = LatLongSphere(n_lat=12, n_lon=24)
+    window = PlanarWindow(side=4 * math.pi, spacing=2 * math.pi / 8)
+    model, grid, small = {
+        "torus": (BandLimitedTorus(dim=2, alpha=0.0),
+                  Torus(side=40 * math.pi, spacing=2 * math.pi / 8), Torus(side=12.0, spacing=0.5)),
+        "sphere": (SphericalHarmonic(degree=6), sphere, sphere),
+        "planar": (PlaneWave2D(), window, window),
+    }[case]
+    # sampled fields resolve saddles at the cell center; random signs on a
+    # small grid put crossings and saddles on every seam
+    rng = np.random.default_rng(37)
+    samples = [sample_field(model, grid, RngStream(37, i)) for i in range(2)]
+    signs = rng.choice([-1.0, 1.0], size=(3, *small.shape))
+    samples += [synthetic_sample(s * rng.uniform(0.1, 1.0, size=small.shape), small)
+                for s in signs]
+    saddles = 0
+    for sample in samples:
+        dec = label_domains(sample)
+        cells = _crossing_cells(dec)
+        expected = oracles.crossing_cells(dec)
+        assert list(expected) == list(cells._fields)
+        for name, want in expected.items():
+            got = getattr(cells, name)
+            if name in ("uniform_areas", "d0", "d1", "area"):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
+            else:
+                np.testing.assert_array_equal(got, want, err_msg=name)
+            assert np.asarray(got).dtype == np.asarray(want).dtype, name
+        saddles += int(np.count_nonzero(cells.saddle))
+    assert saddles > 0
+
+
 @pytest.mark.parametrize("march", [_march_loop, _march_table], ids=["loop", "table"])
 @pytest.mark.parametrize("magnitude", [
     [[0.3, 0.9], [0.7, 0.45]],
@@ -360,6 +420,20 @@ def test_measure_bytes_match_golden_digest(desk_grid):
         values = rng.choice([-1.0, 1.0], size=(4, 4)) * rng.uniform(0.1, 1.0, size=(4, 4))
         feed(synthetic_sample(values, tiny))
     assert digest.hexdigest() == _MEASURE_DIGEST
+
+
+def test_sphere_measure_transient_memory():
+    # the table pass keeps one row per segment; two slots per cell, twelve
+    # fraction rows and four area slots per cell peaked at about 57 MB here
+    grid = LatLongSphere(n_lat=400, n_lon=800)
+    dec = label_domains(sample_field(SphericalHarmonic(degree=80), grid, RngStream(7, 0)))
+    tracemalloc.start()
+    try:
+        measure_domains(dec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 45e6
 
 
 def test_class_tables_are_read_only():

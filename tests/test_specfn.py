@@ -55,13 +55,18 @@ def test_bessel_zero_values():
     assert bessel_zero(0, 1) == pytest.approx(2.4048, abs=1e-3)
     assert bessel_zero(0.5, 1) == pytest.approx(math.pi, abs=1e-9)
     assert bessel_zero(0, 2) == pytest.approx(5.5201, abs=1e-3)
-    for nu, k in [(0, 1), (0, 2), (1, 1), (3, 5), (0.5, 4), (10, 2)]:
+    # zeros past x = 12 are bracketed from one sweep over the scan points
+    far = [(nu, k) for nu in (0, 0.5, 10, 10.5) for k in (1, 5, 50)]
+    for nu, k in [(0, 1), (0, 2), (1, 1), (3, 5), (0.5, 4), (10, 2), *far]:
         z = bessel_zero(nu, k)
         assert z == pytest.approx(mp_bessel_zero(nu, k), abs=1e-9)
         assert abs(bessel_j(nu, z)) < 1e-8
 
 
 def test_faber_krahn_floor():
+    # the report's faber_krahn fold reads these floors: pinned to the last bit
+    assert faber_krahn_floor(2) == 18.168414535536805
+    assert faber_krahn_floor(3) == 129.8787880453381
     t0 = faber_krahn_floor(2)
     assert t0 == pytest.approx(18.168, abs=1e-2)
     assert t0 == pytest.approx(math.pi * bessel_zero(0, 1) ** 2, abs=1e-9)

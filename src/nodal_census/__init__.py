@@ -25,7 +25,6 @@ from .sampler import (
     PlaneWave2D,
     RngStream,
     SphericalHarmonic,
-    empirical_covariance,
     evaluate_at,
     helmholtz_residual,
     model_from_dict,
@@ -38,6 +37,7 @@ from .stats import (
     NsEstimate,
     SandwichVerdict,
     boundary_and_joint_distributions,
+    empirical_covariance,
     faber_krahn_check,
     ks_distance,
     nodal_length_density,

@@ -32,8 +32,9 @@ from .io import (
     sandwich_csv,
     write_field,
     write_json,
+    write_text,
 )
-from .nodal import label_domains, measure_domains
+from .nodal import label_domains
 from .sampler import (
     BandLimitedTorus,
     PlaneWave2D,
@@ -76,11 +77,6 @@ def parse_length(token: str) -> float:
 
 def _length_list(token: str) -> tuple:
     return tuple(parse_length(part) for part in token.split(",") if part)
-
-
-def _write_text(path, text: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
 
 
 def _emit(args, summary: dict, human_lines) -> None:
@@ -172,10 +168,9 @@ def cmd_nodal(args) -> int:
         raise UsageError("--in is required (a saved field container)")
     sample = load_field(args.infile)
     dec = label_domains(sample)
-    measure_domains(dec)
     csv_text = domain_table_csv(dec)
     if args.out:
-        _write_text(args.out, csv_text)
+        write_text(args.out, csv_text)
     summary = {
         "in": args.infile,
         "out": args.out,
@@ -202,7 +197,7 @@ def cmd_psi(args) -> int:
             x_label="t",
             y_label="psi_hat(t)",
         )
-        _write_text(outdir / "psi.svg", svg)
+        write_text(outdir / "psi.svg", svg)
     summary = {
         "out": str(outdir),
         "realizations": rep.report["realizations_completed"],
@@ -246,7 +241,7 @@ def cmd_sandwich(args) -> int:
     verdicts = sandwich_check_many(dec, [(args.r, args.R)], thresholds)
     csv_text = sandwich_csv(verdicts)
     if args.out:
-        _write_text(args.out, csv_text)
+        write_text(args.out, csv_text)
     summary = {"verdicts": [v.to_dict() for v in verdicts], "out": args.out}
     human = [
         f"r={v.r:g} R={v.R:g} t={v.t:g}: {v.lower:.4f} <= {v.middle} <= {v.upper:.4f}"
@@ -319,7 +314,7 @@ def cmd_sphere_compare(args) -> int:
     scale = args.degree * (args.degree + 1)
     sphere_cdf = fold_psi(rep.records, None, scale)
     ks = ks_distance(sphere_cdf, planar_cdf)
-    _write_text(rep.output_dir / "sphere-psi.csv", psi_csv(sphere_cdf))
+    write_text(rep.output_dir / "sphere-psi.csv", psi_csv(sphere_cdf))
     comparison = {
         "ks_distance": ks,
         "degree": args.degree,

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .grids import grid_from_dict
+from .nodal import measure_domains
 from .sampler import FieldSample, RngStream, evaluate_at, model_from_dict
 
 __all__ = [
@@ -215,7 +216,9 @@ def load_field(path) -> FieldSample:
 
 
 def domain_table_csv(dec) -> str:
-    """Pinned per-domain table; one row per label in label order."""
+    """Pinned per-domain table; one row per label in label order.  Measures
+    the decomposition first if it is not yet measured."""
+    measure_domains(dec)
     lines = ["label,sign,area,perimeter,boundary_components,touches_window"]
     for rec in dec.domains:
         lines.append(

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -71,7 +71,7 @@ __all__ = [
     "label_domains",
     "measure_domains",
     "restrict_counts",
-    "domain_distance_extrema",
+    "domain_max_distance",
     "perturbation_stability",
     "critical_cell_count",
     "synthetic_sample",
@@ -97,7 +97,6 @@ class NodalDecomposition:
     domains: list[DomainRecord]
     measured: bool = False
     total_nodal_length: float | None = None
-    _extrema_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_domains(self) -> int:
@@ -691,21 +690,12 @@ def _measure_faces_3d(dec: NodalDecomposition) -> None:
     dec.total_nodal_length = nfaces * h2
 
 
-def domain_distance_extrema(dec: NodalDecomposition, center) -> tuple[np.ndarray, np.ndarray]:
-    """Per-domain (min, max) node distance from `center`."""
-    key = tuple(round(float(c), 12) for c in center)
-    hit = dec._extrema_cache.get(key)
-    if hit is not None:
-        return hit
-    dist = dec.sample.grid.node_distances(center).ravel()
-    k = len(dec.domains)
-    dmin = np.full(k, np.inf)
-    dmax = np.zeros(k)
-    flat = dec.labels.ravel()
-    np.minimum.at(dmin, flat, dist)
-    np.maximum.at(dmax, flat, dist)
-    dec._extrema_cache[key] = (dmin, dmax)
-    return dmin, dmax
+def domain_max_distance(dec: NodalDecomposition, dist: np.ndarray) -> np.ndarray:
+    """Per-domain largest node distance, given `dist`, the grid's node
+    distances from a center (`grid.node_distances`)."""
+    dmax = np.zeros(len(dec.domains))
+    np.maximum.at(dmax, dec.labels.ravel(), dist.ravel())
+    return dmax
 
 
 def restrict_counts(
@@ -723,7 +713,10 @@ def restrict_counts(
         raise ValueError("ball radius must be positive")
     if isinstance(grid, PlanarWindow):
         grid.require_ball(center, R, f"ball of radius {R} at {tuple(center)}")
-    dmin, dmax = domain_distance_extrema(dec, center)
+    dist = grid.node_distances(center).ravel()
+    dmin = np.full(len(dec.domains), np.inf)
+    np.minimum.at(dmin, dec.labels.ravel(), dist)
+    dmax = domain_max_distance(dec, dist)
     areas = dec.areas()
     ok = areas <= t
     n_full = int(np.sum(ok & (dmax < R)))

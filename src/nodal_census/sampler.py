@@ -56,8 +56,7 @@ __all__ = [
     "evaluate_at",
     "helmholtz_residual",
     "spherical_laplacian_residual",
-    "empirical_covariance",
-    "CovarianceEstimate",
+    "covariance_probe_means",
     "model_from_dict",
 ]
 
@@ -118,7 +117,6 @@ class PlaneWaveBasis:
     center.  Rows are flattened grid nodes.
     """
 
-    n_trunc: int
     cos_basis: np.ndarray
     sin_basis: np.ndarray
 
@@ -158,7 +156,7 @@ def build_plane_wave_basis(grid: PlanarWindow) -> PlaneWaveBasis:
     dx = (xx - cx).ravel()
     dy = (yy - cy).ravel()
     cos_b, sin_b = _basis_block(np.hypot(dx, dy), np.arctan2(dy, dx), n_trunc)
-    return PlaneWaveBasis(n_trunc=n_trunc, cos_basis=cos_b, sin_basis=sin_b)
+    return PlaneWaveBasis(cos_basis=cos_b, sin_basis=sin_b)
 
 
 @dataclass(frozen=True)
@@ -482,17 +480,18 @@ def evaluate_at(sample: FieldSample, points: np.ndarray) -> np.ndarray:
     return sample.model.evaluate(sample.grid, sample.coeffs, pts)
 
 
-
-
 def helmholtz_residual(sample: FieldSample) -> float:
     """Relative 5-point residual ||lap F + F|| / ||F|| (wavenumber 1).
 
-    Planar windows use interior nodes only; tori use all nodes with wrap.
-    A second-order scheme, so the value tracks h^2/12 on smooth data and
-    drops ~4x when the spacing halves.
+    Planar windows use interior nodes only; tori use all nodes with wrap;
+    a sphere gets `spherical_laplacian_residual`.  A second-order scheme, so
+    the value tracks h^2/12 on smooth data and drops ~4x when the spacing
+    halves.
     """
     grid = sample.grid
     f = sample.values
+    if isinstance(grid, LatLongSphere):
+        return spherical_laplacian_residual(sample)
     if isinstance(grid, PlanarWindow):
         h = grid.spacing
         lap = (
@@ -509,7 +508,7 @@ def helmholtz_residual(sample: FieldSample) -> float:
         res = lap + f
         ref = float(np.linalg.norm(f))
     else:
-        raise ValueError("helmholtz residual is defined for planar and torus grids")
+        raise ValueError(f"no helmholtz residual for grid {grid!r}")
     if ref == 0.0:
         raise ValueError("field has zero norm; residual undefined")
     return float(np.linalg.norm(res)) / ref
@@ -548,15 +547,6 @@ def spherical_laplacian_residual(sample: FieldSample, min_sin: float = 0.2) -> f
     return float(np.linalg.norm(res[band, :])) / (lam * ref)
 
 
-@dataclass
-class CovarianceEstimate:
-    lags: np.ndarray
-    estimates: np.ndarray
-    stderrs: np.ndarray
-    n_samples: int
-    n_probes: int
-
-
 _PROBE_FRACTIONS = (
     (0.20, 0.20), (0.20, 0.50), (0.20, 0.80), (0.50, 0.35),
     (0.50, 0.65), (0.80, 0.20), (0.80, 0.50), (0.80, 0.80),
@@ -581,27 +571,3 @@ def covariance_probe_means(sample: FieldSample, lags) -> np.ndarray:
     shifted[:, 0] += np.repeat(lags, n_probes)
     v = evaluate_at(sample, np.concatenate([base, shifted]))
     return np.mean(v[:n_probes] * v[n_probes:].reshape(-1, n_probes), axis=1)
-
-
-def empirical_covariance(samples: list[FieldSample], lags) -> CovarianceEstimate:
-    """Monte Carlo covariance at the given lags along the first axis.
-
-    Averages F(x0) F(x0 + lag e1) over a fixed probe set and the sample list;
-    stderr is the realization-to-realization scatter of the per-sample probe
-    mean (probes within one sample are correlated, samples are not).
-    """
-    if len(samples) < 2:
-        raise ValueError("need at least two samples")
-    grid = samples[0].grid
-    model = samples[0].model
-    for s in samples[1:]:
-        if s.grid != grid or s.model != model:
-            raise ValueError("samples disagree on model or grid")
-    lags = np.asarray(lags, dtype=np.float64)
-    per_sample = np.stack([covariance_probe_means(s, lags) for s in samples])
-    est = per_sample.mean(axis=0)
-    err = per_sample.std(axis=0, ddof=1) / math.sqrt(len(samples))
-    return CovarianceEstimate(
-        lags=lags, estimates=est, stderrs=err, n_samples=len(samples),
-        n_probes=len(_PROBE_FRACTIONS),
-    )

@@ -6,10 +6,13 @@ density (count per unit ball volume), the integral-geometric sandwich bound,
 the minimum-area floor check, and boundary-length distributions.
 
 Every ensemble estimator is a fold over per-realization census records
-(`census_record`): per-domain area, perimeter, window contact and largest
-distance from the ball center, plus the total nodal length.  The public
+(`census_record`): per-domain area, perimeter, window contact and, where a
+ball restriction reads it, largest distance from the ball center
+(`nodal.domain_max_distance`), plus the total nodal length.  The public
 functions build records from decompositions; the engine folds the records it
 persisted as sidecars, so library, report and CLI numbers agree exactly.
+Means with their standard errors over realizations all come from
+`mean_stderr`, the covariance estimate over per-sample probe means included.
 
 Counting conventions shared by everything in this module: a domain is
 "interior" when it does not touch the window edge, and it lies "in B(c, R)"
@@ -58,17 +61,19 @@ the verdicts are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import compress
 
 import numpy as np
 
 from .grids import LatLongSphere, PlanarWindow, Torus
-from .nodal import NodalDecomposition, domain_distance_extrema, measure_domains
+from .nodal import NodalDecomposition, domain_max_distance, measure_domains
+from .sampler import FieldSample, covariance_probe_means
 from .specfn import faber_krahn_floor
 
 __all__ = [
     "RECORD_COLUMNS",
+    "CovarianceEstimate",
     "EmpiricalCdf",
     "NsEstimate",
     "SandwichVerdict",
@@ -80,6 +85,7 @@ __all__ = [
     "boundary_and_joint_distributions",
     "ks_distance",
     "nodal_length_density",
+    "empirical_covariance",
     "census_record",
     "fold_psi",
     "fold_boundary",
@@ -144,13 +150,7 @@ class NsEstimate:
     pooled_stderr: float
 
     def to_dict(self) -> dict:
-        return {
-            "radii": self.radii,
-            "ratio_means": self.ratio_means,
-            "ratio_stderrs": self.ratio_stderrs,
-            "pooled": self.pooled,
-            "pooled_stderr": self.pooled_stderr,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -164,25 +164,24 @@ class SandwichVerdict:
     holds: bool
 
     def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "R": self.R,
-            "t": self.t,
-            "lower": self.lower,
-            "middle": self.middle,
-            "upper": self.upper,
-            "holds": self.holds,
-        }
+        return asdict(self)
 
 
-def _check_same_ensemble(decs: list[NodalDecomposition]) -> None:
-    if not decs:
-        raise ValueError("need at least one decomposition")
-    grid = decs[0].sample.grid
-    model = decs[0].sample.model
-    for dec in decs[1:]:
-        if dec.sample.grid != grid or dec.sample.model != model:
-            raise ValueError("decompositions come from different models or grids")
+@dataclass
+class CovarianceEstimate:
+    lags: np.ndarray
+    estimates: np.ndarray
+    stderrs: np.ndarray
+
+
+def _check_same_ensemble(samples: list[FieldSample]) -> None:
+    if not samples:
+        raise ValueError("need at least one sample")
+    grid = samples[0].grid
+    model = samples[0].model
+    for sample in samples[1:]:
+        if sample.grid != grid or sample.model != model:
+            raise ValueError("samples come from different models or grids")
 
 
 RECORD_COLUMNS = ("areas", "perimeters", "touches", "dmax", "nodal_length")
@@ -194,9 +193,9 @@ def census_record(dec: NodalDecomposition, center=None, columns=RECORD_COLUMNS) 
     Per-domain columns in label order -- `areas`, `perimeters`, `touches`
     (the domain meets the window edge) and `dmax` (largest node distance
     from `center`, the grid's default center when None) -- plus the scalar
-    `nodal_length`.  The engine persists the full record as a sidecar
-    payload; `columns` picks the keys to build, so a library estimator pays
-    only for the columns it reads.
+    `nodal_length`.  The engine persists the record as a sidecar payload,
+    without `dmax` on a sphere; `columns` picks the keys to build, so the
+    engine and each library estimator pay only for the columns they read.
     """
     if "perimeters" in columns or "nodal_length" in columns:
         measure_domains(dec)
@@ -208,16 +207,16 @@ def census_record(dec: NodalDecomposition, center=None, columns=RECORD_COLUMNS) 
     if "touches" in columns:
         record["touches"] = [d.touches_window for d in dec.domains]
     if "dmax" in columns:
-        if center is None:
-            center = dec.sample.grid.center
-        record["dmax"] = domain_distance_extrema(dec, center)[1].tolist()
+        grid = dec.sample.grid
+        dist = grid.node_distances(grid.center if center is None else center)
+        record["dmax"] = domain_max_distance(dec, dist).tolist()
     if "nodal_length" in columns:
         record["nodal_length"] = float(dec.total_nodal_length)
     return record
 
 
 def _records(decs: list[NodalDecomposition], columns, window=None) -> list[dict]:
-    _check_same_ensemble(decs)
+    _check_same_ensemble([dec.sample for dec in decs])
     center = None
     if window is not None:
         center = window[0]
@@ -348,7 +347,7 @@ def ns_constant_estimate(
     The pooled estimate is the largest-radius mean (the best-converged one);
     its standard error comes from realization scatter.
     """
-    _check_same_ensemble(decs)
+    _check_same_ensemble([dec.sample for dec in decs])
     radii = sorted(float(r) for r in radii)
     if not radii:
         raise ValueError("need at least one radius")
@@ -429,10 +428,10 @@ def sandwich_check_many(
     n1 = labels.shape[1]
     nlab = len(dec.domains)
     # label nlab marks the padding outside a window; no threshold admits it
-    node_count = np.bincount(labels.ravel(), minlength=nlab + 1)
+    node_count = np.array([d.node_count for d in dec.domains] + [0])
     areas = dec.areas()
     dist = grid.node_distances(center).ravel()
-    dmax = domain_distance_extrema(dec, center)[1]
+    dmax = domain_max_distance(dec, dist)
     verdicts = []
     for r, R in geometries:
         if not (0.0 < r < R):
@@ -529,3 +528,18 @@ def ks_distance(a: EmpiricalCdf, b: EmpiricalCdf) -> float:
 def nodal_length_density(decs: list[NodalDecomposition]) -> tuple[float, float]:
     """Mean and stderr of total crossing length per unit area."""
     return fold_nodal_length(_records(decs, ("nodal_length",)), decs[0].sample.grid)
+
+
+def empirical_covariance(samples: list[FieldSample], lags) -> CovarianceEstimate:
+    """Monte Carlo covariance at the given lags along the first axis.
+
+    Averages F(x0) F(x0 + lag e1) over a fixed probe set and the sample list;
+    stderr is the realization-to-realization scatter of the per-sample probe
+    mean (probes within one sample are correlated, samples are not).
+    """
+    _check_same_ensemble(samples)
+    if len(samples) < 2:
+        raise ValueError("need at least two samples")
+    lags = np.asarray(lags, dtype=np.float64)
+    estimates, stderrs = mean_stderr([covariance_probe_means(s, lags) for s in samples])
+    return CovarianceEstimate(lags=lags, estimates=estimates, stderrs=stderrs)

@@ -35,7 +35,7 @@ from nodal_census import (
     label_domains,
     measure_domains,
 )
-from nodal_census.nodal import domain_distance_extrema
+from nodal_census.nodal import domain_max_distance
 from nodal_census.sampler import evaluate_at, torus_modes
 
 mp.mp.dps = 30
@@ -429,7 +429,7 @@ def sandwich_keys_oracle(dec, geometries, thresholds, center=None) -> list:
             lower_count = int(np.count_nonzero(full_in_lo & ok[lab_str]))
             upper_count = int(np.count_nonzero(ok[lab_any]))
             if dmax_ok_cache is None:
-                _, dmax = domain_distance_extrema(dec, center)
+                dmax = domain_max_distance(dec, dist)
                 dmax_ok_cache = dmax < R
             middle = int(np.count_nonzero(dmax_ok_cache & ok))
             holds = lower_count <= middle * K and middle * K <= upper_count

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import math
 import os
@@ -77,6 +78,27 @@ def test_sample_then_nodal_round_trip(tmp_path, capsys):
 
     dec = measure_domains(label_domains(load_field(field)))
     assert table.read_text() == domain_table_csv(dec)
+
+
+def test_failed_out_write_keeps_old_file(tmp_path, monkeypatch, capsys):
+    # The CLI writes through a sibling temp file too: a write whose final
+    # rename fails leaves the previous --out file as it was.
+    field = tmp_path / "f.ncfs"
+    table = tmp_path / "t.csv"
+    assert main(["sample", "--window", "2pi", "--seed", "5", "--out", str(field)]) == 0
+    table.write_text("old\n")
+
+    def no_rename(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", no_rename)
+    with pytest.raises(OSError, match="No space"):
+        main(["nodal", "--in", str(field), "--out", str(table)])
+    monkeypatch.undo()
+    capsys.readouterr()
+
+    assert table.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.ncfs", "f.ncfs.json", "t.csv"]
 
 
 def test_sample_requires_out():

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from nodal_census import (
+    BandLimitedTorus,
     EnsembleConfig,
     EnsembleFailure,
     LatLongSphere,
@@ -12,6 +13,7 @@ from nodal_census import (
     PlaneWave2D,
     RngStream,
     SphericalHarmonic,
+    Torus,
     boundary_and_joint_distributions,
     faber_krahn_check,
     label_domains,
@@ -26,6 +28,7 @@ from nodal_census import (
 )
 from nodal_census import engine, sampler
 from nodal_census.io import canonical_json, joint_csv, read_json, text_sha256, write_json
+from nodal_census.stats import census_record
 
 GRID = PlanarWindow(side=9 * math.pi, spacing=2 * math.pi / 10)
 
@@ -188,6 +191,62 @@ def test_resume_ignores_sidecar_without_this_engine_version(tmp_path):
     resume_ensemble(config, a)
     run_ensemble(_config(b, realizations=4, checks=(), radii=(), thresholds=()))
     assert _stripped(a) == _stripped(b)
+
+
+def _sphere_config(outdir):
+    return EnsembleConfig(
+        model=SphericalHarmonic(degree=4),
+        grid=LatLongSphere(n_lat=20, n_lon=40),
+        realizations=3,
+        master_seed=5,
+        checks=("helmholtz",),
+        output_dir=str(outdir),
+    )
+
+
+def _payloads(outdir) -> list[dict]:
+    return [read_json(p)["payload"] for p in sorted((outdir / "realizations").glob("*.json"))]
+
+
+def test_sidecars_carry_dmax_only_where_a_ball_reads_it(tmp_path):
+    # dmax feeds the planar and torus ball restrictions; a sphere run has none
+    run_ensemble(_sphere_config(tmp_path / "sphere"))
+    run_ensemble(_config(tmp_path / "plane", realizations=2, checks=()))
+    run_ensemble(EnsembleConfig(
+        model=BandLimitedTorus(dim=2, alpha=1.0),
+        grid=Torus(side=40 * math.pi, spacing=2 * math.pi / 10),
+        realizations=1,
+        master_seed=5,
+        output_dir=str(tmp_path / "torus"),
+    ))
+    assert [("dmax" in p) for p in _payloads(tmp_path / "sphere")] == [False] * 3
+    for name, count in (("plane", 2), ("torus", 1)):
+        payloads = _payloads(tmp_path / name)
+        assert len(payloads) == count
+        assert all(len(p["dmax"]) == len(p["areas"]) for p in payloads)
+
+
+def test_resume_folds_sphere_sidecars_written_with_dmax(tmp_path, monkeypatch):
+    # Sphere sidecars from before dmax was dropped there still carry it; a
+    # resume reuses them and folds the report a fresh run folds.
+    a, b = tmp_path / "a", tmp_path / "b"
+    run_ensemble(_sphere_config(a))
+    run_ensemble(_sphere_config(b))
+    for path in sorted((a / "realizations").glob("*.json")):
+        sidecar = read_json(path)
+        index = sidecar["index"]
+        sample = sample_field(SphericalHarmonic(degree=4), LatLongSphere(n_lat=20, n_lon=40),
+                              RngStream(5, index))
+        sidecar["payload"]["dmax"] = census_record(label_domains(sample), columns=("dmax",))["dmax"]
+        write_json(path, sidecar)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("every sidecar must be reused")
+
+    monkeypatch.setattr(engine, "sample_field", boom)
+    resume_ensemble(_sphere_config(a), a)
+    assert _stripped(a) == _stripped(b)
+    assert all("dmax" in p for p in _payloads(a))
 
 
 def test_resume_complete_run_never_samples(tmp_path, monkeypatch):

@@ -260,6 +260,15 @@ def test_domain_table_csv_layout():
     assert text == domain_table_csv(dec)
 
 
+def test_domain_table_csv_measures_first():
+    # An unmeasured decomposition gets its perimeters and boundary counts,
+    # not the zeros its records start with.
+    grid = PlanarWindow(side=4 * math.pi, spacing=2 * math.pi / 10)
+    sample = sample_field(PlaneWave2D(), grid, RngStream(3, 0))
+    expected = domain_table_csv(measure_domains(label_domains(sample)))
+    assert domain_table_csv(label_domains(sample)) == expected
+
+
 def test_stat_csv_exports(mini_ensemble):
     psi = psi_estimate(mini_ensemble)
     lines = psi_csv(psi).splitlines()

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import math
 import tracemalloc
 
@@ -6,7 +7,6 @@ import numpy as np
 import pytest
 
 import nodal_census
-import nodal_census.nodal
 import oracles
 from nodal_census import (
     BandLimitedTorus,
@@ -44,7 +44,14 @@ from nodal_census.nodal import (
 from nodal_census.sampler import torus_modes
 
 
-@pytest.mark.parametrize("module", [nodal_census, nodal_census.nodal], ids=["package", "nodal"])
+_MODULES = ("nodal", "stats", "sampler", "io", "engine", "grids", "specfn")
+
+
+@pytest.mark.parametrize(
+    "module",
+    [nodal_census] + [importlib.import_module(f"nodal_census.{name}") for name in _MODULES],
+    ids=("package",) + _MODULES,
+)
 def test_export_lists_resolve(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 

@@ -14,6 +14,7 @@ from nodal_census import (
     Torus,
     boundary_and_joint_distributions,
     critical_cell_count,
+    empirical_covariance,
     faber_krahn_check,
     ks_distance,
     label_domains,
@@ -27,7 +28,8 @@ from nodal_census import (
     synthetic_sample,
 )
 from nodal_census.engine import DEFAULT_SANDWICH_GEOMETRIES
-from nodal_census.stats import _lattice_offsets, _row_runs
+from nodal_census.sampler import covariance_probe_means
+from nodal_census.stats import _lattice_offsets, _row_runs, mean_stderr
 
 FK_FLOOR = 18.168414535536805
 
@@ -346,3 +348,21 @@ def test_domain_density_below_critical_density(mini_ensemble):
     side = mini_ensemble[0].sample.grid.side
     crit = np.mean([critical_cell_count(d.sample) / side**2 for d in mini_ensemble])
     assert 0.0 < est.pooled <= crit
+
+
+def test_empirical_covariance_is_mean_stderr_of_probe_means():
+    # one ensemble mean-and-error routine: the library estimate is the fold
+    # the engine's covariance summary makes, bit for bit
+    grid = PlanarWindow(side=6 * math.pi, spacing=2 * math.pi / 10)
+    samples = [sample_field(PlaneWave2D(), grid, RngStream(4, i)) for i in range(5)]
+    lags = (0.0, 1.0, 2.4048)
+    est = empirical_covariance(samples, lags)
+    means, errs = mean_stderr(np.stack([covariance_probe_means(s, lags) for s in samples]))
+    assert est.estimates.tobytes() == means.tobytes()
+    assert est.stderrs.tobytes() == errs.tobytes()
+    assert est.lags.tolist() == list(lags)
+    other = PlanarWindow(side=7 * math.pi, spacing=2 * math.pi / 10)
+    with pytest.raises(ValueError, match="different models or grids"):
+        empirical_covariance([samples[0], sample_field(PlaneWave2D(), other, RngStream(4, 0))], lags)
+    with pytest.raises(ValueError, match="at least two"):
+        empirical_covariance(samples[:1], lags)

@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 MAGIC = b"NCFS"
-CONTAINER_VERSION = 1
+CONTAINER_VERSION = 2
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -127,8 +127,10 @@ def write_field(sample: FieldSample, path) -> None:
     """Write the self-describing binary container plus its JSON sidecar.
 
     Layout: magic "NCFS", u32 version, u64 header length, canonical-JSON
-    header (dtype/shape/grid/model/seed), then the values as little-endian
-    float64 in C order.  Spectral coefficients are not stored: `load_field`
+    header (dtype/shape/grid/model/seed/values_sha256), then the values as
+    little-endian float64 in C order.  `values_sha256` is the SHA-256 of
+    that payload; the payload is written from the array's own buffer, with
+    no bytes copy.  Spectral coefficients are not stored: `load_field`
     redraws them from the model and seed, so a reloaded sample is measured
     and evaluated off-grid exactly as the one written.
     The container goes through a sibling temp file, so a failed write leaves
@@ -139,12 +141,14 @@ def write_field(sample: FieldSample, path) -> None:
     if sample.stream is not None:
         seed = {"master_seed": sample.stream.master_seed,
                 "stream_id": sample.stream.stream_id}
+    values = np.ascontiguousarray(sample.values, dtype="<f8")
     header = {
         "dtype": "<f8",
         "shape": list(sample.values.shape),
         "grid": sample.grid.to_dict(),
         "model": sample.model.to_dict() if sample.model is not None else None,
         "seed": seed,
+        "values_sha256": hashlib.sha256(values.data).hexdigest(),
     }
     hbytes = canonical_json(header).encode("utf-8")
     with _replacing(path, "wb") as fh:
@@ -152,7 +156,7 @@ def write_field(sample: FieldSample, path) -> None:
         fh.write(struct.pack("<I", CONTAINER_VERSION))
         fh.write(struct.pack("<Q", len(hbytes)))
         fh.write(hbytes)
-        fh.write(np.ascontiguousarray(sample.values, dtype="<f8").tobytes())
+        fh.write(values.data)
     sidecar = {
         "kind": "field-sample",
         "version": CONTAINER_VERSION,
@@ -164,10 +168,11 @@ def write_field(sample: FieldSample, path) -> None:
 
 
 def load_field(path) -> FieldSample:
-    """Read a container whose header shape is its grid's shape and whose
-    file ends with the value payload; a sampled field's coefficients are
-    redrawn from its model and seed and checked against the stored values
-    at a few nodes."""
+    """Read a container whose header shape is its grid's shape, whose file
+    ends with the value payload and whose payload hashes to the header's
+    `values_sha256`; a sampled field's coefficients are redrawn from its
+    model and seed and checked against the stored values at a few nodes.
+    The payload is read straight into the returned array."""
     path = Path(path)
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
@@ -179,7 +184,7 @@ def load_field(path) -> FieldSample:
         header = json.loads(fh.read(hlen).decode("utf-8"))
         if not isinstance(header, dict):
             raise ValueError(f"{path}: header is not a JSON object")
-        for key in ("dtype", "grid", "shape", "model"):
+        for key in ("dtype", "grid", "shape", "model", "values_sha256"):
             if key not in header:
                 raise ValueError(f"{path}: header lacks {key!r}")
         seed = header.get("seed")
@@ -195,13 +200,13 @@ def load_field(path) -> FieldSample:
         shape = tuple(header["shape"])
         if shape != grid.shape:
             raise ValueError(f"{path}: header shape {shape} does not match the grid's {grid.shape}")
-        count = int(np.prod(shape))
-        payload = fh.read(count * 8)
-        if len(payload) != count * 8:
+        values = np.empty(shape, dtype="<f8")
+        if fh.readinto(values.data) != values.nbytes:
             raise ValueError(f"{path}: truncated payload")
         if fh.read(1):
             raise ValueError(f"{path}: bytes after the value payload")
-    values = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    if hashlib.sha256(values.data).hexdigest() != header["values_sha256"]:
+        raise ValueError(f"{path}: values do not match the header's values_sha256 checksum")
     model = model_from_dict(header["model"]) if header["model"] is not None else None
     stream = RngStream(seed["master_seed"], seed["stream_id"]) if seed is not None else None
     sample = FieldSample(values=values, grid=grid, model=model, stream=stream)

@@ -286,6 +286,12 @@ class BandLimitedTorus:
         values are byte-identical to ``ifftn`` of the full (n,)*dim
         spectrum.  On the 160^3 torus this is 33,841 line transforms
         instead of 76,800, with no full-size spectrum.
+
+        Every pass runs in place (``out=``): the first into the pruned
+        spectrum, each later one into its own zero-padded array, and each
+        input is dropped before the transform that follows it.  The peak is
+        the last pass's complex array plus the real values taken from it,
+        about 98 MiB on the 160^3 torus (tracemalloc).
         """
         modes = _grid_table(self, grid)[0]
         nonzero = ~np.all(modes == 0, axis=1)
@@ -314,12 +320,16 @@ class BandLimitedTorus:
             # the m = 0 entry (row 0 on every axis) was added twice
             spec[(0,) * grid.dim] /= 2.0
         # ifftn's passes, last axis first, over the lines that can be nonzero
-        x = np.fft.ifft(spec)
+        x = np.fft.ifft(spec, out=spec)
+        del spec
         for d in range(grid.dim - 2, -1, -1):
             full = np.zeros(x.shape[:d] + (n,) + x.shape[d + 1 :], dtype=np.complex128)
             full[(slice(None),) * d + (rows[d],)] = x
-            x = np.fft.ifft(full, axis=d)
+            del x
+            x = np.fft.ifft(full, axis=d, out=full)
+            del full
         values = x.real * n**grid.dim
+        del x
         values *= norm
         return values
 

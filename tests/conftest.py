@@ -7,11 +7,13 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from nodal_census import (
+    BandLimitedTorus,
     LatLongSphere,
     PlanarWindow,
     PlaneWave2D,
     RngStream,
     SphericalHarmonic,
+    Torus,
     engine,
     label_domains,
     measure_domains,
@@ -45,6 +47,15 @@ def sphere_l8_dec():
     sample = sample_field(SphericalHarmonic(degree=8), LatLongSphere(n_lat=40, n_lon=80),
                           RngStream(6, 0))
     return measure_domains(label_domains(sample))
+
+
+@pytest.fixture(scope="session")
+def torus160_sample():
+    """The seed-7 160^3 shell torus, the largest field a realization draws;
+    drawing it also builds the grid's mode table, so a traced call after
+    this one sees only its own arrays."""
+    return sample_field(BandLimitedTorus(dim=3, alpha=1.0),
+                        Torus(side=40 * math.pi, spacing=math.pi / 4, dim=3), RngStream(7, 0))
 
 
 @pytest.fixture(scope="session")

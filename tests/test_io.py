@@ -1,8 +1,10 @@
 import builtins
 import errno
+import hashlib
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +118,10 @@ def test_field_container_rejects_corruption(tmp_path):
     bad_version.write_bytes(raw[:4] + struct.pack("<I", 99) + raw[8:])
     with pytest.raises(ValueError, match="version"):
         load_field(bad_version)
+    # version 1 containers carry no checksum
+    bad_version.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+    with pytest.raises(ValueError, match="unsupported container version 1"):
+        load_field(bad_version)
 
     truncated = tmp_path / "truncated.ncfs"
     truncated.write_bytes(raw[:-16])
@@ -142,7 +148,7 @@ def test_field_container_rejects_corruption(tmp_path):
     (hlen,) = struct.unpack("<Q", nine[8:16])
     header = json.loads(nine[16 : 16 + hlen])
     headers = {"not a JSON object": [1, 2]}
-    for key in ("dtype", "grid", "shape", "model"):
+    for key in ("dtype", "grid", "shape", "model", "values_sha256"):
         headers[repr(key)] = {k: v for k, v in header.items() if k != key}
     for message, bad in headers.items():
         hbytes = canonical_json(bad).encode()
@@ -169,6 +175,55 @@ def test_field_container_rejects_corruption(tmp_path):
     write_field(sample, tmp_path / "foreign.ncfs")
     with pytest.raises(ValueError, match="model and seed"):
         load_field(tmp_path / "foreign.ncfs")
+
+
+def test_field_container_checksums_every_value(tmp_path):
+    # node (2, 3) is none of the first, middle and last nodes that the model
+    # check evaluates; with its top byte flipped, -0.978 reads as -1.76e308
+    grid = PlanarWindow(side=2 * math.pi, spacing=2 * math.pi / 10)
+    sample = sample_field(PlaneWave2D(), grid, RngStream(1, 0))
+    path = tmp_path / "field.ncfs"
+    write_field(sample, path)
+    raw = bytearray(path.read_bytes())
+    payload = len(raw) - sample.values.nbytes
+    raw[payload + 8 * (2 * 11 + 3) + 7] ^= 0x40
+    flipped = tmp_path / "flipped.ncfs"
+    flipped.write_bytes(raw)
+    assert np.frombuffer(raw, dtype="<f8", offset=payload)[2 * 11 + 3] < -1e308
+    with pytest.raises(ValueError, match="values_sha256 checksum"):
+        load_field(flipped)
+
+    # the checksum is the SHA-256 of the payload as written
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + hlen])
+    assert header["values_sha256"] == hashlib.sha256(raw[payload:]).hexdigest()
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_field_copies_no_payload(tmp_path, torus160_sample):
+    # the payload and its checksum come from the array's own buffer;
+    # `.tobytes()` held a second copy of the values here
+    nbytes = torus160_sample.values.nbytes
+    peak = _traced_peak(lambda: write_field(torus160_sample, tmp_path / "torus.ncfs"))
+    assert peak <= 0.1 * nbytes
+
+
+def test_load_field_reads_into_the_values(tmp_path, torus160_sample):
+    # the payload is read into the returned array; a `bytes` read and its
+    # `.copy()` held the values twice here
+    path = tmp_path / "torus.ncfs"
+    write_field(torus160_sample, path)
+    nbytes = torus160_sample.values.nbytes
+    assert _traced_peak(lambda: load_field(path)) <= 1.2 * nbytes
 
 
 @pytest.mark.parametrize("model, grid, index", [

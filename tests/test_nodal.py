@@ -443,6 +443,18 @@ def test_sphere_measure_transient_memory():
     assert peak <= 45e6
 
 
+def test_torus_label_transient_memory(torus160_sample):
+    # an int32 run map, and edges dropped once joined; an int64 run map kept
+    # to the end with every edge list peaked at about 128 MB here
+    tracemalloc.start()
+    try:
+        label_domains(torus160_sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100e6
+
+
 def test_class_tables_are_read_only():
     fresh = _class_tables()
     for table, expected in zip((_SEG_EDGES, _SEG_SIDES, _AREA_CORNERS, _FRAC_COLS), fresh):

@@ -377,7 +377,12 @@ def _assemble(
     try:
         psi = fold_psi(ordered, psi_r)
     except ValueError:
-        raise EnsembleFailure("no interior domains in any realization") from None
+        seen = sum(len(p["areas"]) for p in ordered)
+        raise EnsembleFailure(
+            f"no interior domains in any realization: psi radius {psi_r}, {len(ordered)} "
+            f"realizations folded, {seen} domains seen, each touching the window or "
+            "reaching past the psi radius"
+        ) from None
     boundary, pairs = fold_boundary(ordered, psi_r)
     largest_jump = float(np.max(np.diff(np.concatenate([[0.0], psi.fractions]))))
     ns = fold_ns(ordered, config.radii, config.grid.dim) if config.radii else None

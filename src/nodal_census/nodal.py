@@ -9,7 +9,8 @@ same-sign runs, the stretches of one sign along the last axis, joined where
 they touch on another axis.  On a 160^3 torus the run graph has about a
 seventh of the nodes and a tenth of the same-sign node pairs.  Each domain's
 smallest node starts a run, so the labels keep the order of the domains'
-smallest nodes.
+smallest nodes.  A domain's node count and sign come from its runs too: the
+sum of their lengths and the sign of any one of them.
 The measures:
 
 * area: member-node count times cell volume (exact per-cell solid angles on
@@ -153,60 +154,69 @@ def label_domains(sample: FieldSample) -> NodalDecomposition:
     domain starts a run, so numbering domains by their smallest run keeps
     the row-major order of their smallest nodes.
 
-    The run map is int32, like the labels; the edges reach `_components` as
-    intp, and each array goes as soon as nothing reads it.  On the 160^3
-    torus the transient is about 88 MiB (tracemalloc).
+    Edges read the int32 run map at flat node indices, not through boolean
+    masks of its strided slabs, and reach `_components` as intp; each array
+    goes once read, the run map before the components are found.  The label
+    image, node counts and signs come from the runs, not the nodes: on the
+    160^3 torus the transient is about 72 MiB (tracemalloc).
     """
     grid = sample.grid
     v = np.asarray(sample.values)
     if v.shape != grid.shape:
         raise ValueError(f"values shape {v.shape} does not match grid {grid.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("field values must be finite")
     pos = v >= 0
     start = np.ones(v.shape, dtype=bool)
     np.not_equal(pos[..., 1:], pos[..., :-1], out=start[..., 1:])
     run = np.cumsum(start, dtype=np.int32).reshape(v.shape)
     run -= 1
-    wraps = grid.wraps
+    flat = run.ravel()
     us, vs = [], []
-    if wraps[-1]:
-        same = pos[..., -1] == pos[..., 0]
-        us.append(run[..., -1][same])
-        vs.append(run[..., 0][same])
-    for ax in range(v.ndim - 1):
-        pairs = [(slice(None, -1), slice(1, None))]
-        if wraps[ax]:
-            pairs.append((-1, 0))
-        for lo, hi in pairs:
-            lo = (slice(None),) * ax + (lo,)
-            hi = (slice(None),) * ax + (hi,)
+    for ax, wraps in enumerate(grid.wraps):
+        n_ax = v.shape[ax]
+        inner = math.prod(v.shape[ax + 1 :])
+        # (first, length, step): nodes first:first+length on ax pair with step on
+        pairs = [(0, n_ax - 1, 1)] if ax < v.ndim - 1 else []
+        if wraps:
+            pairs.append((n_ax - 1, 1, 1 - n_ax))
+        for first, length, step in pairs:
+            lo = (slice(None),) * ax + (slice(first, first + length),)
+            hi = (slice(None),) * ax + (slice(first + step, first + step + length),)
             edge = (pos[lo] == pos[hi]) & (start[lo] | start[hi])
-            us.append(run[lo][edge])
-            vs.append(run[hi][edge])
-    runs = int(run.flat[-1]) + 1
+            # flat index of each edge's lo node; the branches skip zero terms
+            at = edge.ravel().nonzero()[0]
+            if ax:
+                at += at // (length * inner) * ((n_ax - length) * inner)
+            if first:
+                at += first * inner
+            us.append(flat[at])
+            vs.append(flat[at + step * inner])
+    runs = int(flat[-1]) + 1
+    del run, flat
     u = np.concatenate(us, dtype=np.intp)
     del us
     w = np.concatenate(vs, dtype=np.intp)
     del vs
     domain = _components(runs, u, w).astype(np.int32)
     del u, w
-    labels = domain[run]
-    del run
-    domains = _count_records(sample, labels, domain, pos[start])
+    # a domain's nodes are its runs' nodes, and each node has its run's sign
+    starts = start.ravel().nonzero()[0]
+    lengths = np.concatenate((starts[1:], (v.size,))) - starts
+    labels = np.repeat(domain, lengths).reshape(v.shape)
+    counts = np.bincount(domain, weights=lengths).astype(np.int64)
+    positive = np.empty(counts.shape[0], dtype=bool)
+    positive[domain] = pos.ravel()[starts]
+    domains = _count_records(sample, labels, counts, positive)
     return NodalDecomposition(sample=sample, labels=labels, domains=domains)
 
 
 def _count_records(
-    sample: FieldSample, labels: np.ndarray, run_domain: np.ndarray, run_positive: np.ndarray
+    sample: FieldSample, labels: np.ndarray, counts: np.ndarray, positive: np.ndarray
 ) -> list[DomainRecord]:
     grid = sample.grid
     flat = labels.ravel()
-    counts = np.bincount(flat)
     k = counts.shape[0]
-    # every node of a domain carries the sign of its runs
-    positive = np.empty(k, dtype=bool)
-    positive[run_domain] = run_positive
     signs = np.where(positive, 1, -1)
 
     if isinstance(grid, LatLongSphere):

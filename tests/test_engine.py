@@ -304,6 +304,29 @@ def test_too_many_failures_abort(tmp_path, fail_realizations):
         run_ensemble(_config(tmp_path / "a", realizations=10, checks=(), thresholds=()))
 
 
+def test_no_interior_domain_failure_says_why(tmp_path):
+    # no domain of a shell torus fits in a ball of radius 2 (area 12.6, below
+    # the Faber-Krahn floor of 18.2), so every one reaches past the psi radius
+    config = EnsembleConfig(
+        model=BandLimitedTorus(dim=2, alpha=1.0),
+        grid=Torus(side=40 * math.pi, spacing=math.pi / 4, dim=2),
+        realizations=2,
+        master_seed=7,
+        psi_radius=2.0,
+        output_dir=str(tmp_path / "a"),
+    )
+    with pytest.raises(EnsembleFailure) as info:
+        run_ensemble(config)
+    message = str(info.value)
+    assert message.startswith("no interior domains in any realization: psi radius 2.0, ")
+    seen = sum(
+        label_domains(sample_field(config.model, config.grid, RngStream(7, i))).n_domains
+        for i in range(2)
+    )
+    assert f"2 realizations folded, {seen} domains seen, each touching the window" in message
+    assert message.endswith("or reaching past the psi radius")
+
+
 def test_config_hash_ignores_output_dir(tmp_path):
     c1 = _config(tmp_path / "x")
     c2 = _config(tmp_path / "y")

@@ -262,14 +262,29 @@ def _run_checks(config: EnsembleConfig, sample, dec, index: int) -> dict:
     return out
 
 
+def _record_columns(config: EnsembleConfig) -> tuple:
+    """The census record columns a payload carries and the fold reads."""
+    if config.effective_psi_radius() is None:  # no ball restriction reads dmax
+        return tuple(c for c in RECORD_COLUMNS if c != "dmax")
+    return RECORD_COLUMNS
+
+
+def _payload_complete(config: EnsembleConfig, payload) -> bool:
+    """Whether `payload` is a dict holding every record column and check
+    result the fold reads; values are not checked."""
+    if not isinstance(payload, dict) or not all(c in payload for c in _record_columns(config)):
+        return False
+    checks = payload.get("checks")
+    # faber_krahn folds the record columns; every other check stores a result
+    stored = [name for name in config.checks if name != "faber_krahn"]
+    return isinstance(checks, dict) and all(name in checks for name in stored)
+
+
 def _realize(config: EnsembleConfig, index: int, outdir: Path) -> tuple[str, dict]:
     sample = sample_field(config.model, config.grid, RngStream(config.master_seed, index))
     dec = label_domains(sample)
     measure_domains(dec)
-    columns = RECORD_COLUMNS
-    if config.effective_psi_radius() is None:  # no ball restriction reads dmax
-        columns = tuple(c for c in columns if c != "dmax")
-    record = census_record(dec, columns=columns)
+    record = census_record(dec, columns=_record_columns(config))
     payload = dict(record, checks=_run_checks(config, sample, dec, index))
     csv_text = domain_table_csv(dec)
     if config.keep_fields:
@@ -441,9 +456,11 @@ def resume_ensemble(config: EnsembleConfig, partial_dir) -> EnsembleReport:
     The partial directory must carry a manifest of this `ENGINE_VERSION`
     whose config hash matches.
     A sidecar that cannot be parsed or is not a JSON object, that was
-    written by another engine version or for another config, or whose
-    stored checksum disagrees with its table is treated as missing, so
-    torn, stale and tampered realizations are recomputed.
+    written by another engine version or for another config, whose
+    stored checksum disagrees with its table, or whose payload is not a
+    JSON object with every record column and check result the fold reads
+    is treated as missing, so torn, stale and tampered realizations are
+    recomputed.
     """
     config.validate()
     outdir = Path(partial_dir)
@@ -476,6 +493,8 @@ def resume_ensemble(config: EnsembleConfig, partial_dir) -> EnsembleReport:
         if sidecar.get("index") != i or sidecar.get("config_hash") != config_hash:
             continue
         if sidecar.get("csv_sha256") != file_sha256(csv_path):
+            continue
+        if not _payload_complete(config, sidecar.get("payload")):
             continue
         reuse[i] = sidecar["payload"]
     start = time.monotonic()

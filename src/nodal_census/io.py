@@ -3,7 +3,11 @@
 Everything written here is deterministic byte-for-byte given the same inputs:
 floats are rendered with `repr` (shortest round trip), JSON is sorted, and
 infinities are spelled "inf"/"-inf" so that canonical hashing stays inside
-strict JSON.
+strict JSON.  Every indented JSON file (reports, sidecars, manifests,
+comparisons, container sidecars) comes from one emitter, `write_json`, in
+the stdlib's two-space layout; it formats each list of plain floats in one
+join rather than one encoder call per element.  The compact hashing form,
+`canonical_json`, stays on the stdlib's C encoder.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 import math
 import os
 import struct
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -106,9 +111,68 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
+def _emit_json(obj, pad: str, out: list) -> None:
+    """Append the indented JSON text of `obj`, whose line is indented by
+    `pad`, to `out`, in the `_jsonable` mapping and the stdlib's indented
+    layout.  A list of finite plain floats is rendered in one join."""
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isnan(x):
+            raise ValueError("NaN has no canonical JSON form")
+        out.append(float.__repr__(x) if math.isfinite(x) else '"inf"' if x > 0 else '"-inf"')
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _emit_json(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        if isinstance(obj, np.ndarray):
+            obj = list(obj.tolist())
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+            out.append("[\n" + inner + (",\n" + inner).join(map(float.__repr__, obj))
+                       + "\n" + pad + "]")
+            return
+        sep = "[\n" + inner
+        for value in obj:
+            out.append(sep)
+            _emit_json(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def write_json(path, obj) -> None:
-    write_text(path, json.dumps(_jsonable(obj), sort_keys=True, indent=2,
-                                ensure_ascii=True, allow_nan=False) + "\n")
+    """Write `obj` as sorted JSON indented by two spaces, ASCII only, with
+    infinities spelled "inf"/"-inf" and NaN refused: the bytes of
+    `json.dumps(_jsonable(obj), sort_keys=True, indent=2, ensure_ascii=True,
+    allow_nan=False)` plus a newline.  One emitter builds the text as a list
+    of pieces and formats each run of plain floats in bulk, where the
+    stdlib's indented encoder would visit every element in Python."""
+    out = []
+    _emit_json(obj, "", out)
+    out.append("\n")
+    write_text(path, "".join(out))
 
 
 def read_json(path):
@@ -235,10 +299,9 @@ def domain_table_csv(dec) -> str:
 
 
 def psi_csv(cdf) -> str:
-    lines = ["t,psi_hat,stderr"]
-    for t, f, e in zip(cdf.breakpoints, cdf.fractions, cdf.stderr):
-        lines.append(f"{float(t)!r},{float(f)!r},{float(e)!r}")
-    return "\n".join(lines) + "\n"
+    columns = (np.asarray(c, dtype=np.float64).tolist()
+               for c in (cdf.breakpoints, cdf.fractions, cdf.stderr))
+    return "\n".join(["t,psi_hat,stderr", *map("%r,%r,%r".__mod__, zip(*columns))]) + "\n"
 
 
 def ns_csv(est) -> str:

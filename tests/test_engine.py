@@ -193,6 +193,28 @@ def test_resume_ignores_sidecar_without_this_engine_version(tmp_path):
     assert _stripped(a) == _stripped(b)
 
 
+@pytest.mark.parametrize("forge", [
+    lambda payload: None,
+    lambda payload: [payload],
+    lambda payload: {k: v for k, v in payload.items() if k != "touches"},
+    lambda payload: dict(payload, checks={}),
+], ids=["null", "list", "no-touches", "no-check-result"])
+def test_resume_recomputes_a_malformed_payload(tmp_path, forge):
+    # The table checksum matches, but the payload lacks what the fold reads;
+    # resume must recompute the realization, not crash in the fold.
+    a, b = tmp_path / "a", tmp_path / "b"
+    config = _config(a, realizations=3, checks=("helmholtz",), thresholds=())
+    run_ensemble(config)
+    path = a / "realizations" / "00001.json"
+    sidecar = read_json(path)
+    write_json(path, dict(sidecar, payload=forge(sidecar["payload"])))
+
+    resume_ensemble(config, a)
+    run_ensemble(_config(b, realizations=3, checks=("helmholtz",), thresholds=()))
+    assert _stripped(a) == _stripped(b)
+    assert read_json(path) == sidecar
+
+
 def _sphere_config(outdir):
     return EnsembleConfig(
         model=SphericalHarmonic(degree=4),

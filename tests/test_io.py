@@ -5,6 +5,7 @@ import json
 import math
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,15 +13,18 @@ import pytest
 import nodal_census.io
 from nodal_census import (
     BandLimitedTorus,
+    EnsembleConfig,
     LatLongSphere,
     PlanarWindow,
     PlaneWave2D,
     RngStream,
     SphericalHarmonic,
     Torus,
+    engine,
     label_domains,
     load_field,
     measure_domains,
+    run_ensemble,
     sample_field,
     synthetic_sample,
     write_field,
@@ -41,6 +45,7 @@ from nodal_census.io import (
     write_text,
 )
 from nodal_census.stats import (
+    EmpiricalCdf,
     boundary_and_joint_distributions,
     ns_constant_estimate,
     psi_estimate,
@@ -75,6 +80,91 @@ def test_write_json_layout(tmp_path):
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
     assert read_json(p) == {"a": 1, "b": 2}
+
+
+def _reference_json(obj) -> str:
+    """The stdlib rendering that write_json reproduces byte for byte."""
+    return json.dumps(nodal_census.io._jsonable(obj), sort_keys=True, indent=2,
+                      ensure_ascii=True, allow_nan=False) + "\n"
+
+
+JSON_CORPUS = [
+    {}, [], (), {"a": {}, "b": [], "c": [[], {}]},
+    [[1.0, 2.0], [3.5, [4.25, []]]], (1.0, (2.0, 3.0), ()),
+    {3: "int key", 2.5: "float key", None: "none key", True: "bool key", 2: "a", "2": "b"},
+    {"\u00e9": "na\u00efve \u2603 \x00 \"quoted\" \\ \n\t", "k": "\U0001f600"},
+    [True, False, None], [1, 2.5, 3, -0.0], [np.float64(1.5), np.int64(-7), 2.0, np.float32(0.1)],
+    np.array([0.1, 2.0, -3.5]), np.array([[1.0, 2.0], [3.0, 4.0]]), np.arange(4), np.array([]),
+    [-0.0, 5e-324, 1e300, -1e300, 1.0, 0.1], [1.0, math.inf, -math.inf], np.array([math.inf, 1.0]),
+    math.inf, -math.inf, 0.1, -0.0, "top", 7, np.int64(7), None, True,
+    {"nested": {"deeper": [{"x": np.float64(2.5), "y": [np.float64(-math.inf)]}]}},
+]
+
+
+@pytest.mark.parametrize("obj", JSON_CORPUS)
+def test_write_json_matches_the_stdlib(tmp_path, obj):
+    p = tmp_path / "x.json"
+    write_json(p, obj)
+    assert p.read_bytes() == _reference_json(obj).encode("ascii")
+
+
+@pytest.mark.parametrize("obj", [
+    math.nan, [1.0, math.nan], {"x": np.float64(math.nan)}, np.array([0.5, math.nan]),
+])
+def test_write_json_refuses_nan(tmp_path, obj):
+    with pytest.raises(ValueError, match="NaN"):
+        _reference_json(obj)
+    with pytest.raises(ValueError, match="NaN"):
+        write_json(tmp_path / "x.json", obj)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("obj", [{1, 2}, [np.bool_(True)], {"x": object()}])
+def test_write_json_refuses_what_the_stdlib_refuses(tmp_path, obj):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _reference_json(obj)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_json(tmp_path / "x.json", obj)
+
+
+@pytest.fixture(scope="module")
+def run_json_files(tmp_path_factory):
+    """(path, object) for every JSON file a desk run with containers and an
+    l = 40 sphere run write: manifests, sidecars, container sidecars and
+    reports."""
+    root = tmp_path_factory.mktemp("runs")
+    written = []
+
+    def recording(path, obj):
+        written.append((Path(path), obj))
+        write_json(path, obj)
+
+    desk = EnsembleConfig(
+        model=PlaneWave2D(), grid=PlanarWindow(side=40 * math.pi, spacing=2 * math.pi / 10),
+        realizations=2, master_seed=7, radii=(10.0, 15.0, 20.0),
+        thresholds=(20.0, 50.0, math.inf), checks=engine.CHECK_NAMES, keep_fields=True,
+        output_dir=str(root / "desk"),
+    )
+    sphere = EnsembleConfig(
+        model=SphericalHarmonic(degree=40), grid=LatLongSphere(n_lat=200, n_lon=400),
+        realizations=2, master_seed=7, checks=("helmholtz",), output_dir=str(root / "sphere"),
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "write_json", recording)
+        mp.setattr(nodal_census.io, "write_json", recording)
+        run_ensemble(desk)
+        run_ensemble(sphere)
+    return written
+
+
+def test_write_json_matches_the_stdlib_on_run_files(run_json_files):
+    names = [path.name for path, _ in run_json_files]
+    assert names.count("report.json") == names.count("manifest.json") == 2
+    assert names.count("00000.json") == names.count("00001.json") == 2
+    assert names.count("00000.ncfs.json") == 1
+    for path, obj in run_json_files:
+        assert path.read_bytes() == _reference_json(obj).encode("ascii"), path
+        assert path.read_bytes() == _reference_json(read_json(path)).encode("ascii"), path
 
 
 def test_field_container_round_trip(tmp_path):
@@ -344,6 +434,33 @@ def test_stat_csv_exports(mini_ensemble):
     assert len(jlines) == 1 + len(pairs)
     parsed = [tuple(map(float, l.split(","))) for l in jlines[1:]]
     assert parsed == sorted(parsed)
+
+
+def _psi_csv_reference(cdf) -> str:
+    lines = ["t,psi_hat,stderr"]
+    for t, f, e in zip(cdf.breakpoints, cdf.fractions, cdf.stderr):
+        lines.append(f"{float(t)!r},{float(f)!r},{float(e)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _joint_csv_reference(pairs) -> str:
+    lines = ["area,perimeter"]
+    for a, p in pairs:
+        lines.append(f"{float(a)!r},{float(p)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_stat_csv_exports_match_the_scalar_rendering(mini_ensemble):
+    values = np.array([5e-324, 0.1, 1 / 3, 2.5, 2.5, 1e300])
+    single = np.array([1e-45, 0.1, 1 / 3, 2.5, 3e38], dtype=np.float32)
+    cdfs = [psi_estimate(mini_ensemble), EmpiricalCdf.from_values(values),
+            EmpiricalCdf(breakpoints=single, fractions=single, total_count=5, stderr=single)]
+    for cdf in cdfs:
+        assert psi_csv(cdf) == _psi_csv_reference(cdf)
+    _, pairs = boundary_and_joint_distributions(mini_ensemble)
+    table = np.array(pairs)
+    for form in (pairs, table, [tuple(row) for row in table], np.array([[-0.0, 5e-324]])):
+        assert joint_csv(form) == _joint_csv_reference(form)
 
 
 def test_sandwich_csv_spells_infinity(mini_ensemble):

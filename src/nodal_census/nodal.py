@@ -38,7 +38,11 @@ all rows with a few numpy passes that gather each row's table entries and
 corner data; below it, `_march_loop` visits the cells one by one through
 the tables' Python rows, because every numpy step has a fixed cost of some
 microseconds that a small field (a 4x4 window has at most 9 crossing
-cells) cannot repay.  The two give the same numbers, bit for bit.
+cells) cannot repay.  The two give the same numbers, bit for bit.  The
+loop takes each segment length from `math.hypot`; the table pass from
+`_hypot`, a numpy replica of CPython's algorithm for two coordinates
+(Dekker's exact products, a compensated sum and one correction step) that
+matched `math.hypot` bit for bit under CPython 3.10, 3.11, 3.12 and 3.13.
 
 The ambiguous saddle cell (equal diagonal signs) is resolved by the sign of
 the field at the cell center when the sample carries spectral coefficients
@@ -634,6 +638,63 @@ def _refined_areas(cells: _Cells, t: np.ndarray) -> np.ndarray:
     )
 
 
+def _square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x * x as an exact sum z + zz: Veltkamp's split of x into 26-bit
+    halves and Dekker's (1971) product of the halves."""
+    t = x * 134217729.0  # 2**27 + 1
+    hi = t - (t - x)
+    lo = x - hi
+    p = hi * hi
+    q = hi * lo
+    q += q
+    z = p + q
+    zz = p - z
+    zz += q
+    lo *= lo
+    zz += lo
+    return z, zz
+
+
+_FLOAT64 = np.finfo(np.float64)
+
+
+def _hypot(du: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """Elementwise `math.hypot(du, dv)`, bit for bit, by CPython's algorithm
+    for two coordinates: both scaled by the power of two that puts the larger
+    in [0.5, 1), squared exactly, added to 1.0 with a fast two-sum whose
+    round-offs are collected apart, the root taken and corrected by one
+    step against its own exact square.  A pair whose larger magnitude is
+    zero, subnormal or not finite goes through `math.hypot` itself."""
+    a, b = np.abs(du), np.abs(dv)
+    m = np.maximum(a, b)
+    _, e = np.frexp(m)
+    odd = np.flatnonzero(~((m >= _FLOAT64.smallest_normal) & (m <= _FLOAT64.max)))
+    if odd.size:  # regular stand-ins, overwritten by math.hypot at the end
+        a[odd] = b[odd] = 0.5
+        e[odd] = 0
+    scale = np.ldexp(1.0, -e)
+    a *= scale
+    b *= scale
+    za, zza = _square(a)
+    zb, zzb = _square(b)
+    csum = 1.0 + za
+    frac2 = (1.0 - csum) + za
+    s = csum + zb
+    frac2 += (csum - s) + zb
+    frac1 = zza + zzb
+    h = np.sqrt(s - 1.0 + (frac1 + frac2))
+    zh, zzh = _square(h)  # the correction step adds -h * h
+    csum = s - zh
+    frac2 += (s - csum) - zh
+    frac1 -= zzh
+    h += (csum - 1.0 + (frac1 + frac2)) / (2.0 * h)
+    with np.errstate(over="ignore"):  # past the largest double, inf as math.hypot gives
+        h /= scale
+    if odd.size:
+        h[odd] = list(map(math.hypot, du[odd].tolist(), dv[odd].tolist()))
+    return h
+
+
 def _march_table(cells: _Cells) -> _Geometry:
     """Marching squares over all crossing cells at once, one row per segment
     (see `_segment_rows`), each reading its flat class-table rows.
@@ -641,6 +702,9 @@ def _march_table(cells: _Cells) -> _Geometry:
     The same numbers as `_march_loop`, bit for bit: every value is computed
     by the loop's expression, and each bincount adds a label's
     contributions in the loop's order (segment by segment, side by side).
+    Segment lengths come from `_hypot`, a numpy replica of the algorithm of
+    `math.hypot`, which the loop calls; the replica matched `math.hypot`
+    bit for bit under CPython 3.10, 3.11, 3.12 and 3.13.
     """
     n, k = cells.pattern.shape[0], cells.k
     cell, row = _segment_rows(cells)
@@ -654,7 +718,7 @@ def _march_table(cells: _Cells) -> _Geometry:
     v = np.where(along_u, [[0.0], [0.0], [1.0], [0.0]], t).ravel()[at]
     du = (u[:, 1] - u[:, 0]) * cells.d0[cell]
     dv = (v[:, 1] - v[:, 0]) * cells.d1[cell]
-    lengths = np.array(list(map(math.hypot, du.tolist(), dv.tolist())))
+    lengths = _hypot(du, dv)
 
     sides = cells.labels.ravel()[_SEG_SIDES[row] * n + cell[:, None]]
     # a channel of one label is adjacent once

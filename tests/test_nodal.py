@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from nodal_census import (
     sample_field,
     synthetic_sample,
 )
+from nodal_census import nodal
 from nodal_census.engine import PERTURBATION_B, PERTURBATION_STREAM_BASE
 from nodal_census.nodal import (
     _AREA_CORNERS,
@@ -37,6 +39,7 @@ from nodal_census.nodal import (
     _components,
     _crossing_cells,
     _edge_crossings,
+    _hypot,
     _march_loop,
     _march_table,
     _refined_areas,
@@ -302,6 +305,88 @@ def test_marches_agree_on_saddle_dense_fields():
         shared += int(np.count_nonzero(cells.saddle & np.where(on_ac, a == c, b == d)))
     assert saddles > 5000
     assert shared > 500
+
+
+def _table_pairs(monkeypatch, cells):
+    """The (du, dv) arrays `_march_table` hands to `_hypot` on `cells`."""
+    pairs = []
+
+    def recording(du, dv):
+        pairs.append((du.copy(), dv.copy()))
+        return _hypot(du, dv)
+
+    monkeypatch.setattr(nodal, "_hypot", recording)
+    _march_table(cells)
+    monkeypatch.undo()
+    (du, dv), = pairs
+    return du, dv
+
+
+def _assert_hypot_bits(du, dv):
+    du, dv = np.asarray(du, dtype=np.float64), np.asarray(dv, dtype=np.float64)
+    want = np.array(list(map(math.hypot, du.tolist(), dv.tolist())), dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _hypot(du, dv)
+    assert got.dtype == np.float64 and got.shape == du.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_hypot_matches_math_hypot_bits_on_seeded_pairs():
+    rng = np.random.default_rng(2026)
+    n = 1_000_000
+    du, dv = (rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n) for _ in range(2))
+    _assert_hypot_bits(du, dv)
+
+
+def test_hypot_matches_math_hypot_bits_on_sphere_segments(monkeypatch):
+    grid = LatLongSphere(n_lat=400, n_lon=800)
+    dec = label_domains(sample_field(SphericalHarmonic(degree=80), grid, RngStream(7, 0)))
+    du, dv = _table_pairs(monkeypatch, _crossing_cells(dec))
+    assert du.size > 50_000
+    _assert_hypot_bits(du, dv)
+
+
+@pytest.mark.parametrize("du, dv", [
+    ([0.0], [0.0]),
+    ([-0.0], [0.0]),
+    ([0.7, 1e-200, 3e250], [0.7, 1e-200, 3e250]),
+    ([-3.0], [4.0]),
+    ([5e-324], [0.0]),
+    ([2.2250738585072014e-308], [1e-310]),
+    ([1e308], [1e308]),
+    ([math.inf, -1.0, math.nan, math.nan], [math.nan, -math.inf, 2.0, 0.0]),
+    ([1.0, 0.0, -2.5, 5e-324], [1e-300, -0.0, 1e-310, -5e-324]),
+    ([], []),
+    ([0.3], [0.4]),
+], ids=["zero", "signed-zero", "equal", "3-4-5", "subnormal", "least-normal", "overflow",
+        "not-finite", "mixed", "empty", "one"])
+def test_hypot_matches_math_hypot_bits_on_edge_cases(du, dv):
+    _assert_hypot_bits(du, dv)
+
+
+def test_marches_agree_on_zero_length_segments(monkeypatch):
+    # a zero node counts as positive: where it is a cell's only non-negative
+    # corner, its two crossing points both lie on it and the segment between
+    # them has length hypot(0, 0), which `_hypot` hands to `math.hypot`
+    rng = np.random.default_rng(53)
+    values = rng.choice([-1.0, 1.0], size=(32, 32)) * rng.uniform(0.1, 1.0, size=(32, 32))
+    values.ravel()[rng.choice(values.size, size=150, replace=False)] = 0.0
+    cells = _cells(values, PlanarWindow(side=15.5, spacing=0.5))
+    assert cells.pattern.size >= _TABLE_MIN_CELLS
+    du, dv = _table_pairs(monkeypatch, cells)
+    assert np.count_nonzero((du == 0.0) & (dv == 0.0)) > 10
+    _assert_marches_agree(cells)
+    # a 4x4 window with a zero corner amid negative neighbours, on the loop
+    values = -rng.uniform(0.1, 1.0, size=(4, 4))
+    values[1, 2] = 0.0
+    values[3, 0] = 0.8
+    cells = _cells(values, PlanarWindow(side=1.5, spacing=0.5))
+    assert cells.pattern.size < _TABLE_MIN_CELLS
+    du, dv = _table_pairs(monkeypatch, cells)
+    assert np.count_nonzero((du == 0.0) & (dv == 0.0)) == 4
+    geometry = _assert_marches_agree(cells)
+    assert geometry.total_length > 0.0
 
 
 @pytest.mark.parametrize("case", ["torus", "sphere", "planar"])

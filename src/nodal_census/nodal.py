@@ -119,6 +119,15 @@ def synthetic_sample(values, grid: GridSpec) -> FieldSample:
     return FieldSample(values=values, grid=grid, model=None, stream=None, coeffs=None)
 
 
+# `_components` drops the edges that join equal roots after each round from
+# this many edges up, and keeps every edge below it: the drop's extra numpy
+# steps cost 2-8 us per call, more than they save on a graph of a few dozen
+# edges (the graphs of a 4x4 window have at most 16).  Drop and keep took
+# equal time at 250-500 edges of planar run and contour graphs on a 2-core
+# Xeon VM.
+_DROP_MIN_EDGES = 512
+
+
 def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Connected components of the graph on nodes 0..n-1 with edges (u, v).
 
@@ -128,16 +137,27 @@ def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     trees, and the rounds repeat until every edge joins equal roots.  A
     parent is never larger than its child, so each root ends as the smallest
     node of its component.
+
+    After each round an edge is replaced by the edge between its ends'
+    roots, which joins the same components.  An edge whose ends share a
+    root keeps sharing it, so from `_DROP_MIN_EDGES` edges up the next
+    round takes only the live edges, by index: `flatnonzero` and a gather
+    per end, which on the 1.2M-edge run graph of a 160^3 torus cost a third
+    of a boolean mask per end.  There about a quarter of the edges are live
+    after the first round and a handful after the second.
     """
     root = np.arange(n)
-    ru, rv = u, v
-    while np.count_nonzero(ru != rv):
-        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+    drop = u.shape[0] >= _DROP_MIN_EDGES
+    while u.shape[0] if drop else np.count_nonzero(u != v):
+        np.minimum.at(root, np.maximum(u, v), np.minimum(u, v))
         jumped = root[root]
         while np.count_nonzero(jumped != root):
             root = jumped
             jumped = root[root]
-        ru, rv = root[u], root[v]
+        u, v = root[u], root[v]
+        if drop:
+            live = np.flatnonzero(u != v)
+            u, v = u[live], v[live]
     rank = (root == np.arange(n)).cumsum() - 1
     return rank[root]
 
@@ -162,7 +182,7 @@ def label_domains(sample: FieldSample) -> NodalDecomposition:
     masks of its strided slabs, and reach `_components` as intp; each array
     goes once read, the run map before the components are found.  The label
     image, node counts and signs come from the runs, not the nodes: on the
-    160^3 torus the transient is about 72 MiB (tracemalloc).
+    160^3 torus the transient is about 61 MiB (tracemalloc).
     """
     grid = sample.grid
     v = np.asarray(sample.values)
@@ -749,7 +769,17 @@ def _measure_faces_3d(dec: NodalDecomposition) -> None:
     surface with unit normal nu, so on an isotropic field it overstates the
     surface area by the Crofton factor 3/2: its expected density is
     (3/2) (2/pi) sqrt(lam/3) for mean squared frequency lam, against the
-    Kac-Rice area density (2/pi) sqrt(lam/3)."""
+    Kac-Rice area density (2/pi) sqrt(lam/3).
+
+    Only the node before each face is read.  Every axis of a 3-D torus
+    wraps, so a lattice line along an axis is a cycle, and on it the label
+    changes exactly at the faces (neighbours of one sign share a label,
+    neighbours of opposite signs cannot).  Going round the cycle, each label
+    is entered as often as it is left: for every label and axis, the faces
+    with the label before them are as many as those with it after them.
+    The one-sided count, added twice, gives the same sums in the same order
+    as reading both sides would.  This needs every axis to wrap: on an open
+    line the two end labels would break the balance."""
     grid = dec.sample.grid
     h2 = grid.spacing**2
     pos = dec.sample.values >= 0
@@ -760,13 +790,9 @@ def _measure_faces_3d(dec: NodalDecomposition) -> None:
     for ax in range(3):
         face = np.flatnonzero(pos != np.roll(pos, -1, axis=ax))
         nfaces += face.shape[0]
-        # the node after each face on axis `ax`, wrapping at the last index
-        n = pos.shape[ax]
-        stride = math.prod(pos.shape[ax + 1 :])
-        after = face + stride
-        after[face // stride % n == n - 1] -= n * stride
-        perimeter += np.bincount(labs[face], minlength=k) * h2
-        perimeter += np.bincount(labs[after], minlength=k) * h2
+        side = np.bincount(labs[face], minlength=k) * h2
+        perimeter += side
+        perimeter += side
     for rec in dec.domains:
         rec.perimeter = float(perimeter[rec.label])
         rec.boundary_components = 0

@@ -5,8 +5,9 @@ values and zeros come from mpmath at 30 digits, integrals from scipy
 quadrature, grid labeling from a recursive flood fill or from breadth-first
 search over every same-sign node pair, graph components from
 breadth-first search, the crossing cells of a decomposition from a loop
-over every cell, and the geometry of one marching-squares cell from
-polygons cut along its crossing segments.  Three exceptions keep an earlier implementation as the
+over every cell, the face areas of a 3-D torus from a loop over every node
+and axis that reads both sides of each face, and the geometry of one
+marching-squares cell from polygons cut along its crossing segments.  Three exceptions keep an earlier implementation as the
 reference.  The sandwich oracle is the key-sort `sandwich_check_many`: it
 shares the package's node-distance convention and verdict record, and counts
 every (center, label) pair by materialising and sorting their keys.  The
@@ -300,6 +301,40 @@ def crossing_cells(dec) -> dict:
     for name in ("values", "labels", "edges"):  # (4, n) rows, one per corner or edge
         cells[name] = cells[name].reshape(-1, 4).T
     return {"k": len(dec.domains), "n_edges": 2 * n_nodes, **cells}
+
+
+def face_perimeters_3d(dec) -> tuple[np.ndarray, float]:
+    """Per-label face areas and the total face area of a 3-D torus
+    decomposition, counting both sides of every face.
+
+    A face lies between node (i, j, k) and its successor on one axis, taken
+    mod the side; it counts when the two differ in sign (value >= 0 is
+    positive).  Node by node in row-major order, each axis counts the
+    labels before and after its faces separately, and the perimeter adds
+    axis by axis the h^2-scaled counts before, then after: the order of the
+    float additions of a face count that reads both sides.
+    """
+    pos = np.asarray(dec.sample.values) >= 0
+    labels = dec.labels
+    h2 = dec.sample.grid.spacing**2
+    k = len(dec.domains)
+    shape = pos.shape
+    perimeter = np.zeros(k)
+    faces = 0
+    for ax in range(3):
+        before = [0] * k
+        after = [0] * k
+        for node in np.ndindex(shape):
+            nxt = list(node)
+            nxt[ax] = (nxt[ax] + 1) % shape[ax]
+            nxt = tuple(nxt)
+            if pos[node] != pos[nxt]:
+                before[labels[node]] += 1
+                after[labels[nxt]] += 1
+                faces += 1
+        perimeter += np.array(before, dtype=np.int64) * h2
+        perimeter += np.array(after, dtype=np.int64) * h2
+    return perimeter, faces * h2
 
 
 def critical_cells_brute_force(values, grid, center=None, radius=None) -> int:

@@ -30,6 +30,7 @@ from nodal_census import nodal
 from nodal_census.engine import PERTURBATION_B, PERTURBATION_STREAM_BASE
 from nodal_census.nodal import (
     _AREA_CORNERS,
+    _DROP_MIN_EDGES,
     _FRAC_COLS,
     _SEG_EDGES,
     _SEG_SIDES,
@@ -73,6 +74,22 @@ def _graph_cases():
         id="cycles-loops-duplicates",
     )
     yield pytest.param(6, [(4, 1)], id="isolated-nodes")
+    # `_components` keeps every edge below `_DROP_MIN_EDGES` and drops the
+    # joined ones from it up; the random graphs at and above it take four
+    # and five hook rounds, the grid's node-pair graph three
+    for n, m in ((600, _DROP_MIN_EDGES - 1), (700, _DROP_MIN_EDGES), (20000, 15000)):
+        yield pytest.param(n, rng.integers(0, n, size=(m, 2)), id=f"random-{n}-{m}")
+    pos = rng.normal(size=(50, 50)) >= 0
+    node = np.arange(pos.size).reshape(pos.shape)
+    pairs = [(lo[same], hi[same]) for lo, hi, same in (
+        (node[:-1], node[1:], pos[:-1] == pos[1:]),
+        (node[:, :-1], node[:, 1:], pos[:, :-1] == pos[:, 1:]))]
+    yield pytest.param(pos.size, np.concatenate([np.stack(p, axis=1) for p in pairs]),
+                       id="grid-node-pairs-50x50")
+    n = 2 * _DROP_MIN_EDGES + 1
+    zigzag = [n - 1 - i // 2 if i % 2 else i // 2 for i in range(n)]
+    yield pytest.param(n, list(zip(zigzag, zigzag[1:])), id="zigzag-path-long")
+    yield pytest.param(n, [(7, 7)] * _DROP_MIN_EDGES + [(3, 5)], id="loops-above-drop")
 
 
 @pytest.mark.parametrize("n, edges", _graph_cases())
@@ -550,15 +567,27 @@ def test_sphere_measure_transient_memory():
 
 
 def test_torus_label_transient_memory(torus160_sample):
-    # the run map goes before the components are found and counts come from
-    # the runs: about 76 MB here, against 92 MB when both read every node
+    # the run map goes before the components are found, counts come from
+    # the runs and each hook round keeps only the live edges: about 64 MB here
     tracemalloc.start()
     try:
         label_domains(torus160_sample)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 85e6
+    assert peak <= 72e6
+
+
+def test_torus_measure_transient_memory(torus160_sample):
+    # face counting reads only the node before each face: about 17 MB here
+    dec = label_domains(torus160_sample)
+    tracemalloc.start()
+    try:
+        measure_domains(dec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 19.5e6
 
 
 def test_class_tables_are_read_only():
@@ -650,6 +679,40 @@ def test_three_dim_octants():
     np.testing.assert_allclose(dec.areas(), math.pi**3, rtol=1e-12)
     for d in dec.domains:
         assert d.perimeter == pytest.approx(6 * math.pi**2, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+def test_torus_3d_faces_match_two_sided_oracle(n):
+    # h^2 is inexact, so the order of the float additions shows.  One sign
+    # percolates at 6-connectivity unless it is rare, so the biased fields
+    # give many small domains; exact zeros count positive, and the slab
+    # leaves lines of one sign on two axes
+    grid = Torus(side=n * math.pi / 4, spacing=math.pi / 4, dim=3)
+    assert grid.shape == (n, n, n)
+    rng = np.random.default_rng(n)
+    fields = [rng.normal(size=grid.shape) + bias for bias in (0.0, 1.0, -1.0)]
+    fields.append(rng.integers(-1, 2, size=grid.shape).astype(float))
+    slab = -np.ones(grid.shape)
+    slab[0] = 1.0
+    fields.append(slab)
+    domains = []
+    for values in fields:
+        dec = measure_domains(label_domains(synthetic_sample(values, grid)))
+        perimeter, total = oracles.face_perimeters_3d(dec)
+        assert [d.perimeter for d in dec.domains] == perimeter.tolist()
+        assert dec.total_nodal_length == total
+        domains.append(dec.n_domains)
+    assert max(domains) >= n**3 // 12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("grid", [PlanarWindow(side=3.0, spacing=0.5),
+                                  Torus(side=2.0, spacing=0.5, dim=3)], ids=["planar", "torus3"])
+def test_label_domains_rejects_non_finite_values(grid, bad):
+    values = np.ones(grid.shape)
+    values.flat[values.size // 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        label_domains(synthetic_sample(values, grid))
 
 
 @pytest.mark.parametrize("seed", [7000, 7001, 7002])

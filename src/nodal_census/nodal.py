@@ -119,15 +119,6 @@ def synthetic_sample(values, grid: GridSpec) -> FieldSample:
     return FieldSample(values=values, grid=grid, model=None, stream=None, coeffs=None)
 
 
-# `_components` drops the edges that join equal roots after each round from
-# this many edges up, and keeps every edge below it: the drop's extra numpy
-# steps cost 2-8 us per call, more than they save on a graph of a few dozen
-# edges (the graphs of a 4x4 window have at most 16).  Drop and keep took
-# equal time at 250-500 edges of planar run and contour graphs on a 2-core
-# Xeon VM.
-_DROP_MIN_EDGES = 512
-
-
 def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Connected components of the graph on nodes 0..n-1 with edges (u, v).
 
@@ -140,24 +131,22 @@ def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     After each round an edge is replaced by the edge between its ends'
     roots, which joins the same components.  An edge whose ends share a
-    root keeps sharing it, so from `_DROP_MIN_EDGES` edges up the next
-    round takes only the live edges, by index: `flatnonzero` and a gather
-    per end, which on the 1.2M-edge run graph of a 160^3 torus cost a third
-    of a boolean mask per end.  There about a quarter of the edges are live
-    after the first round and a handful after the second.
+    root keeps sharing it, so the next round takes only the live edges, by
+    index: `flatnonzero` and a gather per end, which on the 1.2M-edge run
+    graph of a 160^3 torus cost a third of a boolean mask per end.  There
+    about a quarter of the edges are live after the first round and a
+    handful after the second.
     """
     root = np.arange(n)
-    drop = u.shape[0] >= _DROP_MIN_EDGES
-    while u.shape[0] if drop else np.count_nonzero(u != v):
+    while u.shape[0]:
         np.minimum.at(root, np.maximum(u, v), np.minimum(u, v))
         jumped = root[root]
         while np.count_nonzero(jumped != root):
             root = jumped
             jumped = root[root]
         u, v = root[u], root[v]
-        if drop:
-            live = np.flatnonzero(u != v)
-            u, v = u[live], v[live]
+        live = np.flatnonzero(u != v)
+        u, v = u[live], v[live]
     rank = (root == np.arange(n)).cumsum() - 1
     return rank[root]
 

@@ -30,7 +30,6 @@ from nodal_census import nodal
 from nodal_census.engine import PERTURBATION_B, PERTURBATION_STREAM_BASE
 from nodal_census.nodal import (
     _AREA_CORNERS,
-    _DROP_MIN_EDGES,
     _FRAC_COLS,
     _SEG_EDGES,
     _SEG_SIDES,
@@ -74,10 +73,9 @@ def _graph_cases():
         id="cycles-loops-duplicates",
     )
     yield pytest.param(6, [(4, 1)], id="isolated-nodes")
-    # `_components` keeps every edge below `_DROP_MIN_EDGES` and drops the
-    # joined ones from it up; the random graphs at and above it take four
-    # and five hook rounds, the grid's node-pair graph three
-    for n, m in ((600, _DROP_MIN_EDGES - 1), (700, _DROP_MIN_EDGES), (20000, 15000)):
+    # `_components` drops the joined edges after each round; these random
+    # graphs take four and five hook rounds, the grid's node-pair graph three
+    for n, m in ((600, 511), (700, 512), (20000, 15000)):
         yield pytest.param(n, rng.integers(0, n, size=(m, 2)), id=f"random-{n}-{m}")
     pos = rng.normal(size=(50, 50)) >= 0
     node = np.arange(pos.size).reshape(pos.shape)
@@ -86,10 +84,10 @@ def _graph_cases():
         (node[:, :-1], node[:, 1:], pos[:, :-1] == pos[:, 1:]))]
     yield pytest.param(pos.size, np.concatenate([np.stack(p, axis=1) for p in pairs]),
                        id="grid-node-pairs-50x50")
-    n = 2 * _DROP_MIN_EDGES + 1
+    n = 1025
     zigzag = [n - 1 - i // 2 if i % 2 else i // 2 for i in range(n)]
     yield pytest.param(n, list(zip(zigzag, zigzag[1:])), id="zigzag-path-long")
-    yield pytest.param(n, [(7, 7)] * _DROP_MIN_EDGES + [(3, 5)], id="loops-above-drop")
+    yield pytest.param(n, [(7, 7)] * 512 + [(3, 5)], id="many-loops")
 
 
 @pytest.mark.parametrize("n, edges", _graph_cases())

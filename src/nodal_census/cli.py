@@ -8,7 +8,6 @@ codes: 0 success, 2 invalid usage or config, 3 ensemble/runtime failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -17,15 +16,15 @@ from pathlib import Path
 from .engine import (
     EnsembleConfig,
     EnsembleFailure,
+    hash_config,
     run_ensemble,
     resume_ensemble,
 )
 from .grids import LatLongSphere, PlanarWindow, Torus
 from .io import (
-    _jsonable,
     canonical_json,
     domain_table_csv,
-    fnv1a64,
+    json_text,
     load_field,
     psi_csv,
     read_json,
@@ -81,7 +80,7 @@ def _length_list(token: str) -> tuple:
 
 def _emit(args, summary: dict, human_lines) -> None:
     if getattr(args, "json", False):
-        print(json.dumps(_jsonable(summary), sort_keys=True, indent=2))
+        print(json_text(summary))
     else:
         for line in human_lines:
             print(line)
@@ -292,7 +291,7 @@ def cmd_sphere_compare(args) -> int:
         planar_path = planar_path / "report.json"
     planar = read_json(planar_path)
     stored = planar.get("config_hash")
-    recomputed = f"{fnv1a64(canonical_json(planar['config'])):016x}"
+    recomputed = hash_config(planar["config"])
     hash_ok = stored == recomputed
     if not hash_ok:
         print(
@@ -353,7 +352,7 @@ def cmd_report(args) -> int:
     if rep.ns is not None:
         human.append(f"pooled density {rep.ns.pooled:.6f} +- {rep.ns.pooled_stderr:.6f}")
     for name, body in sorted(checks.items()):
-        human.append(f"check {name}: {json.dumps(_jsonable(body), sort_keys=True)}")
+        human.append(f"check {name}: {canonical_json(body)}")
     human.append(f"report: {rundir}/report.json")
     _emit(args, rep.report, human)
     return 0

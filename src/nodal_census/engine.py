@@ -80,6 +80,7 @@ __all__ = [
     "EnsembleConfig",
     "EnsembleFailure",
     "EnsembleReport",
+    "hash_config",
     "run_ensemble",
     "resume_ensemble",
     "worker_count",
@@ -94,6 +95,12 @@ FK_MARGIN = 0.10
 # Direction fields for the perturbation check draw from streams disjoint
 # from the realization streams (which are the plain indices 0..M-1).
 PERTURBATION_STREAM_BASE = 2**32
+
+
+def hash_config(config: dict) -> str:
+    """The 16-hex-digit FNV-1a hash of a config dict's canonical JSON, as
+    stamped into manifests, sidecars and reports."""
+    return f"{fnv1a64(canonical_json(config)):016x}"
 
 
 class EnsembleFailure(RuntimeError):
@@ -204,7 +211,7 @@ class EnsembleConfig:
         )
 
     def config_hash(self) -> str:
-        return f"{fnv1a64(canonical_json(self.to_dict())):016x}"
+        return hash_config(self.to_dict())
 
 
 @dataclass

@@ -3,11 +3,12 @@
 Everything written here is deterministic byte-for-byte given the same inputs:
 floats are rendered with `repr` (shortest round trip), JSON is sorted, and
 infinities are spelled "inf"/"-inf" so that canonical hashing stays inside
-strict JSON.  Every indented JSON file (reports, sidecars, manifests,
-comparisons, container sidecars) comes from one emitter, `write_json`, in
-the stdlib's two-space layout; it formats each list of plain floats in one
-join rather than one encoder call per element.  The compact hashing form,
-`canonical_json`, stays on the stdlib's C encoder.
+strict JSON.  All JSON text comes from one emitter, `_emit_json`, in two
+layouts: the compact hashing form, `canonical_json` (config hashes,
+container headers), and the stdlib's two-space indented layout, `json_text`,
+which `write_json` writes for every JSON file (reports, sidecars, manifests,
+comparisons, container sidecars).  The emitter formats each list of plain
+floats in one join rather than one call per element.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ __all__ = [
     "fnv1a64",
     "canonical_json",
     "write_text",
+    "json_text",
     "write_json",
     "read_json",
-    "float_token",
     "write_field",
     "load_field",
     "domain_table_csv",
@@ -64,32 +65,6 @@ def fnv1a64(data) -> int:
     return h
 
 
-def _jsonable(obj):
-    """Recursively map values into strict JSON, spelling out infinities."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if math.isnan(f):
-            raise ValueError("NaN has no canonical JSON form")
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return f
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
-def canonical_json(obj) -> str:
-    """Compact, sorted, ASCII JSON; the hashing form."""
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True, allow_nan=False)
-
-
 @contextlib.contextmanager
 def _replacing(path: Path, mode: str, **kwargs):
     """Open a sibling temp file for writing and move it over `path` once the
@@ -111,10 +86,13 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _emit_json(obj, pad: str, out: list) -> None:
-    """Append the indented JSON text of `obj`, whose line is indented by
-    `pad`, to `out`, in the `_jsonable` mapping and the stdlib's indented
-    layout.  A list of finite plain floats is rendered in one join."""
+def _emit_json(obj, pad: str | None, out: list) -> None:
+    """Append the JSON text of `obj` to `out`: keys sorted and stringified,
+    tuples and arrays as lists, ASCII only, floats as their shortest
+    round-trip `repr`, infinities spelled "inf"/"-inf" and NaN refused.
+    `pad` is the indent of the line `obj` starts on in the stdlib's
+    two-space layout, or None for the compact layout.  A list of finite
+    plain floats is rendered in one join."""
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
         if math.isnan(x):
@@ -122,34 +100,32 @@ def _emit_json(obj, pad: str, out: list) -> None:
         out.append(float.__repr__(x) if math.isfinite(x) else '"inf"' if x > 0 else '"-inf"')
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = pad + "  "
-        sep = "{\n" + inner
-        for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _emit_json(value, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+    elif isinstance(obj, (dict, list, tuple, np.ndarray)):
         if isinstance(obj, np.ndarray):
             obj = list(obj.tolist())
         if not obj:
-            out.append("[]")
+            out.append("{}" if isinstance(obj, dict) else "[]")
             return
-        inner = pad + "  "
-        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
-            out.append("[\n" + inner + (",\n" + inner).join(map(float.__repr__, obj))
-                       + "\n" + pad + "]")
-            return
-        sep = "[\n" + inner
-        for value in obj:
-            out.append(sep)
-            _emit_json(value, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + pad + "]")
+        inner = None if pad is None else pad + "  "
+        brk = "" if pad is None else "\n" + inner
+        end = "" if pad is None else "\n" + pad
+        if isinstance(obj, dict):
+            colon = ":" if pad is None else ": "
+            sep = "{" + brk
+            for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
+                out.append(sep + encode_basestring_ascii(key) + colon)
+                _emit_json(value, inner, out)
+                sep = "," + brk
+            out.append(end + "}")
+        elif set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+            out.append("[" + brk + ("," + brk).join(map(float.__repr__, obj)) + end + "]")
+        else:
+            sep = "[" + brk
+            for value in obj:
+                out.append(sep)
+                _emit_json(value, inner, out)
+                sep = "," + brk
+            out.append(end + "]")
     elif obj is None:
         out.append("null")
     elif obj is True:
@@ -162,29 +138,33 @@ def _emit_json(obj, pad: str, out: list) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def write_json(path, obj) -> None:
-    """Write `obj` as sorted JSON indented by two spaces, ASCII only, with
-    infinities spelled "inf"/"-inf" and NaN refused: the bytes of
-    `json.dumps(_jsonable(obj), sort_keys=True, indent=2, ensure_ascii=True,
-    allow_nan=False)` plus a newline.  One emitter builds the text as a list
-    of pieces and formats each run of plain floats in bulk, where the
-    stdlib's indented encoder would visit every element in Python."""
+def canonical_json(obj) -> str:
+    """Compact, sorted, ASCII JSON; the hashing form."""
+    out = []
+    _emit_json(obj, None, out)
+    return "".join(out)
+
+
+def json_text(obj) -> str:
+    """Sorted JSON in the stdlib's two-space indented layout, without a
+    final newline: the values of `canonical_json`, laid out as `write_json`
+    writes them."""
     out = []
     _emit_json(obj, "", out)
-    out.append("\n")
-    write_text(path, "".join(out))
+    return "".join(out)
+
+
+def write_json(path, obj) -> None:
+    """Write `json_text(obj)` plus a newline to `path` through a sibling
+    temp file.  The text is built as a list of pieces, each run of plain
+    floats formatted in bulk, where the stdlib's indented encoder would
+    visit every element in Python."""
+    write_text(path, json_text(obj) + "\n")
 
 
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
-
-
-def float_token(x: float) -> str:
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(x)
 
 
 def write_field(sample: FieldSample, path) -> None:
@@ -322,7 +302,7 @@ def sandwich_csv(verdicts) -> str:
     lines = ["r,R,t,lower,middle,upper,holds"]
     for v in verdicts:
         lines.append(
-            f"{v.r!r},{v.R!r},{float_token(v.t)},{v.lower!r},{v.middle},"
+            f"{v.r!r},{v.R!r},{v.t!r},{v.lower!r},{v.middle},"
             f"{v.upper!r},{'true' if v.holds else 'false'}"
         )
     return "\n".join(lines) + "\n"

@@ -24,7 +24,9 @@ from nodal_census import (
     sample_field,
 )
 from nodal_census.cli import main, parse_length
-from nodal_census.io import domain_table_csv, psi_csv, read_json, text_sha256, write_json
+from nodal_census.io import (
+    canonical_json, domain_table_csv, psi_csv, read_json, text_sha256, write_json,
+)
 
 ALL_COMMANDS = (
     "sample", "nodal", "psi", "ns", "sandwich", "faber-krahn", "sphere-compare", "report",
@@ -238,6 +240,25 @@ def test_report_reaggregates(tmp_path, capsys):
     assert main(["report", "--dir", str(tmp_path / "nope")]) == 2
 
 
+def test_report_json_prints_the_report_file(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["psi", "--window", "9pi", "--M", "1", "--seed", "3",
+                 "--out", str(run), "--format", "csv-only"]) == 0
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, dict(read_json(run / "manifest.json")["config"],
+                         checks=["faber_krahn", "helmholtz"]))
+    out = tmp_path / "checked"
+    assert main(["psi", "--config", str(cfg), "--out", str(out), "--format", "csv-only"]) == 0
+    capsys.readouterr()
+    assert main(["report", "--dir", str(out), "--json"]) == 0
+    assert capsys.readouterr().out.encode("ascii") == (out / "report.json").read_bytes()
+    assert main(["report", "--dir", str(out)]) == 0
+    checks = read_json(out / "report.json")["checks"]
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("check ")]
+    assert lines == [f"check {name}: {canonical_json(checks[name])}" for name in sorted(checks)]
+    assert len(lines) == 2
+
+
 def test_sphere_compare_against_planar_run(tmp_path, capsys):
     planar = tmp_path / "planar"
     assert main(["psi", "--window", "9pi", "--M", "2", "--seed", "3",
@@ -286,14 +307,18 @@ def test_sphere_compare_flags_tampered_report(tmp_path, capsys):
     assert main(["psi", "--window", "9pi", "--M", "2", "--seed", "3",
                  "--out", str(planar), "--format", "csv-only"]) == 0
     report = read_json(planar / "report.json")
-    report["config_hash"] = "0" * 16
-    write_json(planar / "report.json", report)
-    sphere = tmp_path / "sphere"
-    rc = main(["sphere-compare", "--model", "sphere", "--degree", "1", "--M", "2",
-               "--seed", "0", "--planar-report", str(planar), "--out", str(sphere)])
-    assert rc == 0
-    assert "does not match" in capsys.readouterr().err
-    assert read_json(sphere / "comparison.json")["planar_hash_ok"] is False
+    # The hash covers the config dict as stored, so even a key the config
+    # loader would ignore moves it.
+    forged = (dict(report, config_hash="0" * 16),
+              dict(report, config=dict(report["config"], unknown=1)))
+    for i, tampered in enumerate(forged):
+        write_json(planar / "report.json", tampered)
+        sphere = tmp_path / f"sphere{i}"
+        rc = main(["sphere-compare", "--model", "sphere", "--degree", "1", "--M", "2",
+                   "--seed", "0", "--planar-report", str(planar), "--out", str(sphere)])
+        assert rc == 0
+        assert "does not match" in capsys.readouterr().err
+        assert read_json(sphere / "comparison.json")["planar_hash_ok"] is False
 
 
 def test_sphere_compare_requires_inputs(tmp_path):

@@ -33,8 +33,8 @@ from nodal_census.io import (
     canonical_json,
     domain_table_csv,
     file_sha256,
-    float_token,
     fnv1a64,
+    json_text,
     joint_csv,
     ns_csv,
     psi_csv,
@@ -66,13 +66,6 @@ def test_canonical_json_is_sorted_and_spells_inf():
         canonical_json({"x": math.nan})
 
 
-def test_float_tokens_round_trip():
-    for x in (0.0, -1.5, 1 / 3, math.pi, math.inf, -math.inf, 1e-300):
-        assert float(float_token(x)) == x
-    assert float_token(math.inf) == "inf"
-    assert float("3.25") == 3.25
-
-
 def test_write_json_layout(tmp_path):
     p = tmp_path / "x.json"
     write_json(p, {"b": 2, "a": 1})
@@ -82,10 +75,47 @@ def test_write_json_layout(tmp_path):
     assert read_json(p) == {"a": 1, "b": 2}
 
 
-def _reference_json(obj) -> str:
-    """The stdlib rendering that write_json reproduces byte for byte."""
-    return json.dumps(nodal_census.io._jsonable(obj), sort_keys=True, indent=2,
-                      ensure_ascii=True, allow_nan=False) + "\n"
+def _jsonable(obj):
+    """Recursively map values into strict JSON, spelling out infinities: the
+    values the stdlib reference encodes."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        f = float(obj)
+        if math.isnan(f):
+            raise ValueError("NaN has no canonical JSON form")
+        if math.isinf(f):
+            return "inf" if f > 0 else "-inf"
+        return f
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    return obj
+
+
+# The stdlib layout each of the emitter's two renderings reproduces.
+LAYOUTS = {"indented": {"indent": 2}, "compact": {"separators": (",", ":")}}
+
+
+def _reference_json(obj, layout="indented") -> str:
+    """The stdlib rendering of `obj` that the emitter reproduces byte for
+    byte: a `write_json` file in the indented layout, `canonical_json` in
+    the compact one."""
+    text = json.dumps(_jsonable(obj), sort_keys=True, ensure_ascii=True, allow_nan=False,
+                      **LAYOUTS[layout])
+    return text + "\n" if layout == "indented" else text
+
+
+def _emitted(obj, layout, tmp_path) -> bytes:
+    """The emitter's bytes for `obj`: the file `write_json` writes, or
+    `canonical_json`."""
+    if layout == "compact":
+        return canonical_json(obj).encode("ascii")
+    write_json(tmp_path / "x.json", obj)
+    return (tmp_path / "x.json").read_bytes()
 
 
 JSON_CORPUS = [
@@ -103,28 +133,60 @@ JSON_CORPUS = [
 
 @pytest.mark.parametrize("obj", JSON_CORPUS)
 def test_write_json_matches_the_stdlib(tmp_path, obj):
-    p = tmp_path / "x.json"
-    write_json(p, obj)
-    assert p.read_bytes() == _reference_json(obj).encode("ascii")
+    assert _emitted(obj, "indented", tmp_path) == _reference_json(obj).encode("ascii")
+    assert json_text(obj) + "\n" == _reference_json(obj)
 
 
-@pytest.mark.parametrize("obj", [
-    math.nan, [1.0, math.nan], {"x": np.float64(math.nan)}, np.array([0.5, math.nan]),
-])
-def test_write_json_refuses_nan(tmp_path, obj):
+@pytest.mark.parametrize("obj", JSON_CORPUS)
+def test_canonical_json_matches_the_stdlib(tmp_path, obj):
+    assert _emitted(obj, "compact", tmp_path) == _reference_json(obj, "compact").encode("ascii")
+
+
+NAN_OBJECTS = [math.nan, [1.0, math.nan], {"x": np.float64(math.nan)}, np.array([0.5, math.nan])]
+
+
+def _refuses_nan(obj, layout, tmp_path):
     with pytest.raises(ValueError, match="NaN"):
-        _reference_json(obj)
+        _reference_json(obj, layout)
     with pytest.raises(ValueError, match="NaN"):
-        write_json(tmp_path / "x.json", obj)
+        _emitted(obj, layout, tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("obj", [{1, 2}, [np.bool_(True)], {"x": object()}])
+@pytest.mark.parametrize("obj", NAN_OBJECTS)
+def test_write_json_refuses_nan(tmp_path, obj):
+    _refuses_nan(obj, "indented", tmp_path)
+
+
+@pytest.mark.parametrize("obj", NAN_OBJECTS)
+def test_canonical_json_refuses_nan(tmp_path, obj):
+    _refuses_nan(obj, "compact", tmp_path)
+
+
+UNSERIALIZABLE = [{1, 2}, [np.bool_(True)], {"x": object()}]
+
+
+def _refuses_unserializable(obj, layout, tmp_path):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _reference_json(obj, layout)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _emitted(obj, layout, tmp_path)
+
+
+@pytest.mark.parametrize("obj", UNSERIALIZABLE)
 def test_write_json_refuses_what_the_stdlib_refuses(tmp_path, obj):
-    with pytest.raises(TypeError, match="not JSON serializable"):
-        _reference_json(obj)
-    with pytest.raises(TypeError, match="not JSON serializable"):
-        write_json(tmp_path / "x.json", obj)
+    _refuses_unserializable(obj, "indented", tmp_path)
+
+
+@pytest.mark.parametrize("obj", UNSERIALIZABLE)
+def test_canonical_json_refuses_what_the_stdlib_refuses(tmp_path, obj):
+    _refuses_unserializable(obj, "compact", tmp_path)
+
+
+def test_zero_dimensional_array_is_refused():
+    for render in (canonical_json, json_text):
+        with pytest.raises(TypeError):
+            render(np.array(1.5))
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +227,17 @@ def test_write_json_matches_the_stdlib_on_run_files(run_json_files):
     for path, obj in run_json_files:
         assert path.read_bytes() == _reference_json(obj).encode("ascii"), path
         assert path.read_bytes() == _reference_json(read_json(path)).encode("ascii"), path
+
+
+def test_canonical_json_matches_the_stdlib_on_run_files(run_json_files):
+    for path, obj in run_json_files:
+        for value in (obj, read_json(path)):
+            assert canonical_json(value) == _reference_json(value, "compact"), path
+    (sidecar,) = [path for path, _ in run_json_files if path.name == "00000.ncfs.json"]
+    raw = sidecar.with_name("00000.ncfs").read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = raw[16 : 16 + hlen]
+    assert header == _reference_json(json.loads(header), "compact").encode("ascii")
 
 
 def test_field_container_round_trip(tmp_path):

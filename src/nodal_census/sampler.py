@@ -62,8 +62,8 @@ __all__ = [
 
 _MAX_PLANE_RADIUS = 300.0
 _MIN_TORUS_SIDE = 20.0 * 2.0 * math.pi
-# last-axis indices per block of the torus's later inverse-FFT passes
-_TORUS_BLOCK = 16
+# axis-1 indices per block of the torus's axis-0 inverse-FFT pass
+_TORUS_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -228,6 +228,13 @@ def torus_modes(grid: Torus, alpha: float) -> tuple[np.ndarray, float]:
     return lattice[in_band & keep], lo
 
 
+def _ifft_rows(x: np.ndarray, rows: np.ndarray, axis: int, n: int) -> np.ndarray:
+    """Inverse FFT along `axis` of `x` placed at `rows` of n rows of zeros."""
+    full = np.zeros(x.shape[:axis] + (n,) + x.shape[axis + 1 :], dtype=np.complex128)
+    full[(slice(None),) * axis + (rows,)] = x
+    return np.fft.ifft(full, axis=axis, out=full)
+
+
 @dataclass(frozen=True)
 class BandLimitedTorus:
     dim: int = 2
@@ -289,12 +296,13 @@ class BandLimitedTorus:
         spectrum.  On the 160^3 torus this is 33,841 line transforms
         instead of 76,800, with no full-size spectrum.
 
-        The first pass runs in place in the pruned spectrum, the later ones
-        on one block of ``_TORUS_BLOCK`` last-axis indices at a time: every
-        line of an earlier axis lies inside one block, so it sees the same
-        input.  Each pass runs in place (``out=``) and a block's real part
-        goes straight into the values: about 43 MiB of transients on the
-        160^3 torus (tracemalloc).
+        The last-axis pass runs in place in the pruned spectrum, and in 3-D
+        the axis-1 pass runs whole, on the pruned rows of axis 0.  The
+        axis-0 pass runs on one block of ``_TORUS_BLOCK`` axis-1 indices at
+        a time: every axis-0 line lies inside one block, so it sees the same
+        input, and each block's scaled real part fills whole rows of the
+        last axis in the values.  Each pass runs in place (``out=``): about
+        51 MiB of transients on the 160^3 torus (tracemalloc).
         """
         modes = _grid_table(self, grid)[0]
         nonzero = ~np.all(modes == 0, axis=1)
@@ -323,17 +331,14 @@ class BandLimitedTorus:
             # the m = 0 entry (row 0 on every axis) was added twice
             spec[(0,) * grid.dim] /= 2.0
         # ifftn's passes, last axis first, over the lines that can be nonzero
-        x = np.fft.ifft(spec, out=spec)
+        np.fft.ifft(spec, out=spec)
+        for d in range(grid.dim - 2, 0, -1):
+            spec = _ifft_rows(spec, rows[d], d, n)
         values = np.empty((n,) * grid.dim)
         for lo in range(0, n, _TORUS_BLOCK):
-            block = (..., slice(lo, lo + _TORUS_BLOCK))
-            y = x[block]
-            for d in range(grid.dim - 2, -1, -1):
-                full = np.zeros(y.shape[:d] + (n,) + y.shape[d + 1 :], dtype=np.complex128)
-                full[(slice(None),) * d + (rows[d],)] = y
-                y = np.fft.ifft(full, axis=d, out=full)
-            np.multiply(y.real, n**grid.dim, out=values[block])
-        values *= norm
+            block = (slice(None), slice(lo, lo + _TORUS_BLOCK))
+            y = _ifft_rows(spec[block], rows[0], 0, n)
+            values[block] = y.real * n**grid.dim * norm
         return values
 
     def evaluate(self, grid: Torus, coeffs: dict, pts: np.ndarray) -> np.ndarray:

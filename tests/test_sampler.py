@@ -150,9 +150,12 @@ def test_torus_opposite_faces_bitwise():
 def _oracle_cases():
     for alpha in (0.0, 0.7, 1.0):
         yield pytest.param(3, 160, alpha, None, id=f"3-160-{alpha}")
-    # a legal 3-D torus has n >= 160: 164 is no multiple of the block width,
-    # and a block wider than n holds the whole grid
+    # a legal 3-D torus has n >= 160; the blocks split axis 1: 164 is no
+    # multiple of 3, a block of 1 is one axis-1 index, and a block wider
+    # than n holds the whole grid
     yield pytest.param(3, 164, 0.5, None, id="3-164-0.5")
+    yield pytest.param(3, 164, 0.5, 3, id="3-164-0.5-block3")
+    yield pytest.param(3, 160, 0.7, 1, id="3-160-0.7-block1")
     yield pytest.param(3, 164, 1.0, 256, id="3-164-1.0-block256")
     for n in (160, 164, 225):
         for alpha in (0.0, 0.5, 0.9, 0.99, 1.0):
@@ -177,8 +180,8 @@ def test_torus_values_match_full_grid_oracle(dim, n, alpha, block, monkeypatch):
 
 
 def test_torus_synthesis_transient_memory(torus160_sample):
-    # the later inverse-FFT passes run one block of last-axis indices at a
-    # time: about 45.5 MB here, against 98.5 MB for whole-grid passes
+    # the axis-0 inverse-FFT pass runs one block of axis-1 indices at a
+    # time: about 53.1 MB here, against 98.5 MB for whole-grid passes
     model, grid = torus160_sample.model, torus160_sample.grid
     tracemalloc.start()
     try:

@@ -33,14 +33,23 @@ in one of 32 classes, its corner-sign pattern plus 16 when the field is
 non-negative at its center.  One set of read-only class tables, one row
 per segment slot, gives each class its segments, the corners on each side,
 the fraction each segment cuts off and the corners that take the area
-shares, and two marching paths read it.  At `_TABLE_MIN_CELLS` crossing
-cells and above, `_march_table` expands the cells into segment rows (two
-for a saddle, one for any other crossing cell), in cell order, and measures
-all rows with a few numpy passes that gather each row's table entries and
-corner data; below it, `_march_loop` visits the cells one by one through
-the tables' Python rows, because every numpy step has a fixed cost of some
-microseconds that a small field (a 4x4 window has at most 9 crossing
-cells) cannot repay.  The two give the same numbers, bit for bit.  The
+shares, and two marching paths read it.  The sign pattern of every cell
+and the saddle resolution (one `evaluate_at` call on all saddle centers)
+are found once for the whole field.  At `_TABLE_MIN_CELLS` crossing cells
+and above, `_march_table` takes the cells in bands of whole cell rows of
+about `_BAND_CELLS` cells, so every per-cell and per-segment temporary has
+the size of one band.  It expands a band's crossing cells into segment
+rows (two for a saddle, one for any other crossing cell), in cell order,
+and measures all rows with a few numpy passes that gather each row's table
+entries and corner data.  A band adds its uniform cells' areas and its
+segments' lengths to the per-label sums, in order, and keeps its segments'
+area shares, adjacent labels and crossing points for one fold at the end:
+the shares follow every uniform cell, and the contours join across bands.
+Below `_TABLE_MIN_CELLS`, `_march_loop` visits the cells one by one
+through the tables' Python rows, because every numpy step has a fixed cost
+of some microseconds that a small field (a 4x4 window has at most 9
+crossing cells) cannot repay.  The two give the same numbers, bit for bit,
+at any band size.  The
 loop takes each segment length from `math.hypot`; the table pass from
 `_hypot`, a numpy replica of CPython's algorithm for two coordinates
 (Dekker's exact products, a compensated sum and one correction step) that
@@ -65,7 +74,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -183,9 +192,9 @@ def label_domains(sample: FieldSample) -> NodalDecomposition:
     (larger run, smaller run): a pair's node one step further along an
     axis has the larger run, except across a wrap seam, whose pairs are
     swapped.  Each array goes once read, the run map before the components
-    are found.  The label image, node counts and signs come from the runs,
-    not the nodes: on the 160^3 torus the transient is about 55 MiB
-    (tracemalloc).
+    are found and the edge arrays inside them.  The label image, node counts
+    and signs come from the runs, not the nodes: on the 160^3 torus the
+    transient is about 47.5 MB (tracemalloc).
     """
     grid = sample.grid
     v = np.asarray(sample.values)
@@ -224,10 +233,12 @@ def label_domains(sample: FieldSample) -> NodalDecomposition:
             smaller.append(near)
     runs = int(flat[-1]) + 1
     del run, flat
-    larger = np.concatenate(larger, dtype=np.intp)
-    smaller = np.concatenate(smaller, dtype=np.intp)
-    domain = _components(runs, larger, smaller).astype(np.int32)
+    # the edges reach _components through a list emptied in the call, so no
+    # reference stays here and each array goes as soon as it is read (a call
+    # hands its arguments over to the callee under CPython 3.11 and later)
+    edges = [np.concatenate(larger, dtype=np.intp), np.concatenate(smaller, dtype=np.intp)]
     del larger, smaller
+    domain = _components(runs, edges.pop(0), edges.pop()).astype(np.int32)
     # a domain's nodes are its runs' nodes, and each node has its run's sign
     starts = start.ravel().nonzero()[0]
     lengths = np.concatenate((starts[1:], (v.size,))) - starts
@@ -313,7 +324,29 @@ def _cell_tables(grid: GridSpec):
 # the class-table pass at or above it: each numpy step of the table pass has a
 # fixed cost of a few microseconds, which a handful of cells cannot repay.
 # The two took equal time at 200-300 crossing cells on a 2-core Xeon VM.
+# The loop takes all cells at once; the table pass takes them in bands.
 _TABLE_MIN_CELLS = 256
+# The table pass takes the cells in bands of whole cell rows of about this
+# many cells (at least one row): 10 bands of 40 rows on the 400x800 sphere, 2
+# on the 200x200-cell desk.  Every per-cell and per-segment temporary then has
+# the size of one band and stays in cache.  Whole-grid temporaries, about 75k
+# rows each on the sphere, were trimmed by the allocator and faulted back in
+# on every realization.  On l = 80 spheres, bands of 16k to 128k cells took
+# about the same time; 8k-cell bands and one whole-grid band were slower.
+_BAND_CELLS = 32768
+
+
+class _Signs(NamedTuple):
+    """The whole-field part of marching squares: each cell's corner-sign
+    pattern, a (rows, cols) uint8 image of the cells in row-major order, the
+    number of crossing cells, and the flat indices of the saddle cells with
+    the sign of the field at their centers, in cell order (both None on a
+    field without coefficients, whose saddles connect their positive corners)."""
+
+    pattern: np.ndarray
+    crossing: int
+    saddle_cells: np.ndarray | None
+    saddle_pos: np.ndarray | None
 
 
 class _Cells(NamedTuple):
@@ -362,9 +395,11 @@ def measure_domains(dec: NodalDecomposition) -> NodalDecomposition:
         _measure_faces_3d(dec)
         dec.measured = True
         return dec
-    cells = _crossing_cells(dec)
-    march = _march_table if cells.pattern.shape[0] >= _TABLE_MIN_CELLS else _march_loop
-    geometry = march(cells)
+    signs = _cell_signs(dec)
+    if signs.crossing < _TABLE_MIN_CELLS:
+        geometry = _march_loop(_crossing_cells(dec, signs))
+    else:
+        geometry = _march_table(_cell_bands(dec, signs))
     for rec in dec.domains:
         rec.perimeter = geometry.perimeter[rec.label]
         rec.boundary_components = geometry.boundary_components[rec.label]
@@ -392,28 +427,55 @@ def _wrap_extended(a: np.ndarray, wraps) -> np.ndarray:
     return a
 
 
-def _crossing_cells(dec: NodalDecomposition) -> _Cells:
-    """The crossing cells of a 2-D decomposition, and the labels and areas
-    of the uniform ones.  A pattern ors four shifted uint8 sign slices; the
-    corner node ids add the grid's wrapping node tables at a cell's row and
-    column and the next ones, so no per-cell index is taken modulo."""
-    grid = dec.sample.grid
-    values = np.asarray(dec.sample.values, dtype=np.float64)
-    n0, n1 = dec.labels.shape
-    d0_row, d1_row, area_row, cu, cv, node_i, node_j = _cell_tables(grid)
-    rows, cols = area_row.size, cv.size
-    pos = _wrap_extended(values >= 0, grid.wraps).view(np.uint8)
+def _cell_signs(dec: NodalDecomposition) -> _Signs:
+    """The corner-sign pattern of every cell, and the saddle resolution: one
+    `evaluate_at` call on all saddle centers of the field, whose batch sets
+    the work of a desk field's Bessel sweep.  A pattern ors four shifted
+    uint8 sign slices."""
+    sample = dec.sample
+    cu, cv = _cell_tables(sample.grid)[3:5]
+    rows, cols = cu.size, cv.size
+    pos = _wrap_extended(np.asarray(sample.values) >= 0, sample.grid.wraps).view(np.uint8)
     pattern = (
         pos[:rows, :cols]
         | pos[1 : rows + 1, :cols] << 1
         | pos[1 : rows + 1, 1 : cols + 1] << 2
         | pos[:rows, 1 : cols + 1] << 3
-    ).ravel()
+    )
+    crossing = np.count_nonzero((pattern != 0) & (pattern != 15))
+    saddle_cells = saddle_pos = None
+    if sample.coeffs is not None:
+        saddle_cells = np.flatnonzero((pattern == 5) | (pattern == 10))
+        if saddle_cells.size:
+            si, sj = np.divmod(saddle_cells, cols)
+            saddle_pos = evaluate_at(sample, np.stack([cu[si], cv[sj]], axis=1)) >= 0
+    return _Signs(pattern, crossing, saddle_cells, saddle_pos)
+
+
+def _crossing_cells(
+    dec: NodalDecomposition, signs: _Signs | None = None, first: int = 0, last: int | None = None
+) -> _Cells:
+    """The crossing cells of cell rows first..last - 1 (default all rows) of
+    a 2-D decomposition, and the labels and areas of the uniform ones, given
+    the field's `_cell_signs` (found when not given).  The corner node ids
+    add the grid's wrapping node tables at a cell's row and column and the
+    next ones, so no per-cell index is taken modulo."""
+    if signs is None:
+        signs = _cell_signs(dec)
+    values = np.asarray(dec.sample.values, dtype=np.float64)
+    n0, n1 = dec.labels.shape
+    d0_row, d1_row, area_row, _, _, node_i, node_j = _cell_tables(dec.sample.grid)
+    rows, cols = signs.pattern.shape
+    if last is None:
+        last = rows
+    pattern = signs.pattern[first:last].ravel()
     crossing = (pattern != 0) & (pattern != 15)
     uniform = ~crossing
 
     cidx = np.flatnonzero(crossing)
     ci, cj = np.divmod(cidx, cols)
+    if first:
+        ci += first
     pattern = pattern[cidx]
     # corner node indices; a node index is also the id of the edge to its
     # +i neighbour, and n0 * n1 plus it the id of the edge to its +j one
@@ -422,15 +484,15 @@ def _crossing_cells(dec: NodalDecomposition) -> _Cells:
     # saddle resolution: field sign at the cell center when evaluable
     center_pos = np.ones(cidx.shape[0], dtype=bool)
     saddle = (pattern == 5) | (pattern == 10)
-    if np.any(saddle) and dec.sample.coeffs is not None:
-        centers = np.stack([cu[ci[saddle]], cv[cj[saddle]]], axis=1)
-        center_pos[saddle] = evaluate_at(dec.sample, centers) >= 0
+    if signs.saddle_pos is not None:
+        before = int(np.searchsorted(signs.saddle_cells, first * cols))
+        center_pos[saddle] = signs.saddle_pos[before : before + np.count_nonzero(saddle)]
 
     return _Cells(
         k=len(dec.domains),
         n_edges=2 * n0 * n1,
-        uniform_labels=dec.labels[:rows, :cols].ravel()[uniform],
-        uniform_areas=np.repeat(area_row, cols)[uniform],
+        uniform_labels=dec.labels[first:last, :cols].ravel()[uniform],
+        uniform_areas=np.repeat(area_row[first:last], cols)[uniform],
         pattern=pattern,
         saddle=saddle,
         center_pos=center_pos,
@@ -443,6 +505,17 @@ def _crossing_cells(dec: NodalDecomposition) -> _Cells:
     )
 
 
+def _cell_bands(dec: NodalDecomposition, signs: _Signs | None = None) -> Iterator[_Cells]:
+    """The crossing cells of a 2-D decomposition in bands of whole cell rows
+    of about `_BAND_CELLS` cells, in row order, each made when it is needed."""
+    if signs is None:
+        signs = _cell_signs(dec)
+    rows, cols = signs.pattern.shape
+    step = max(1, _BAND_CELLS // cols)
+    for first in range(0, rows, step):
+        yield _crossing_cells(dec, signs, first, min(first + step, rows))
+
+
 def _label_sums(labels: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
     """Per-label sums of `weights`, each label's added in input order (float
     zeros also for empty input, where bincount alone gives integers)."""
@@ -453,14 +526,16 @@ def _segment_contours(ends: np.ndarray, n_edges: int) -> np.ndarray:
     """Contour of each segment, given its two crossing-point edge ids (below
     `n_edges`) in `ends[2s]`, `ends[2s + 1]`: the components of the segments
     over their crossing points, numbered by smallest edge id."""
-    # crossing points numbered in edge-id order, without sorting the ids
+    # crossing points numbered in edge-id order, without sorting the ids: a
+    # scatter over the seen ids (a cumsum over all ids took twice as long)
     seen = np.zeros(n_edges, dtype=bool)
     seen[ends] = True
-    number = seen.cumsum(dtype=np.int32)
-    number -= 1
+    ids = np.flatnonzero(seen)
+    number = np.empty(n_edges, dtype=np.int32)
+    number[ids] = np.arange(ids.shape[0], dtype=np.int32)
     point = number[ends].astype(np.intp)
     a, b = point[0::2], point[1::2]
-    return _components(int(number[-1]) + 1, np.maximum(a, b), np.minimum(a, b))[a]
+    return _components(ids.shape[0], np.maximum(a, b), np.minimum(a, b))[a]
 
 
 def _march_loop(cells: _Cells) -> _Geometry:
@@ -632,15 +707,15 @@ def _segment_rows(cells: _Cells) -> tuple[np.ndarray, np.ndarray]:
     return cell, row
 
 
-def _refined_areas(cells: _Cells, t: np.ndarray) -> np.ndarray:
-    """Per-label refined areas of a decomposition, from its crossing cells
-    and their edge crossings t: uniform cells first, then segment rows.  A
-    row reads the one fraction f its slot cuts off; a single-segment cell
-    gives f * ca and (1 - f) * ca to its two area corners, a saddle's slot 0
-    its two corner cuts and its slot 1 the rest to its channel's label(s).
-    The numbers of `_march_loop`, bit for bit, at any number of cells."""
+def _area_shares(
+    cells: _Cells, t: np.ndarray, cell: np.ndarray, row: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (label, area) stream of the segment rows (cell, row) of a band,
+    from its edge crossings t.  A row reads the one fraction f its slot cuts
+    off; a single-segment cell gives f * ca and (1 - f) * ca to its two area
+    corners, a saddle's slot 0 its two corner cuts and its slot 1 the rest to
+    its channel's label(s)."""
     n = cells.pattern.shape[0]
-    cell, row = _segment_rows(cells)
     col = _FRAC_COLS[row]
     p, q = np.concatenate([t, 1.0 - t]).ravel()[_FRAC_OPERANDS[col] * n + cell[:, None]].T
     f = np.where(col >= 4, 0.5 * (p + q), (0.5 * p) * q)
@@ -655,11 +730,25 @@ def _refined_areas(cells: _Cells, t: np.ndarray) -> np.ndarray:
     share[second] = np.where(shared, rest, 0.5 * rest)[:, None]
     gets = np.ones(owner.shape, dtype=bool)
     gets[second[shared], 1] = False
-    return _label_sums(
-        np.concatenate([cells.uniform_labels, owner[gets]]),
-        np.concatenate([cells.uniform_areas, share[gets]]),
-        cells.k,
-    )
+    return owner[gets], share[gets]
+
+
+def _refined_areas(bands: Iterable[_Cells]) -> np.ndarray:
+    """Per-label refined areas of a decomposition from its cell bands (see
+    `_cell_bands`), and nothing else of its geometry: the uniform cells of
+    every band first, in row-major order, then the segment rows in cell
+    order, which is the order `_march_loop` adds them in.  `np.add.at` adds
+    one by one in input order, as bincount does, so the sums continue across
+    bands.  The numbers of `_march_loop`, bit for bit, at any number of
+    cells and bands."""
+    refined, shares = None, []
+    for cells in bands:
+        if refined is None:
+            refined = np.zeros(cells.k)
+        np.add.at(refined, cells.uniform_labels, cells.uniform_areas)
+        shares.append(_area_shares(cells, _edge_crossings(cells.values), *_segment_rows(cells)))
+    np.add.at(refined, *(np.concatenate(s) for s in zip(*shares)))
+    return refined
 
 
 def _square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -719,48 +808,64 @@ def _hypot(du: np.ndarray, dv: np.ndarray) -> np.ndarray:
     return h
 
 
-def _march_table(cells: _Cells) -> _Geometry:
-    """Marching squares over all crossing cells at once, one row per segment
-    (see `_segment_rows`), each reading its flat class-table rows.
+def _march_table(bands: Iterable[_Cells]) -> _Geometry:
+    """Marching squares over the crossing cells of each band (see
+    `_cell_bands`) at once, one row per segment (see `_segment_rows`), each
+    reading its flat class-table rows.  A band adds its uniform cells' areas,
+    its segment lengths to the perimeters beside them and to the running
+    total; it keeps its segments' area shares, which follow every uniform
+    cell, and its adjacent labels and segment ends, for the contours that
+    join across bands.  One fold at the end adds the shares and counts the
+    boundary components.
 
     The same numbers as `_march_loop`, bit for bit: every value is computed
-    by the loop's expression, and each bincount adds a label's
-    contributions in the loop's order (segment by segment, side by side).
-    Segment lengths come from `_hypot`, a numpy replica of the algorithm of
-    `math.hypot`, which the loop calls; the replica matched `math.hypot`
-    bit for bit under CPython 3.10, 3.11, 3.12 and 3.13.
+    by the loop's expression, and `np.add.at` adds a label's contributions
+    one by one in the loop's order (segment by segment, side by side), across
+    bands.  Segment lengths come from `_hypot`, a numpy replica of the
+    algorithm of `math.hypot`, which the loop calls; the replica matched
+    `math.hypot` bit for bit under CPython 3.10, 3.11, 3.12 and 3.13.
     """
-    n, k = cells.pattern.shape[0], cells.k
-    cell, row = _segment_rows(cells)
-    t = _edge_crossings(cells.values)
-    refined = _refined_areas(cells, t)
-    # each segment's two edges, and their crossing points (u, v): on AB, BC,
-    # CD, DA at (t, 0), (1, t), (t, 1), (0, t), with A = (0, 0), C = (1, 1)
-    at = _SEG_EDGES[row] * n + cell[:, None]
     along_u = np.array([[True], [False], [True], [False]])
-    u = np.where(along_u, t, [[0.0], [1.0], [0.0], [0.0]]).ravel()[at]
-    v = np.where(along_u, [[0.0], [0.0], [1.0], [0.0]], t).ravel()[at]
-    du = (u[:, 1] - u[:, 0]) * cells.d0[cell]
-    dv = (v[:, 1] - v[:, 0]) * cells.d1[cell]
-    lengths = _hypot(du, dv)
-
-    sides = cells.labels.ravel()[_SEG_SIDES[row] * n + cell[:, None]]
-    # a channel of one label is adjacent once
-    touch = np.ones(sides.shape, dtype=bool)
-    np.not_equal(sides[:, 2], sides[:, 1], out=touch[:, 2])
-    adjacent = sides[touch]
-    perimeter = _label_sums(adjacent, np.broadcast_to(lengths[:, None], sides.shape)[touch], k)
-
-    contour = _segment_contours(cells.edges.ravel()[at].ravel(), cells.n_edges)
+    refined = perimeter = None
+    shares, segments = [], []
+    total = 0.0
+    for cells in bands:
+        if refined is None:
+            refined, perimeter = np.zeros(cells.k), np.zeros(cells.k)
+        n = cells.pattern.shape[0]
+        cell, row = _segment_rows(cells)
+        t = _edge_crossings(cells.values)
+        np.add.at(refined, cells.uniform_labels, cells.uniform_areas)
+        shares.append(_area_shares(cells, t, cell, row))
+        # each segment's two edges, and their crossing points (u, v): on AB,
+        # BC, CD, DA at (t, 0), (1, t), (t, 1), (0, t), with A = (0, 0), C = (1, 1)
+        at = _SEG_EDGES[row] * n + cell[:, None]
+        u = np.where(along_u, t, [[0.0], [1.0], [0.0], [0.0]]).ravel()[at]
+        v = np.where(along_u, [[0.0], [0.0], [1.0], [0.0]], t).ravel()[at]
+        du = (u[:, 1] - u[:, 0]) * cells.d0[cell]
+        dv = (v[:, 1] - v[:, 0]) * cells.d1[cell]
+        lengths = _hypot(du, dv)
+        total = float(np.cumsum(np.concatenate([[total], lengths]))[-1])
+        sides = cells.labels.ravel()[_SEG_SIDES[row] * n + cell[:, None]]
+        # a channel of one label is adjacent once
+        touch = np.ones(sides.shape, dtype=bool)
+        np.not_equal(sides[:, 2], sides[:, 1], out=touch[:, 2])
+        adjacent = sides[touch]
+        np.add.at(perimeter, adjacent, np.broadcast_to(lengths[:, None], touch.shape)[touch])
+        segments.append((adjacent, touch, cells.edges.ravel()[at].ravel()))
+    k = cells.k
+    np.add.at(refined, *(np.concatenate(s) for s in zip(*shares)))
+    adjacent, touch, ends = (np.concatenate(s) for s in zip(*segments))
+    contour = _segment_contours(ends, cells.n_edges)
     # each distinct (contour, label) pair is one boundary component of the label
-    pairs = np.sort(np.broadcast_to(contour[:, None], sides.shape)[touch] * k + adjacent)
+    pairs = np.sort(np.broadcast_to(contour[:, None], touch.shape)[touch] * k + adjacent)
     distinct = np.ones(pairs.shape, dtype=bool)
     np.not_equal(pairs[1:], pairs[:-1], out=distinct[1:])
     return _Geometry(
         perimeter=perimeter.tolist(),
         refined_area=refined.tolist(),
         boundary_components=np.bincount(pairs[distinct] % k, minlength=k).tolist(),
-        total_length=float(np.cumsum(np.concatenate([[0.0], lengths]))[-1]),
+        total_length=total,
     )
 
 
@@ -872,8 +977,7 @@ def perturbation_stability(
     if pert.labels.ndim == 3:  # face counting: the refined area is the count area
         pert_areas = [rec.area for rec in pert.domains]
     else:
-        cells = _crossing_cells(pert)
-        pert_areas = _refined_areas(cells, _edge_crossings(cells.values)).tolist()
+        pert_areas = _refined_areas(_cell_bands(pert)).tolist()
 
     k2 = len(pert.domains)
     pairs = base.labels.ravel().astype(np.int64) * k2 + pert.labels.ravel()

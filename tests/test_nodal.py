@@ -34,11 +34,11 @@ from nodal_census.nodal import (
     _SEG_EDGES,
     _SEG_SIDES,
     _TABLE_MIN_CELLS,
+    _cell_bands,
     _cell_tables,
     _class_tables,
     _components,
     _crossing_cells,
-    _edge_crossings,
     _hypot,
     _march_loop,
     _march_table,
@@ -236,7 +236,7 @@ def _types(x):
 def _assert_marches_agree(cells):
     """The class-table pass gives the loop's geometry: the same values, bit
     for bit, held in the same Python types."""
-    loop, table = _march_loop(cells), _march_table(cells)
+    loop, table = _march_loop(cells), _march_table([cells])
     assert table == loop
     assert _types(table) == _types(loop)
     return loop
@@ -338,6 +338,89 @@ def test_marches_agree_on_saddle_dense_fields():
     assert shared > 500
 
 
+def _band_cases(desk_grid):
+    """(case, decomposition, cell signs) of the band-boundary test: sampled
+    fields resolve their saddles at the cell center; the saddle-dense random
+    fields take random saddle resolutions."""
+    sampled = {
+        "desk": (PlaneWave2D(), desk_grid),
+        "sphere-l40": (SphericalHarmonic(degree=40), LatLongSphere(n_lat=80, n_lon=160)),
+        "torus-2d": (BandLimitedTorus(dim=2, alpha=0.0),
+                     Torus(side=40 * math.pi, spacing=2 * math.pi / 8)),
+    }
+    for case, (model, grid) in sampled.items():
+        dec = label_domains(sample_field(model, grid, RngStream(8, 0)))
+        signs = nodal._cell_signs(dec)
+        assert signs.saddle_cells.size > 0
+        yield case, dec, signs
+    rng = np.random.default_rng(47)
+    grid = PlanarWindow(side=31.5, spacing=0.5)
+    for _ in range(3):
+        values = rng.choice([-1.0, 1.0], size=(64, 64)) * rng.uniform(0.1, 1.0, size=(64, 64))
+        dec = label_domains(synthetic_sample(values, grid))
+        signs = nodal._cell_signs(dec)
+        saddle_cells = np.flatnonzero((signs.pattern == 5) | (signs.pattern == 10))
+        yield "saddle-dense", dec, signs._replace(
+            saddle_cells=saddle_cells, saddle_pos=rng.random(saddle_cells.size) < 0.5)
+
+
+def test_bands_match_one_band(desk_grid, monkeypatch):
+    # bands of one to three cell rows put a band boundary between every few
+    # rows: the bands split the one band's cells, in order, and the table
+    # pass and the refined-only pass fold them to its geometry, bit for bit
+    seen = set()
+    for case, dec, signs in _band_cases(desk_grid):
+        rows, cols = signs.pattern.shape
+        whole = _crossing_cells(dec, signs)
+        expected = _march_table([whole])
+        assert expected == _march_loop(whole)
+        for band_cells, band_rows in ((1, 1), (cols // 2, 1), (2 * cols, 2), (3 * cols + 1, 3)):
+            monkeypatch.setattr(nodal, "_BAND_CELLS", band_cells)
+            bands = list(_cell_bands(dec, signs))
+            monkeypatch.undo()
+            assert len(bands) == -(-rows // band_rows)
+            assert all(band.k == whole.k and band.n_edges == whole.n_edges for band in bands)
+            for name in whole._fields[2:]:
+                got = np.concatenate([getattr(band, name) for band in bands], axis=-1)
+                np.testing.assert_array_equal(got, getattr(whole, name), err_msg=name)
+                assert got.dtype == getattr(whole, name).dtype, name
+            geometry = _march_table(bands)
+            assert geometry == expected
+            assert _types(geometry) == _types(expected)
+            assert _refined_areas(bands).tolist() == expected.refined_area
+        seen.add(case)
+    assert seen == {"desk", "sphere-l40", "torus-2d", "saddle-dense"}
+
+
+def test_measure_evaluates_saddle_centers_once_per_field(desk_grid, monkeypatch):
+    # splitting the saddles across bands would multiply desk's Bessel
+    # sweeps, and a sweep's start depends on the largest argument in its batch
+    calls = []
+
+    def counting(sample, points):
+        calls.append(points.shape[0])
+        return nodal_census.sampler.evaluate_at(sample, points)
+
+    monkeypatch.setattr(nodal, "evaluate_at", counting)
+    monkeypatch.setattr(nodal, "_BAND_CELLS", 1)  # one cell row a band
+    for model, grid in (
+        (PlaneWave2D(), desk_grid),
+        (SphericalHarmonic(degree=40), LatLongSphere(n_lat=80, n_lon=160)),
+        (BandLimitedTorus(dim=2, alpha=0.0), Torus(side=40 * math.pi, spacing=2 * math.pi / 8)),
+    ):
+        dec = label_domains(sample_field(model, grid, RngStream(8, 0)))
+        saddles = nodal._cell_signs(dec).saddle_cells.size
+        assert saddles > 0
+        calls.clear()
+        measure_domains(dec)
+        assert calls == [saddles]
+        calls.clear()
+        direction = sample_field(model, grid, RngStream(8, PERTURBATION_STREAM_BASE))
+        perturbation_stability(dec, direction, PERTURBATION_B[0])
+        assert len(calls) == 1  # the perturbed field's; the base is measured
+        calls.clear()
+
+
 def _table_pairs(monkeypatch, cells):
     """The (du, dv) arrays `_march_table` hands to `_hypot` on `cells`."""
     pairs = []
@@ -347,7 +430,7 @@ def _table_pairs(monkeypatch, cells):
         return _hypot(du, dv)
 
     monkeypatch.setattr(nodal, "_hypot", recording)
-    _march_table(cells)
+    _march_table([cells])
     monkeypatch.undo()
     (du, dv), = pairs
     return du, dv
@@ -457,7 +540,11 @@ def test_crossing_cells_match_per_cell_oracle(case):
     assert saddles > 0
 
 
-@pytest.mark.parametrize("march", [_march_loop, _march_table], ids=["loop", "table"])
+def _march_one_band(cells):
+    return _march_table([cells])
+
+
+@pytest.mark.parametrize("march", [_march_loop, _march_one_band], ids=["loop", "table"])
 @pytest.mark.parametrize("magnitude", [
     [[0.3, 0.9], [0.7, 0.45]],
     [[1.0, 1.0], [1.0, 1.0]],
@@ -492,14 +579,13 @@ def test_class_rows_match_cell_geometry_oracle(march, magnitude):
 
 
 def _refined_only(dec):
-    cells = _crossing_cells(dec)
-    return _refined_areas(cells, _edge_crossings(cells.values)).tolist()
+    return _refined_areas(_cell_bands(dec)).tolist()
 
 
 @pytest.mark.parametrize("case, table", [
     ("desk", True), ("window-3pi", False), ("sphere-l20", True), ("torus-2d", True),
 ])
-def test_refined_areas_match_measure_on_sampled_fields(case, table, desk_grid):
+def test_refined_areas_match_measure_on_sampled_fields(case, table, desk_grid, monkeypatch):
     model, grid = {
         "desk": (PlaneWave2D(), desk_grid),
         "window-3pi": (PlaneWave2D(), PlanarWindow(side=3 * math.pi, spacing=2 * math.pi / 10)),
@@ -513,7 +599,11 @@ def test_refined_areas_match_measure_on_sampled_fields(case, table, desk_grid):
     # the table pass measures at _TABLE_MIN_CELLS crossing cells, the loop below
     assert (cells.pattern.size >= _TABLE_MIN_CELLS) == table
     assert np.any(cells.saddle)
-    assert _refined_only(dec) == [d.refined_area for d in measure_domains(dec).domains]
+    expected = [d.refined_area for d in measure_domains(dec).domains]
+    assert _refined_only(dec) == expected
+    # the perturbation's refined-only pass, under a band for every cell row
+    monkeypatch.setattr(nodal, "_BAND_CELLS", 1)
+    assert _refined_only(dec) == expected
 
 
 def test_refined_areas_match_measure_on_synthetic_saddles():
@@ -567,8 +657,9 @@ def test_measure_bytes_match_golden_digest(desk_grid):
 
 
 def test_sphere_measure_transient_memory():
-    # the table pass keeps one row per segment; two slots per cell, twelve
-    # fraction rows and four area slots per cell peaked at about 57 MB here
+    # the table pass runs over bands of about 32k cells, and of each band
+    # keeps only what the final fold reads (the area shares, adjacent labels
+    # and ends of its segments, about 75k segments in all): about 17.9 MB here
     grid = LatLongSphere(n_lat=400, n_lon=800)
     dec = label_domains(sample_field(SphericalHarmonic(degree=80), grid, RngStream(7, 0)))
     tracemalloc.start()
@@ -577,20 +668,21 @@ def test_sphere_measure_transient_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 45e6
+    assert peak <= 20.5e6
 
 
 def test_torus_label_transient_memory(torus160_sample):
     # the run map goes before the components are found, counts come from
-    # the runs, and the edges arrive ordered and keep only the live ones
-    # after the first hook round: about 57 MB here
+    # the runs, and the edges arrive ordered, held by _components alone,
+    # which keeps only the live ones after the first hook round: about
+    # 47.5 MB here
     tracemalloc.start()
     try:
         label_domains(torus160_sample)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 64e6
+    assert peak <= 54e6
 
 
 def test_torus_measure_transient_memory(torus160_sample):

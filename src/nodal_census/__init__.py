@@ -43,7 +43,6 @@ from .stats import (
     nodal_length_density,
     ns_constant_estimate,
     psi_estimate,
-    sandwich_check,
     sandwich_check_many,
 )
 
@@ -91,7 +90,6 @@ __all__ = [
     "resume_ensemble",
     "run_ensemble",
     "sample_field",
-    "sandwich_check",
     "sandwich_check_many",
     "spherical_laplacian_residual",
     "synthetic_sample",

@@ -14,6 +14,10 @@ is answered by the grid itself:
 * `volume`: the total volume (area on the plane and sphere);
 * `center`: the reference point of ball statistics;
 * `axes()`: the node coordinates along each axis;
+* `cell_centers()`: the center coordinates of the marching cells along
+  each axis, the cells between neighbouring nodes (and across the wrap on
+  a periodic axis); `nodal` and the samplers' cell-center tables both read
+  them, so every saddle center `nodal` evaluates is a key of those tables;
 * `node_distances(center)`: the distance of every node from a point
   (minimal image on the torus, great-circle on the sphere); planar and
   torus grids also measure the lattice of other `axes` coordinates;
@@ -84,6 +88,9 @@ class PlanarWindow:
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         return (self.axis_coords(),) * 2
 
+    def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        return ((np.arange(self.n_intervals) + 0.5) * self.spacing,) * 2
+
     def node_coords(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(*self.axes(), indexing="ij")
 
@@ -144,6 +151,10 @@ class Torus:
     def axes(self) -> tuple[np.ndarray, ...]:
         return (self.axis_coords(),) * self.dim
 
+    def cell_centers(self) -> tuple[np.ndarray, ...]:
+        """Cell n - 1 on each axis spans the wrap; its center is the side."""
+        return ((np.arange(self.n_intervals) + 1.0) * self.spacing,) * self.dim
+
     def node_distances(self, center, axes=None) -> np.ndarray:
         """Minimal-image distances."""
         axes = self.axes() if axes is None else axes
@@ -199,6 +210,17 @@ class LatLongSphere:
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         return self.colatitudes(), self.longitudes()
+
+    def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The n_lat - 1 colatitudes between node rows (the polar caps
+        hold no cell) and the n_lon longitudes between node columns, the
+        last one across the wrap at 0."""
+        dth = math.pi / self.n_lat
+        dph = 2.0 * math.pi / self.n_lon
+        return (
+            (np.arange(self.n_lat - 1) + 1.0) * dth,
+            ((np.arange(self.n_lon) + 1.0) * dph) % (2.0 * math.pi),
+        )
 
     def row_cell_areas(self) -> np.ndarray:
         """Solid angle of one cell in each colatitude row."""

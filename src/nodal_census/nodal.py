@@ -34,7 +34,8 @@ non-negative at its center.  One set of read-only class tables, one row
 per segment slot, gives each class its segments, the corners on each side,
 the fraction each segment cuts off and the corners that take the area
 shares, and two marching paths read it.  The sign pattern of every cell
-and the saddle resolution (one `evaluate_at` call on all saddle centers)
+and the saddle resolution (one `evaluate_at` call on all saddle centers,
+whose radial factors the samplers gather from their cell-center tables)
 are found once for the whole field.  At `_TABLE_MIN_CELLS` crossing cells
 and above, `_march_table` takes the cells in bands of whole cell rows of
 about `_BAND_CELLS` cells, so every per-cell and per-segment temporary has
@@ -291,28 +292,23 @@ def _cell_tables(grid: GridSpec):
     D = (i, j+1), indices taken modulo the node shape on a wrapped axis:
     corner (i, j) is node node_i[i] + node_j[j], with node_i[i] = (i mod
     n0) * n1 and node_j[j] = j mod n1.  Its side lengths d0[i], d1[i] and
-    its area[i] depend on its row alone, and its center is (cu[i], cv[j]),
-    so the tables grow with the side of the grid, not its area.  They depend
-    on the grid alone: built once per grid and shared read-only by every
-    measure_domains call on it.
+    its area[i] depend on its row alone, and its center is (cu[i], cv[j])
+    from `grid.cell_centers()`, so the tables grow with the side of the
+    grid, not its area.  They depend on the grid alone: built once per grid
+    and shared read-only by every measure_domains call on it.
     """
+    cu, cv = grid.cell_centers()
     if isinstance(grid, (PlanarWindow, Torus)):
-        n = grid.n_intervals
         h = grid.spacing
-        d0 = np.full(n, h)
-        d1 = np.full(n, h)
-        area = np.full(n, h * h)
-        cu = (np.arange(n) + (0.5 if isinstance(grid, PlanarWindow) else 1.0)) * h
-        cv = cu
+        d0 = np.full(cu.size, h)
+        d1 = np.full(cu.size, h)
+        area = np.full(cu.size, h * h)
     else:
         dth = math.pi / grid.n_lat
         dph = 2.0 * math.pi / grid.n_lon
-        theta_mid = (np.arange(grid.n_lat - 1) + 1.0) * dth
-        d0 = np.full(theta_mid.size, dth)
-        d1 = np.sin(theta_mid) * dph
-        area = dph * (np.cos(theta_mid - 0.5 * dth) - np.cos(theta_mid + 0.5 * dth))
-        cu = theta_mid
-        cv = ((np.arange(grid.n_lon) + 1.0) * dph) % (2.0 * math.pi)
+        d0 = np.full(cu.size, dth)
+        d1 = np.sin(cu) * dph
+        area = dph * (np.cos(cu - 0.5 * dth) - np.cos(cu + 0.5 * dth))
     n0, n1 = grid.shape
     tables = (d0, d1, area, cu, cv, np.arange(cu.size + 1) % n0 * n1, np.arange(cv.size + 1) % n1)
     for table in tables:
@@ -429,9 +425,9 @@ def _wrap_extended(a: np.ndarray, wraps) -> np.ndarray:
 
 def _cell_signs(dec: NodalDecomposition) -> _Signs:
     """The corner-sign pattern of every cell, and the saddle resolution: one
-    `evaluate_at` call on all saddle centers of the field, whose batch sets
-    the work of a desk field's Bessel sweep.  A pattern ors four shifted
-    uint8 sign slices."""
+    `evaluate_at` call on all saddle centers of the field, which reads the
+    model's cell-center table (no Bessel sweep or Legendre recursion).  A
+    pattern ors four shifted uint8 sign slices."""
     sample = dec.sample
     cu, cv = _cell_tables(sample.grid)[3:5]
     rows, cols = cu.size, cv.size
@@ -1013,7 +1009,6 @@ def critical_cell_count(sample: FieldSample, center=None, radius: float | None =
     sgy = np.diff(v, axis=1) >= 0
     crit = (sgx[:, :-1] != sgx[:, 1:]) & (sgy[:-1, :] != sgy[1:, :])
     if radius is not None:  # the dual cells are the marching cells
-        cu, cv = _cell_tables(grid)[3:5]
         center = grid.center if center is None else center
-        crit &= grid.node_distances(center, (cu, cv)) <= radius
+        crit &= grid.node_distances(center, grid.cell_centers()) <= radius
     return int(np.sum(crit))

@@ -79,7 +79,6 @@ __all__ = [
     "SandwichVerdict",
     "psi_estimate",
     "ns_constant_estimate",
-    "sandwich_check",
     "sandwich_check_many",
     "faber_krahn_check",
     "boundary_and_joint_distributions",
@@ -486,10 +485,6 @@ def sandwich_check_many(
                 )
             )
     return verdicts
-
-
-def sandwich_check(dec: NodalDecomposition, r: float, R: float, t: float, center=None):
-    return sandwich_check_many(dec, [(r, R)], [t], center=center)[0]
 
 
 def faber_krahn_check(decs: list[NodalDecomposition], margin: float = 0.10):

@@ -19,6 +19,7 @@ from nodal_census import (
     Torus,
     critical_cell_count,
     domain_table_csv,
+    evaluate_at,
     label_domains,
     measure_domains,
     perturbation_stability,
@@ -393,8 +394,8 @@ def test_bands_match_one_band(desk_grid, monkeypatch):
 
 
 def test_measure_evaluates_saddle_centers_once_per_field(desk_grid, monkeypatch):
-    # splitting the saddles across bands would multiply desk's Bessel
-    # sweeps, and a sweep's start depends on the largest argument in its batch
+    # splitting the saddles across bands would multiply the evaluations, and
+    # each batch that misses the cell-center table would pay a whole sweep
     calls = []
 
     def counting(sample, points):
@@ -604,6 +605,41 @@ def test_refined_areas_match_measure_on_sampled_fields(case, table, desk_grid, m
     # the perturbation's refined-only pass, under a band for every cell row
     monkeypatch.setattr(nodal, "_BAND_CELLS", 1)
     assert _refined_only(dec) == expected
+
+
+def test_saddle_centers_read_the_cell_center_tables(desk_grid, monkeypatch):
+    # once a grid's cell-center table exists, a measured field and both
+    # perturbed fields gather their saddle rows from it: a silent fallback to
+    # the sweep would keep every byte and lose the time
+    sphere = LatLongSphere(n_lat=80, n_lon=160)
+    cases = []
+    for model, grid in ((PlaneWave2D(), desk_grid), (SphericalHarmonic(degree=40), sphere)):
+        sample = sample_field(model, grid, RngStream(7000, 0))
+        direction = sample_field(model, grid, RngStream(7000, PERTURBATION_STREAM_BASE))
+        nodal_census.sampler._grid_table(model, grid, centers=True)
+        cases.append((sample, direction))
+    calls = []
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    for name in ("bessel_j_orders", "legendre_matrix"):
+        monkeypatch.setattr(nodal_census.sampler, name,
+                            counted(name, getattr(nodal_census.sampler, name)))
+    for sample, direction in cases:
+        dec = label_domains(sample)
+        assert nodal._cell_signs(dec).saddle_cells.size > 0
+        measure_domains(dec)
+        for b in PERTURBATION_B:
+            perturbation_stability(dec, direction, b)
+    assert calls == []
+    # the counters see a batch that misses the tables
+    for sample, _ in cases:
+        evaluate_at(sample, np.array([[0.1, 0.1]]))
+    assert calls == ["bessel_j_orders", "legendre_matrix"]
 
 
 def test_refined_areas_match_measure_on_synthetic_saddles():

@@ -28,8 +28,10 @@ from nodal_census.sampler import (
     build_plane_wave_basis,
     covariance_probe_means,
     legendre_matrix,
+    plane_wave_truncation,
     torus_modes,
 )
+from nodal_census.specfn import bessel_j_orders
 from nodal_census import sampler
 
 TINY = PlanarWindow(side=2 * math.pi, spacing=2 * math.pi / 10)
@@ -114,6 +116,68 @@ def test_grid_tables_are_shared_read_only():
         np.testing.assert_array_equal(table, expected)
         with pytest.raises(ValueError, match="read-only"):
             table.flat[0] = 0
+
+
+# the smoke desk, and 21 cells a side: the window center is a cell center
+CENTER_TABLE_WINDOWS = [
+    PlanarWindow(side=18 * math.pi, spacing=2 * math.pi / 10),
+    PlanarWindow(side=10.5, spacing=0.5),
+]
+
+
+def _center_points(grid):
+    cu, cv = grid.cell_centers()
+    return np.stack([np.repeat(cu, cv.size), np.tile(cv, cu.size)], axis=1)
+
+
+@pytest.mark.parametrize("grid", CENTER_TABLE_WINDOWS, ids=["desk-18pi", "odd-21"])
+def test_plane_wave_center_table_rows_are_the_sweeps(grid):
+    # every cell-center radius is below the window radius R < N, so every
+    # batch of them starts its sweep at the same order: a row depends on its
+    # radius alone
+    radii, rows = _grid_table(PlaneWave2D(), grid, centers=True)
+    assert not rows.flags.writeable
+    n_trunc = plane_wave_truncation(grid.max_radius())
+    for i in range(radii.size):
+        assert np.array_equal(rows[i], bessel_j_orders(n_trunc, radii[i : i + 1])[0])
+    cx, cy = grid.center
+    pts = _center_points(grid)
+    r = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
+    assert np.array_equal(rows[np.searchsorted(radii, r)], bessel_j_orders(n_trunc, r))
+    assert (radii[0] == 0.0) == (grid.n_intervals % 2 == 1)
+
+
+def test_sphere_center_table_rows_are_legendre_rows():
+    grid = LatLongSphere(n_lat=40, n_lon=80)
+    theta, rows = _grid_table(SphericalHarmonic(degree=8), grid, centers=True)
+    assert not rows.flags.writeable
+    assert np.array_equal(theta, grid.cell_centers()[0])
+    for i in range(theta.size):
+        assert np.array_equal(rows[i], legendre_matrix(8, np.cos(theta[i : i + 1]))[0])
+    np.testing.assert_array_equal(rows, legendre_matrix(8, np.cos(theta)))
+
+
+@pytest.mark.parametrize("model, grid, extra", [
+    (PlaneWave2D(), CENTER_TABLE_WINDOWS[0], "nodes"),
+    (PlaneWave2D(), CENTER_TABLE_WINDOWS[0], "beyond"),
+    (PlaneWave2D(), CENTER_TABLE_WINDOWS[1], "nodes"),
+    (SphericalHarmonic(degree=8), LatLongSphere(n_lat=40, n_lon=80), "nodes"),
+], ids=["desk-18pi-nodes", "desk-18pi-beyond", "odd-21-nodes", "sphere-nodes"])
+def test_evaluate_at_gathers_the_sweep_values(model, grid, extra, monkeypatch):
+    # a batch of cell centers reads the table; one with any other point is
+    # swept whole, as before: both give the sweep's values, bit for bit
+    sample = sample_field(model, grid, RngStream(11, 0))
+    centers = _center_points(grid)[::7]
+    if extra == "nodes":  # the first, middle and last node of each axis
+        axes = grid.axes()
+        other = np.stack([axes[0][[0, axes[0].size // 2, -1]], axes[1][[0, 3, -1]]], axis=1)
+    else:  # past the window radius, which raises the sweep's start order
+        other = np.array([[grid.side * 1.2, grid.side * 1.3]])
+    batches = [centers, np.concatenate([centers, other]), np.concatenate([other, centers])]
+    fast = [evaluate_at(sample, pts) for pts in batches]
+    monkeypatch.setattr(sampler, "_table_rows", lambda table, at: None)
+    for pts, values in zip(batches, fast):
+        assert evaluate_at(sample, pts).tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("model, grid, message", [

@@ -22,14 +22,14 @@ from nodal_census import (
     ns_constant_estimate,
     psi_estimate,
     restrict_counts,
-    sandwich_check,
     sandwich_check_many,
     sample_field,
     synthetic_sample,
 )
 from nodal_census.engine import DEFAULT_SANDWICH_GEOMETRIES
 from nodal_census.sampler import covariance_probe_means
-from nodal_census.stats import _lattice_offsets, _row_runs, mean_stderr
+from nodal_census import specfn
+from nodal_census.stats import _lattice_offsets, _row_runs, fold_faber_krahn, mean_stderr
 
 FK_FLOOR = 18.168414535536805
 
@@ -256,13 +256,32 @@ def test_sandwich_transient_memory():
 def test_sandwich_geometry_guards():
     dec = label_domains(_sinsin_torus(4 * math.pi, 2 * math.pi / 8))
     with pytest.raises(ValueError, match="0 < r < R"):
-        sandwich_check(dec, 2.0, 1.0, math.inf)
+        sandwich_check_many(dec, [(2.0, 1.0)], [math.inf])
     with pytest.raises(ValueError, match="half the torus side"):
-        sandwich_check(dec, math.pi, 6 * math.pi, math.inf)
+        sandwich_check_many(dec, [(math.pi, 6 * math.pi)], [math.inf])
     grid = PlanarWindow(side=2 * math.pi, spacing=2 * math.pi / 8)
     decp = label_domains(synthetic_sample(np.ones((9, 9)), grid))
     with pytest.raises(ValueError, match="does not fit in the window"):
-        sandwich_check(decp, 1.0, math.pi, math.inf)
+        sandwich_check_many(decp, [(1.0, math.pi)], [math.inf])
+
+
+def test_faber_krahn_floor_is_found_once_per_dimension(monkeypatch):
+    # the report's fold reads the floor; a second fold finds no Bessel zero
+    zeros = []
+    bessel_zero = specfn.bessel_zero
+
+    def counted(*args):
+        zeros.append(args)
+        return bessel_zero(*args)
+
+    monkeypatch.setattr(specfn, "bessel_zero", counted)
+    specfn.faber_krahn_floor.cache_clear()
+    records, ids = [{"areas": [17.0, 30.0], "touches": [False, True]}], [(1, 0)]
+    first = fold_faber_krahn(records, ids)
+    assert len(zeros) == 1
+    assert fold_faber_krahn(records, ids) == first
+    assert len(zeros) == 1
+    assert first["floor"] == FK_FLOOR
 
 
 def test_faber_krahn_flags_small_quadrants():

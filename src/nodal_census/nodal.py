@@ -46,6 +46,10 @@ entries and corner data.  A band adds its uniform cells' areas and its
 segments' lengths to the per-label sums, in order, and keeps its segments'
 area shares, adjacent labels and crossing points for one fold at the end:
 the shares follow every uniform cell, and the contours join across bands.
+No temporary of the bands has the size of the grid's edge ids: a band's
+uniform cells are its label image with a spare label on the crossing
+cells, and the crossing points are numbered band by band, each band in
+the window of edge ids of its own node rows (see `_segment_contours`).
 Below `_TABLE_MIN_CELLS`, `_march_loop` visits the cells one by one
 through the tables' Python rows, because every numpy step has a fixed cost
 of some microseconds that a small field (a 4x4 window has at most 9
@@ -346,17 +350,23 @@ class _Signs(NamedTuple):
 
 
 class _Cells(NamedTuple):
-    """The crossing cells of a 2-D decomposition, in row-major cell order.
+    """The crossing cells of a band of whole cell rows of a 2-D
+    decomposition, in row-major cell order.
 
     The rows of `values` and `labels` are corners A, B, C, D and the rows of
     `edges` the edges AB, BC, CD, DA; an edge id names the crossing point on
-    that edge and is shared with the neighbouring cell.  Cells without a
-    crossing only add their area to the label of their corners, listed in
-    `uniform_labels` and `uniform_areas`.  Edge ids lie below `n_edges`.
+    that edge and is shared with the neighbouring cell.  The id of the edge
+    from node v to its +i neighbour is 2v, to its +j neighbour 2v + 1, so
+    the edges of each node row fill one stretch of 2 n1 ids, n1 the row's
+    node count (`nodes` is the node shape).  Edge ids lie below `n_edges`.
+    Cells without a crossing only add their area to the label of their
+    corners: `uniform_labels` is the band's label image in row-major cell
+    order, the label of corner A on a uniform cell and k on a crossing one,
+    and `uniform_areas` the area of a cell in each of the band's rows.
     """
 
     k: int
-    n_edges: int
+    nodes: tuple[int, int]
     uniform_labels: np.ndarray
     uniform_areas: np.ndarray
     pattern: np.ndarray  # uint8 corner sign bits A=1, B=2, C=4, D=8
@@ -368,6 +378,10 @@ class _Cells(NamedTuple):
     d0: np.ndarray
     d1: np.ndarray
     area: np.ndarray
+
+    @property
+    def n_edges(self) -> int:
+        return 2 * self.nodes[0] * self.nodes[1]
 
 
 class _Geometry(NamedTuple):
@@ -452,31 +466,30 @@ def _crossing_cells(
     dec: NodalDecomposition, signs: _Signs | None = None, first: int = 0, last: int | None = None
 ) -> _Cells:
     """The crossing cells of cell rows first..last - 1 (default all rows) of
-    a 2-D decomposition, and the labels and areas of the uniform ones, given
-    the field's `_cell_signs` (found when not given).  The corner node ids
-    add the grid's wrapping node tables at a cell's row and column and the
-    next ones, so no per-cell index is taken modulo."""
+    a 2-D decomposition, and the label image and row areas of the band,
+    given the field's `_cell_signs` (found when not given).  The corner node
+    ids add the grid's wrapping node tables at a cell's row and column and
+    the next ones, so no per-cell index is taken modulo."""
     if signs is None:
         signs = _cell_signs(dec)
     values = np.asarray(dec.sample.values, dtype=np.float64)
-    n0, n1 = dec.labels.shape
+    k = len(dec.domains)
     d0_row, d1_row, area_row, _, _, node_i, node_j = _cell_tables(dec.sample.grid)
     rows, cols = signs.pattern.shape
     if last is None:
         last = rows
-    pattern = signs.pattern[first:last].ravel()
+    pattern = signs.pattern[first:last]
     crossing = (pattern != 0) & (pattern != 15)
-    uniform = ~crossing
 
     cidx = np.flatnonzero(crossing)
     ci, cj = np.divmod(cidx, cols)
     if first:
         ci += first
-    pattern = pattern[cidx]
-    # corner node indices; a node index is also the id of the edge to its
-    # +i neighbour, and n0 * n1 plus it the id of the edge to its +j one
+    pattern = pattern.take(cidx)
+    # corner node indices; twice a node index is the id of the edge to its
+    # +i neighbour, and one more the id of the edge to its +j one
     corners = node_i[ci + _CORNER_DI] + node_j[cj + _CORNER_DJ]
-    edges = corners[_EDGE_START] + _EDGE_AXIS * (n0 * n1)
+    edges = corners[_EDGE_START] * 2 + _EDGE_AXIS
     # saddle resolution: field sign at the cell center when evaluable
     center_pos = np.ones(cidx.shape[0], dtype=bool)
     saddle = (pattern == 5) | (pattern == 10)
@@ -485,15 +498,16 @@ def _crossing_cells(
         center_pos[saddle] = signs.saddle_pos[before : before + np.count_nonzero(saddle)]
 
     return _Cells(
-        k=len(dec.domains),
-        n_edges=2 * n0 * n1,
-        uniform_labels=dec.labels[first:last, :cols].ravel()[uniform],
-        uniform_areas=np.repeat(area_row[first:last], cols)[uniform],
+        k=k,
+        nodes=dec.labels.shape,
+        # np.add.at adds by intp labels faster than by int32 ones
+        uniform_labels=np.where(crossing, np.intp(k), dec.labels[first:last, :cols]).ravel(),
+        uniform_areas=area_row[first:last],
         pattern=pattern,
         saddle=saddle,
         center_pos=center_pos,
-        values=values.ravel()[corners],
-        labels=dec.labels.ravel()[corners],
+        values=values.take(corners),
+        labels=dec.labels.take(corners),
         edges=edges,
         d0=d0_row[ci],
         d1=d1_row[ci],
@@ -512,26 +526,66 @@ def _cell_bands(dec: NodalDecomposition, signs: _Signs | None = None) -> Iterato
         yield _crossing_cells(dec, signs, first, min(first + step, rows))
 
 
-def _label_sums(labels: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
-    """Per-label sums of `weights`, each label's added in input order (float
-    zeros also for empty input, where bincount alone gives integers)."""
-    return np.bincount(labels, weights=weights, minlength=k).astype(np.float64, copy=False)
+def _add_uniform(sums: np.ndarray, cells: _Cells) -> None:
+    """Add each uniform cell's area to the label of its corners, in row-major
+    order, into k + 1 sums: the crossing cells' areas go to the spare sum k.
+    The row areas are repeated along the flat label image, which takes
+    `np.add.at`'s fast path; the row areas broadcast over a 2-D label index
+    take its slow one (330 against 55 us on a 32k-cell band)."""
+    cols = cells.uniform_labels.shape[0] // cells.uniform_areas.shape[0]
+    np.add.at(sums, cells.uniform_labels, np.repeat(cells.uniform_areas, cols))
 
 
-def _segment_contours(ends: np.ndarray, n_edges: int) -> np.ndarray:
-    """Contour of each segment, given its two crossing-point edge ids (below
-    `n_edges`) in `ends[2s]`, `ends[2s + 1]`: the components of the segments
-    over their crossing points, numbered by smallest edge id."""
-    # crossing points numbered in edge-id order, without sorting the ids: a
-    # scatter over the seen ids (a cumsum over all ids took twice as long)
-    seen = np.zeros(n_edges, dtype=bool)
-    seen[ends] = True
-    ids = np.flatnonzero(seen)
-    number = np.empty(n_edges, dtype=np.int32)
-    number[ids] = np.arange(ids.shape[0], dtype=np.int32)
-    point = number[ends].astype(np.intp)
+def _segment_contours(bands: list, nodes: tuple[int, int]) -> np.ndarray:
+    """Contour of each segment: the components of the segments over their
+    crossing points.  `bands` lists the bands of cell rows from the first
+    row on, each as (rows, ends), a segment's two crossing-point edge ids in
+    `ends[2s]`, `ends[2s + 1]` (see `_Cells`); `nodes` is the node shape.
+
+    A band of cell rows first..last - 1 has its crossing points on the
+    edges of node rows first..last, a window of 2 n1 ids a row.  They are
+    numbered in id order after the points of the bands above, through
+    arrays the size of the window, so none spans the grid's edge ids.  The
+    window's head row, node row `first`, is the band above's tail row: its
+    +j points keep the numbers that band gave them.  On a grid whose rows
+    wrap, the last band's tail row is node row 0, and its +j points keep
+    the numbers the first band gave them (a single band has the row as its
+    own head row)."""
+    n0, n1 = nodes
+    width = 2 * n1
+    numbers = []
+    count = first = 0
+    for rows, ends in bands:
+        size = (rows + 1) * width
+        head, tail = slice(1, width, 2), slice(rows * width + 1, size, 2)
+        slot = ends - first * width if first else ends
+        wraps = first > 0 and first + rows == n0
+        if wraps:  # node row 0 lies below the window's start
+            slot = np.where(slot < 0, slot + n0 * width, slot)
+        seen = np.zeros(size, dtype=bool)
+        seen[slot] = True
+        if first:
+            seen[head] = False
+        if wraps:
+            seen[tail] = False
+        # a scatter over the seen ids (a cumsum over the window took three times as long)
+        ids = np.flatnonzero(seen)
+        number = np.empty(size, dtype=np.int32)
+        number[ids] = np.arange(count, count + ids.shape[0], dtype=np.int32)
+        count += ids.shape[0]
+        if first:
+            number[head] = above
+        else:
+            top = number[head]
+        if wraps:
+            number[tail] = top
+        above = number[tail]
+        numbers.append(number[slot])
+        first += rows
+    # intp points: np.minimum.at takes its slow path on int32 edges
+    point = np.concatenate(numbers, dtype=np.intp)
     a, b = point[0::2], point[1::2]
-    return _components(ids.shape[0], np.maximum(a, b), np.minimum(a, b))[a]
+    return _components(count, np.maximum(a, b), np.minimum(a, b))[a]
 
 
 def _march_loop(cells: _Cells) -> _Geometry:
@@ -540,7 +594,11 @@ def _march_loop(cells: _Cells) -> _Geometry:
     expressions and adds them up in its order."""
     k = cells.k
     perimeter = [0.0] * k
-    ref = _label_sums(cells.uniform_labels, cells.uniform_areas, k).tolist()
+    # the uniform cells' areas, each label's added in row-major order (the
+    # spare sum k takes the crossing cells'), as `_add_uniform` adds them
+    rows = cells.uniform_areas.shape[0]
+    cols = cells.uniform_labels.shape[0] // rows
+    ref = np.bincount(cells.uniform_labels, np.repeat(cells.uniform_areas, cols), k + 1).tolist()
     total_len = 0.0
     # per segment: its two crossing-point edge ids and the labels beside it
     ends: list[int] = []
@@ -581,13 +639,14 @@ def _march_loop(cells: _Cells) -> _Geometry:
         for label in channel:
             ref[label] += share
 
-    contour = _segment_contours(np.array(ends, dtype=np.int64), cells.n_edges)
+    contour = _segment_contours([(rows, np.array(ends, dtype=np.intp))], cells.nodes)
     # each distinct (contour, label) pair is one boundary component of the label
     boundary = [0] * k
     for _, lab_i in {(c, lab_i) for c, labs in zip(contour.tolist(), beside) for lab_i in labs}:
         boundary[lab_i] += 1
     return _Geometry(
-        perimeter=perimeter, refined_area=ref, boundary_components=boundary, total_length=total_len
+        perimeter=perimeter, refined_area=ref[:k], boundary_components=boundary,
+        total_length=total_len,
     )
 
 
@@ -648,12 +707,20 @@ def _class_tables():
     return tables
 
 
+# the table pass gathers with `take`: it copies these tables' short rows
+# about ten times faster than indexing does, and flat elements a fifth faster
 _SEG_EDGES, _SEG_SIDES, _AREA_CORNERS, _FRAC_COLS = _class_tables()
 # the operands p, q of fraction columns 0-5, as rows of
 # [t_ab, t_bc, t_cd, t_da, 1 - t_ab, 1 - t_bc, 1 - t_cd, 1 - t_da]
 _FRAC_P = [0, 4, 5, 2, 0, 1]
 _FRAC_Q = [3, 1, 6, 7, 2, 3]
-_FRAC_OPERANDS = np.array([_FRAC_P, _FRAC_Q]).T
+# the same operands as the edge of each t, and whether it is read as 1 - t
+_FRAC_EDGES = np.array([_FRAC_P, _FRAC_Q]).T % 4
+_FRAC_COMPLEMENT = np.array([_FRAC_P, _FRAC_Q]).T >= 4
+# per edge AB, BC, CD, DA: whether it runs along +j, and the coordinate its
+# crossing points share, v on AB and CD, u on BC and DA
+_EDGE_ALONG_J = np.array([False, True, False, True])
+_EDGE_FAR = np.array([0.0, 1.0, 1.0, 0.0])
 # corners (p, q) of edges AB, BC, CD, DA; a crossing lies at x[p] / (x[p] - x[q])
 _EDGE_ENDS = ((0, 1), (1, 2), (3, 2), (0, 3))
 
@@ -713,11 +780,13 @@ def _area_shares(
     its channel's label(s)."""
     n = cells.pattern.shape[0]
     col = _FRAC_COLS[row]
-    p, q = np.concatenate([t, 1.0 - t]).ravel()[_FRAC_OPERANDS[col] * n + cell[:, None]].T
+    # each row's two operands: t on their edges, or 1 - t where read so
+    operands = t.take(_FRAC_EDGES.take(col, axis=0) * n + cell[:, None])
+    p, q = np.where(_FRAC_COMPLEMENT.take(col, axis=0), 1.0 - operands, operands).T
     f = np.where(col >= 4, 0.5 * (p + q), (0.5 * p) * q)
     ca = cells.area[cell]
     share = np.column_stack([f * ca, (1.0 - f) * ca])
-    owner = cells.labels.ravel()[_AREA_CORNERS[row] * n + cell[:, None]]
+    owner = cells.labels.take(_AREA_CORNERS.take(row, axis=0) * n + cell[:, None])
     # a saddle's slot 0 takes both corner cuts, its slot 1 the rest
     second = np.flatnonzero(row & 1)
     share[second - 1, 1] = share[second, 0]
@@ -726,7 +795,8 @@ def _area_shares(
     share[second] = np.where(shared, rest, 0.5 * rest)[:, None]
     gets = np.ones(owner.shape, dtype=bool)
     gets[second[shared], 1] = False
-    return owner[gets], share[gets]
+    gets = gets.ravel()
+    return owner.ravel().compress(gets), share.ravel().compress(gets)
 
 
 def _refined_areas(bands: Iterable[_Cells]) -> np.ndarray:
@@ -740,11 +810,12 @@ def _refined_areas(bands: Iterable[_Cells]) -> np.ndarray:
     refined, shares = None, []
     for cells in bands:
         if refined is None:
-            refined = np.zeros(cells.k)
-        np.add.at(refined, cells.uniform_labels, cells.uniform_areas)
+            refined = np.zeros(cells.k + 1)
+        _add_uniform(refined, cells)
         shares.append(_area_shares(cells, _edge_crossings(cells.values), *_segment_rows(cells)))
-    np.add.at(refined, *(np.concatenate(s) for s in zip(*shares)))
-    return refined
+    for owner, share in shares:
+        np.add.at(refined, owner, share)
+    return refined[: cells.k]
 
 
 def _square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -821,45 +892,52 @@ def _march_table(bands: Iterable[_Cells]) -> _Geometry:
     algorithm of `math.hypot`, which the loop calls; the replica matched
     `math.hypot` bit for bit under CPython 3.10, 3.11, 3.12 and 3.13.
     """
-    along_u = np.array([[True], [False], [True], [False]])
     refined = perimeter = None
-    shares, segments = [], []
+    shares, segments, ends = [], [], []
     total = 0.0
     for cells in bands:
         if refined is None:
-            refined, perimeter = np.zeros(cells.k), np.zeros(cells.k)
+            refined, perimeter = np.zeros(cells.k + 1), np.zeros(cells.k)
         n = cells.pattern.shape[0]
         cell, row = _segment_rows(cells)
         t = _edge_crossings(cells.values)
-        np.add.at(refined, cells.uniform_labels, cells.uniform_areas)
+        _add_uniform(refined, cells)
         shares.append(_area_shares(cells, t, cell, row))
         # each segment's two edges, and their crossing points (u, v): on AB,
-        # BC, CD, DA at (t, 0), (1, t), (t, 1), (0, t), with A = (0, 0), C = (1, 1)
-        at = _SEG_EDGES[row] * n + cell[:, None]
-        u = np.where(along_u, t, [[0.0], [1.0], [0.0], [0.0]]).ravel()[at]
-        v = np.where(along_u, [[0.0], [0.0], [1.0], [0.0]], t).ravel()[at]
+        # BC, CD, DA at (t, 0), (1, t), (t, 1), (0, t), with A = (0, 0), C = (1, 1);
+        # t is gathered once per end, and each coordinate is t or the constant
+        edge = _SEG_EDGES.take(row, axis=0)
+        at = edge * n + cell[:, None]
+        along_j, far, t_end = _EDGE_ALONG_J[edge], _EDGE_FAR[edge], t.take(at)
+        u = np.where(along_j, far, t_end)
+        v = np.where(along_j, t_end, far)
         du = (u[:, 1] - u[:, 0]) * cells.d0[cell]
         dv = (v[:, 1] - v[:, 0]) * cells.d1[cell]
         lengths = _hypot(du, dv)
         total = float(np.cumsum(np.concatenate([[total], lengths]))[-1])
-        sides = cells.labels.ravel()[_SEG_SIDES[row] * n + cell[:, None]]
-        # a channel of one label is adjacent once
+        sides = cells.labels.take(_SEG_SIDES.take(row, axis=0) * n + cell[:, None])
+        # a channel of one label is adjacent once: a segment has two or three
+        # labels beside it, and repeats its length and later its contour as
+        # often (`np.repeat` took an eighth of the time of a masked broadcast)
         touch = np.ones(sides.shape, dtype=bool)
         np.not_equal(sides[:, 2], sides[:, 1], out=touch[:, 2])
-        adjacent = sides[touch]
-        np.add.at(perimeter, adjacent, np.broadcast_to(lengths[:, None], touch.shape)[touch])
-        segments.append((adjacent, touch, cells.edges.ravel()[at].ravel()))
+        adjacent = sides.ravel().compress(touch.ravel())
+        beside = touch[:, 2] + 2
+        np.add.at(perimeter, adjacent, np.repeat(lengths, beside))
+        segments.append((adjacent, beside))
+        ends.append((cells.uniform_areas.shape[0], cells.edges.take(at).ravel()))
     k = cells.k
-    np.add.at(refined, *(np.concatenate(s) for s in zip(*shares)))
-    adjacent, touch, ends = (np.concatenate(s) for s in zip(*segments))
-    contour = _segment_contours(ends, cells.n_edges)
+    for owner, share in shares:
+        np.add.at(refined, owner, share)
+    adjacent, beside = (np.concatenate(s) for s in zip(*segments))
+    contour = _segment_contours(ends, cells.nodes)
     # each distinct (contour, label) pair is one boundary component of the label
-    pairs = np.sort(np.broadcast_to(contour[:, None], touch.shape)[touch] * k + adjacent)
+    pairs = np.sort(np.repeat(contour, beside) * k + adjacent)
     distinct = np.ones(pairs.shape, dtype=bool)
     np.not_equal(pairs[1:], pairs[:-1], out=distinct[1:])
     return _Geometry(
         perimeter=perimeter.tolist(),
-        refined_area=refined.tolist(),
+        refined_area=refined[:k].tolist(),
         boundary_components=np.bincount(pairs[distinct] % k, minlength=k).tolist(),
         total_length=total,
     )

@@ -28,7 +28,12 @@ Each model's per-grid table (the plane-wave basis, the Legendre matrix, the
 torus modes) is built once per grid per process, on first use, and shared
 read-only by every later draw on that grid, from any thread; no sampler
 takes a table argument.  The public builders (`build_plane_wave_basis`,
-`legendre_matrix`, `torus_modes`) stay uncached.
+`legendre_matrix`, `torus_modes`) stay uncached.  The plane-wave basis,
+two node-major arrays of N + 1 and N orders (85 MB on the 40 pi desk), is
+built in blocks of `_BASIS_BLOCK` nodes: a block runs the angle recurrence
+through every order into (order, node) scratch rows and is copied in
+transposed, which took about half the time of writing one strided column
+per order over all nodes (95 against 180 ms), with the same bytes.
 
 The plane wave and the harmonic keep a second per-grid table for `evaluate`,
 their radial factor at the grid's cell centers (`grid.cell_centers()`, where
@@ -77,6 +82,10 @@ _MAX_PLANE_RADIUS = 300.0
 _MIN_TORUS_SIDE = 20.0 * 2.0 * math.pi
 # axis-1 indices per block of the torus's axis-0 inverse-FFT pass
 _TORUS_BLOCK = 4
+# nodes per block of the plane-wave basis build: on the 40 pi desk, blocks
+# of 1,024 nodes built the basis in about half the time of one strided
+# column per order over all nodes, and 2,048 and 16,384 took longer
+_BASIS_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -140,25 +149,36 @@ def _basis_block(r: np.ndarray, theta: np.ndarray, n_trunc: int):
     """Cosine/sine basis rows for the given polar coordinates.
 
     A lattice repeats each radius many times, so the Bessel sweep runs on the
-    distinct radii and each order's column is gathered back onto the nodes.
+    distinct radii and each node gathers its radius's row.  The nodes go in
+    blocks of `_BASIS_BLOCK`: a block runs the angle recurrence through every
+    order into (order, node) scratch rows, which are copied into the
+    node-major basis transposed.  Each value is the expression the
+    recurrence gives node by node, sqrt(2) J_n(r) times cos or sin of n theta.
     """
     radii, node_radius = np.unique(r, return_inverse=True)
     jmat = bessel_j_orders(n_trunc, radii)
+    scaled = math.sqrt(2.0) * jmat[:, 1:]
     npts = r.shape[0]
     cos_b = np.empty((npts, n_trunc + 1), dtype=np.float64)
     sin_b = np.empty((npts, n_trunc), dtype=np.float64)
-    cos_b[:, 0] = jmat[node_radius, 0]
-    c1 = np.cos(theta)
-    s1 = np.sin(theta)
-    cn = c1.copy()
-    sn = s1.copy()
-    root2 = math.sqrt(2.0)
-    for n in range(1, n_trunc + 1):
-        jn = jmat[node_radius, n]
-        cos_b[:, n] = root2 * jn * cn
-        sin_b[:, n - 1] = root2 * jn * sn
-        if n < n_trunc:
-            cn, sn = cn * c1 - sn * s1, sn * c1 + cn * s1
+    cos_s = np.empty((n_trunc + 1, _BASIS_BLOCK))
+    sin_s = np.empty((n_trunc, _BASIS_BLOCK))
+    for lo in range(0, npts, _BASIS_BLOCK):
+        at = node_radius[lo : lo + _BASIS_BLOCK]
+        size = at.shape[0]
+        cos_n, sin_n = cos_s[:, :size], sin_s[:, :size]
+        jn = scaled.take(at, axis=0).T
+        c1 = np.cos(theta[lo : lo + size])
+        s1 = np.sin(theta[lo : lo + size])
+        cn, sn = c1, s1
+        cos_n[0] = jmat[at, 0]
+        for n in range(1, n_trunc + 1):
+            np.multiply(jn[n - 1], cn, out=cos_n[n])
+            np.multiply(jn[n - 1], sn, out=sin_n[n - 1])
+            if n < n_trunc:
+                cn, sn = cn * c1 - sn * s1, sn * c1 + cn * s1
+        cos_b[lo : lo + size] = cos_n.T
+        sin_b[lo : lo + size] = sin_n.T
     return cos_b, sin_b
 
 

@@ -7,7 +7,7 @@ search over every same-sign node pair, graph components from
 breadth-first search, the crossing cells of a decomposition from a loop
 over every cell, the face areas of a 3-D torus from a loop over every node
 and axis that reads both sides of each face, and the geometry of one
-marching-squares cell from polygons cut along its crossing segments.  Three exceptions keep an earlier implementation as the
+marching-squares cell from polygons cut along its crossing segments.  Four exceptions keep an earlier implementation as the
 reference.  The sandwich oracle is the key-sort `sandwich_check_many`: it
 shares the package's node-distance convention and verdict record, and counts
 every (center, label) pair by materialising and sorting their keys.  The
@@ -15,7 +15,10 @@ torus oracle is the full-grid band-limited sampler: it shares the package's
 mode table and draw order, and runs one `np.fft.ifftn` over the whole
 spectrum.  The perturbation oracle is the full-measure
 `perturbation_stability`: it runs the whole `measure_domains` on the
-perturbed field and reads the refined areas from its domain records.
+perturbed field and reads the refined areas from its domain records.  The
+plane-wave basis oracle is the column-by-column build: it shares the
+package's Bessel sweep and angle recurrence, and writes one order's column
+over all nodes at a time.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from nodal_census import (
     measure_domains,
 )
 from nodal_census.nodal import domain_max_distance
-from nodal_census.sampler import evaluate_at, torus_modes
+from nodal_census.sampler import evaluate_at, plane_wave_truncation, torus_modes
+from nodal_census.specfn import bessel_j_orders
 
 mp.mp.dps = 30
 
@@ -138,6 +142,26 @@ def bfs_components(n: int, edges) -> np.ndarray:
                     queue.append(y)
         nxt += 1
     return labels
+
+
+def contour_partition(ends) -> list:
+    """The contour of each segment, given its two crossing points' edge ids
+    in ends[2s], ends[2s + 1], by union-find over the points: two segments
+    share a contour iff a chain of shared points joins them.  Each segment
+    gets its contour's root point; only the partition is meaningful."""
+    parent: dict = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    ends = [int(e) for e in ends]
+    for a, b in zip(ends[0::2], ends[1::2]):
+        parent[find(a)] = find(b)
+    return [find(a) for a in ends[0::2]]
 
 
 def node_pair_labels(pos: np.ndarray, wraps) -> np.ndarray:
@@ -245,7 +269,10 @@ def crossing_cells(dec) -> dict:
     Cell (i, j) has corners A = (i, j), B = (i+1, j), C = (i+1, j+1) and
     D = (i, j+1), each index taken mod the node shape on a wrapped axis; the
     crossing point on edge AB, BC, CD or DA is named by the node id of A, B,
-    D or A, plus the node count N on the +j edges BC and DA.  A saddle's
+    D or A: twice its node id on the +i edges AB and CD, one more on the +j
+    edges BC and DA.  The uniform fields hold a label per cell, corner A's
+    on a uniform cell and the domain count k on a crossing one, and a cell's
+    area per row of cells.  A saddle's
     center lies midway between A and C in grid coordinates, a coordinate
     past a wrapped axis's last node continuing by one period.  Side lengths
     and areas come from the node coordinates: on the sphere the colatitude
@@ -255,7 +282,6 @@ def crossing_cells(dec) -> dict:
     sample, grid, labels = dec.sample, dec.sample.grid, dec.labels
     values = np.asarray(sample.values, dtype=np.float64)
     n0, n1 = labels.shape
-    n_nodes = n0 * n1
     sphere = not isinstance(grid, (PlanarWindow, Torus))
     period = 2.0 * math.pi if sphere else getattr(grid, "side", 0.0)
     axes = [list(a) for a in grid.axes()]
@@ -266,6 +292,7 @@ def crossing_cells(dec) -> dict:
 
     out = {name: [] for name in ("uniform_labels", "uniform_areas", "pattern", "saddle",
                                  "center_pos", "values", "labels", "edges", "d0", "d1", "area")}
+    k = len(dec.domains)
     for i in range(n0 if grid.wraps[0] else n0 - 1):
         u0, u1 = coord(0, i), coord(0, i + 1)
         for j in range(n1 if grid.wraps[1] else n1 - 1):
@@ -276,14 +303,16 @@ def crossing_cells(dec) -> dict:
             else:
                 d0, d1 = u1 - u0, v1 - v0
                 area = d0 * d1
+            if j == 0:
+                out["uniform_areas"].append(area)
             node = [(a % n0) * n1 + b % n1 for a, b in ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))]
             x = [float(values.flat[v]) for v in node]
             lab = [int(labels.flat[v]) for v in node]
             pattern = sum(1 << c for c in range(4) if x[c] >= 0)
             if pattern in (0, 15):
                 out["uniform_labels"].append(lab[0])
-                out["uniform_areas"].append(area)
                 continue
+            out["uniform_labels"].append(k)
             saddle = pattern in (5, 10)
             center_pos = True
             if saddle and sample.coeffs is not None:
@@ -291,16 +320,44 @@ def crossing_cells(dec) -> dict:
                 center_pos = bool(evaluate_at(sample, center)[0] >= 0)
             for name, value in (("pattern", pattern), ("saddle", saddle),
                                 ("center_pos", center_pos), ("values", x), ("labels", lab),
-                                ("edges", [node[0], n_nodes + node[1], node[3], n_nodes + node[0]]),
+                                ("edges", [2 * node[0], 2 * node[1] + 1,
+                                           2 * node[3], 2 * node[0] + 1]),
                                 ("d0", d0), ("d1", d1), ("area", area)):
                 out[name].append(value)
-    dtypes = {"uniform_labels": np.int32, "pattern": np.uint8, "saddle": bool,
+    dtypes = {"uniform_labels": np.intp, "pattern": np.uint8, "saddle": bool,
               "center_pos": bool, "labels": np.int32, "edges": np.int64}
     cells = {name: np.array(column, dtype=dtypes.get(name, np.float64))
              for name, column in out.items()}
     for name in ("values", "labels", "edges"):  # (4, n) rows, one per corner or edge
         cells[name] = cells[name].reshape(-1, 4).T
-    return {"k": len(dec.domains), "n_edges": 2 * n_nodes, **cells}
+    return {"k": k, "nodes": (n0, n1), **cells}
+
+
+def plane_wave_basis_columns(grid) -> tuple[np.ndarray, np.ndarray]:
+    """The plane-wave basis of a planar window, one order's column over all
+    nodes at a time: cos_basis[:, 0] = J_0(r), cos_basis[:, n] = sqrt(2)
+    J_n(r) cos(n theta) and sin_basis[:, n - 1] = sqrt(2) J_n(r) sin(n
+    theta) about the window center, with cos and sin of n theta from the
+    angle-addition recurrence and J from one sweep over the distinct radii."""
+    n_trunc = plane_wave_truncation(grid.max_radius())
+    cx, cy = grid.center
+    xx, yy = grid.node_coords()
+    dx, dy = (xx - cx).ravel(), (yy - cy).ravel()
+    r, theta = np.hypot(dx, dy), np.arctan2(dy, dx)
+    radii, node_radius = np.unique(r, return_inverse=True)
+    jmat = bessel_j_orders(n_trunc, radii)
+    cos_b = np.empty((r.shape[0], n_trunc + 1))
+    sin_b = np.empty((r.shape[0], n_trunc))
+    cos_b[:, 0] = jmat[node_radius, 0]
+    c1, s1 = np.cos(theta), np.sin(theta)
+    cn, sn = c1.copy(), s1.copy()
+    root2 = math.sqrt(2.0)
+    for n in range(1, n_trunc + 1):
+        jn = jmat[node_radius, n]
+        cos_b[:, n] = root2 * jn * cn
+        sin_b[:, n - 1] = root2 * jn * sn
+        cn, sn = cn * c1 - sn * s1, sn * c1 + cn * s1
+    return cos_b, sin_b
 
 
 def face_perimeters_3d(dec) -> tuple[np.ndarray, float]:

@@ -393,6 +393,69 @@ def test_bands_match_one_band(desk_grid, monkeypatch):
     assert seen == {"desk", "sphere-l40", "torus-2d", "saddle-dense"}
 
 
+def _recorded_contours(monkeypatch, march, cells):
+    """The segment ends of each band that `march` hands to
+    `_segment_contours`, and the contour it gets for each segment."""
+    calls = []
+    real = nodal._segment_contours
+
+    def recording(bands, nodes):
+        contour = real(bands, nodes)
+        calls.append(([ends for _, ends in bands], contour))
+        return contour
+
+    monkeypatch.setattr(nodal, "_segment_contours", recording)
+    march(cells)
+    monkeypatch.undo()
+    (band_ends, contour), = calls
+    return band_ends, contour
+
+
+def _same_partition(x, y) -> bool:
+    x, y = list(x), list(y)
+    return len(set(zip(x, y))) == len(set(x)) == len(set(y))
+
+
+def test_contours_match_union_find_oracle(monkeypatch):
+    # the crossing points are numbered band by band, each band in its own
+    # window of edge ids; the segments must still fall into the contours a
+    # union-find over the points gives, across band boundaries and across
+    # the row seam of a 2-D torus, whose last band's bottom row is row 0
+    n = 160
+    sphere = label_domains(sample_field(SphericalHarmonic(degree=80),
+                                        LatLongSphere(n_lat=400, n_lon=800), RngStream(7000, 0)))
+    torus = label_domains(sample_field(BandLimitedTorus(dim=2, alpha=0.0),
+                                       Torus(side=40 * math.pi, spacing=2 * math.pi / 8),
+                                       RngStream(7000, 0)))
+    assert torus.labels.shape == (n, n)
+    for dec, band_cells in ((sphere, None), (sphere, 1), (torus, None), (torus, 1),
+                            (torus, 3 * n + 1)):
+        if band_cells is not None:
+            monkeypatch.setattr(nodal, "_BAND_CELLS", band_cells)
+        bands = list(_cell_bands(dec))
+        monkeypatch.undo()
+        band_ends, contour = _recorded_contours(monkeypatch, _march_table, bands)
+        ends = np.concatenate(band_ends)
+        assert _same_partition(contour.tolist(), oracles.contour_partition(ends))
+        band = np.repeat(np.arange(len(bands)), [e.size // 2 for e in band_ends])
+        spans = np.unique(np.stack([contour, band]), axis=1)[0]
+        if len(bands) > 1:  # some contours run through several bands
+            assert np.count_nonzero(spans[1:] == spans[:-1]) > 10
+        if dec is torus:  # crossing points on the seam, read by the last band
+            assert np.count_nonzero((band_ends[-1] % 2 == 1) & (band_ends[-1] < 2 * n)) > 10
+    # the per-cell loop numbers its single band the same way
+    rng = np.random.default_rng(59)
+    grid = PlanarWindow(side=1.5, spacing=0.5)
+    for _ in range(300):
+        values = rng.choice([-1.0, 1.0], size=(4, 4)) * rng.uniform(0.1, 1.0, size=(4, 4))
+        cells = _cells(values, grid)
+        cells = cells._replace(center_pos=rng.random(cells.pattern.shape) < 0.5)
+        for march in (_march_loop, _march_one_band):
+            band_ends, contour = _recorded_contours(monkeypatch, march, cells)
+            ends = np.concatenate(band_ends)
+            assert _same_partition(contour.tolist(), oracles.contour_partition(ends))
+
+
 def test_measure_evaluates_saddle_centers_once_per_field(desk_grid, monkeypatch):
     # splitting the saddles across bands would multiply the evaluations, and
     # each batch that misses the cell-center table would pay a whole sweep
@@ -695,7 +758,9 @@ def test_measure_bytes_match_golden_digest(desk_grid):
 def test_sphere_measure_transient_memory():
     # the table pass runs over bands of about 32k cells, and of each band
     # keeps only what the final fold reads (the area shares, adjacent labels
-    # and ends of its segments, about 75k segments in all): about 17.9 MB here
+    # and ends of its segments, about 75k segments in all); the crossing
+    # points are numbered in windows of one band's edge ids, with no array
+    # over all 640k of them: about 13.2 MB here
     grid = LatLongSphere(n_lat=400, n_lon=800)
     dec = label_domains(sample_field(SphericalHarmonic(degree=80), grid, RngStream(7, 0)))
     tracemalloc.start()
@@ -704,7 +769,7 @@ def test_sphere_measure_transient_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 20.5e6
+    assert peak <= 15.8e6
 
 
 def test_torus_label_transient_memory(torus160_sample):

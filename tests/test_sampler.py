@@ -125,6 +125,23 @@ CENTER_TABLE_WINDOWS = [
 ]
 
 
+@pytest.mark.parametrize("grid", CENTER_TABLE_WINDOWS, ids=["desk-18pi", "odd-21"])
+def test_plane_wave_basis_matches_column_oracle(grid):
+    # the basis is built in blocks of nodes (8,281 nodes on the smoke desk,
+    # 484 in the odd window, neither a whole number of blocks); every value
+    # is the one the column-by-column build gives, and the shared table is
+    # C-ordered and read-only
+    table = PlaneWave2D().table(grid)
+    built = build_plane_wave_basis(grid)
+    expected = oracles.plane_wave_basis_columns(grid)
+    for basis in (table, built):
+        for got, want in zip((basis.cos_basis, basis.sin_basis), expected):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+    assert not table.cos_basis.flags.writeable and not table.sin_basis.flags.writeable
+
+
 def _center_points(grid):
     cu, cv = grid.cell_centers()
     return np.stack([np.repeat(cu, cv.size), np.tile(cv, cu.size)], axis=1)

@@ -37,7 +37,6 @@ from .stats import (
     NsEstimate,
     SandwichVerdict,
     boundary_and_joint_distributions,
-    empirical_covariance,
     faber_krahn_check,
     ks_distance,
     nodal_length_density,
@@ -70,7 +69,6 @@ __all__ = [
     "boundary_and_joint_distributions",
     "critical_cell_count",
     "domain_table_csv",
-    "empirical_covariance",
     "evaluate_at",
     "faber_krahn_check",
     "faber_krahn_floor",

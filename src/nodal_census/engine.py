@@ -37,6 +37,7 @@ import numpy as np
 
 from .grids import GridSpec, LatLongSphere, PlanarWindow, grid_from_dict
 from .io import (
+    FloatColumn,
     canonical_json,
     domain_table_csv,
     file_sha256,
@@ -407,6 +408,9 @@ def _assemble(
         ) from None
     boundary, pairs = fold_boundary(ordered, psi_r)
     largest_jump = float(np.max(np.diff(np.concatenate([[0.0], psi.fractions]))))
+    # each psi and boundary float is rendered once, and report.json, psi.csv
+    # and joint.csv are joined from that text
+    psi_dict, boundary_dict = psi.to_dict(FloatColumn), boundary.to_dict(FloatColumn)
     ns = fold_ns(ordered, config.radii, config.grid.dim) if config.radii else None
     length_mean, length_err = fold_nodal_length(ordered, config.grid)
     report = {
@@ -415,8 +419,8 @@ def _assemble(
         "config_hash": config.config_hash(),
         "realizations_completed": len(ordered),
         "failures": [{"index": i, "error": err} for i, err in failures],
-        "psi": dict(psi.to_dict(), largest_jump=largest_jump, window_radius=psi_r),
-        "boundary": boundary.to_dict(),
+        "psi": dict(psi_dict, largest_jump=largest_jump, window_radius=psi_r),
+        "boundary": boundary_dict,
         "ns": ns.to_dict() if ns is not None else None,
         "nodal_length_density": {"mean": length_mean, "stderr": length_err},
         "checks": _summarize_checks(config, ordered),
@@ -426,8 +430,12 @@ def _assemble(
         },
     }
     write_json(outdir / "report.json", report)
-    write_text(outdir / "psi.csv", psi_csv(psi))
-    write_text(outdir / "joint.csv", joint_csv(pairs))
+    write_text(outdir / "psi.csv", psi_csv(psi_dict))
+    write_text(outdir / "joint.csv", joint_csv(
+        pairs, psi_dict["breakpoints"], boundary_dict["breakpoints"]))
+    for cdf in (psi_dict, boundary_dict):  # written: the report keeps the floats only
+        for name in ("breakpoints", "fractions", "stderr"):
+            cdf[name].text = None
     if ns is not None:
         write_text(outdir / "ns.csv", ns_csv(ns))
     if "sandwich" in config.checks:

@@ -8,7 +8,15 @@ layouts: the compact hashing form, `canonical_json` (config hashes,
 container headers), and the stdlib's two-space indented layout, `json_text`,
 which `write_json` writes for every JSON file (reports, sidecars, manifests,
 comparisons, container sidecars).  The emitter formats each list of plain
-floats in one join rather than one call per element.
+floats, and each list of plain bools, in one join rather than one call per
+element.
+
+Each float of a report is rendered once.  A `FloatColumn` is a list of
+floats that carries their text, and `psi_csv`, `joint_csv` and the emitter
+take the text from it.  The engine turns the psi and boundary columns into
+`FloatColumn`s, and `report.json`, `psi.csv` and `joint.csv` are all joined
+from their text: `joint.csv` takes each area's text from the psi breakpoints
+and each perimeter's from the boundary breakpoints, found by position.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ __all__ = [
     "psi_csv",
     "ns_csv",
     "joint_csv",
+    "FloatColumn",
     "sandwich_csv",
     "file_sha256",
     "text_sha256",
@@ -86,13 +95,40 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
+class FloatColumn(list):
+    """A list of plain floats that carries their text: the shortest
+    round-trip `repr` of each, the one rendering every float export shares.
+    Every reader, the stdlib encoder included, sees the floats; `_emit_json`,
+    `psi_csv` and `joint_csv` join `text` instead of rendering each float
+    again.  Treat it as read-only, and set `text` to None once the files
+    that share it are written."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, values):
+        super().__init__(np.asarray(values, dtype=np.float64).tolist())
+        self.text = list(map(float.__repr__, self))
+
+
+def _column_text(values) -> list[str]:
+    """The text of each value of a 1-D column, read as a float.  A
+    `FloatColumn` hands over the text it carries."""
+    if not isinstance(values, FloatColumn) or values.text is None:
+        values = FloatColumn(values)
+    return values.text
+
+
+_BOOL_TEXT = {True: "true", False: "false"}
+
+
 def _emit_json(obj, pad: str | None, out: list) -> None:
     """Append the JSON text of `obj` to `out`: keys sorted and stringified,
     tuples and arrays as lists, ASCII only, floats as their shortest
     round-trip `repr`, infinities spelled "inf"/"-inf" and NaN refused.
     `pad` is the indent of the line `obj` starts on in the stdlib's
     two-space layout, or None for the compact layout.  A list of finite
-    plain floats is rendered in one join."""
+    plain floats, or of plain bools, is rendered in one join; a
+    `FloatColumn` lends its text to that join."""
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
         if math.isnan(x):
@@ -117,8 +153,12 @@ def _emit_json(obj, pad: str | None, out: list) -> None:
                 _emit_json(value, inner, out)
                 sep = "," + brk
             out.append(end + "}")
-        elif set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+        elif isinstance(obj, FloatColumn) and obj.text is not None and all(map(math.isfinite, obj)):
+            out.append("[" + brk + ("," + brk).join(obj.text) + end + "]")
+        elif (kinds := set(map(type, obj))) == {float} and all(map(math.isfinite, obj)):
             out.append("[" + brk + ("," + brk).join(map(float.__repr__, obj)) + end + "]")
+        elif kinds == {bool}:
+            out.append("[" + brk + ("," + brk).join(map(_BOOL_TEXT.__getitem__, obj)) + end + "]")
         else:
             sep = "[" + brk
             for value in obj:
@@ -278,10 +318,16 @@ def domain_table_csv(dec) -> str:
     return "\n".join(lines) + "\n"
 
 
+_CDF_COLUMNS = ("breakpoints", "fractions", "stderr")
+
+
 def psi_csv(cdf) -> str:
-    columns = (np.asarray(c, dtype=np.float64).tolist()
-               for c in (cdf.breakpoints, cdf.fractions, cdf.stderr))
-    return "\n".join(["t,psi_hat,stderr", *map("%r,%r,%r".__mod__, zip(*columns))]) + "\n"
+    """One row per breakpoint: t, psi_hat and stderr.  `cdf` is an
+    `EmpiricalCdf` or a dict with its columns, such as its `to_dict()`."""
+    if not isinstance(cdf, dict):
+        cdf = {name: getattr(cdf, name) for name in _CDF_COLUMNS}
+    rows = zip(*(_column_text(cdf[name]) for name in _CDF_COLUMNS))
+    return "\n".join(["t,psi_hat,stderr", *map(",".join, rows)]) + "\n"
 
 
 def ns_csv(est) -> str:
@@ -291,11 +337,28 @@ def ns_csv(est) -> str:
     return "\n".join(lines) + "\n"
 
 
-def joint_csv(pairs) -> str:
-    lines = ["area,perimeter"]
-    for a, p in pairs:
-        lines.append(f"{float(a)!r},{float(p)!r}")
-    return "\n".join(lines) + "\n"
+def _text_by_position(values: np.ndarray, column) -> list[str]:
+    """The text of each of `values`, taken from the entry of the sorted
+    `column` it is found at by `searchsorted` when that entry has the same
+    bits, else rendered.  Equal bits keep -0.0 apart from 0.0."""
+    if column is None or len(column) == 0:
+        return _column_text(values)
+    keys = np.asarray(column, dtype=np.float64)
+    pos = np.minimum(np.searchsorted(keys, values), keys.size - 1)
+    text = list(map(_column_text(column).__getitem__, pos.tolist()))
+    for i in np.flatnonzero(keys.view(np.int64)[pos] != values.view(np.int64)).tolist():
+        text[i] = float.__repr__(float(values[i]))
+    return text
+
+
+def joint_csv(pairs, areas=None, perimeters=None) -> str:
+    """One row per (area, perimeter) pair.  `areas` and `perimeters`, when
+    given, are sorted columns that hold the pairs' values, such as the psi
+    and boundary breakpoints; each value then takes the text of its entry
+    there."""
+    table = np.asarray(pairs, dtype=np.float64).reshape(-1, 2)
+    rows = zip(_text_by_position(table[:, 0], areas), _text_by_position(table[:, 1], perimeters))
+    return "\n".join(["area,perimeter", *map(",".join, rows)]) + "\n"
 
 
 def sandwich_csv(verdicts) -> str:

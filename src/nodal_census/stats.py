@@ -12,7 +12,7 @@ ball restriction reads it, largest distance from the ball center
 functions build records from decompositions; the engine folds the records it
 persisted as sidecars, so library, report and CLI numbers agree exactly.
 Means with their standard errors over realizations all come from
-`mean_stderr`, the covariance estimate over per-sample probe means included.
+`mean_stderr`.
 
 Counting conventions shared by everything in this module: a domain is
 "interior" when it does not touch the window edge, and it lies "in B(c, R)"
@@ -68,12 +68,11 @@ import numpy as np
 
 from .grids import LatLongSphere, PlanarWindow, Torus
 from .nodal import NodalDecomposition, domain_max_distance, measure_domains
-from .sampler import FieldSample, covariance_probe_means
+from .sampler import FieldSample
 from .specfn import faber_krahn_floor
 
 __all__ = [
     "RECORD_COLUMNS",
-    "CovarianceEstimate",
     "EmpiricalCdf",
     "NsEstimate",
     "SandwichVerdict",
@@ -84,7 +83,6 @@ __all__ = [
     "boundary_and_joint_distributions",
     "ks_distance",
     "nodal_length_density",
-    "empirical_covariance",
     "census_record",
     "fold_psi",
     "fold_boundary",
@@ -122,12 +120,13 @@ class EmpiricalCdf:
         out = np.where(idx >= 0, self.fractions[np.maximum(idx, 0)], 0.0)
         return float(out) if np.isscalar(t) else out
 
-    def to_dict(self) -> dict:
+    def to_dict(self, column=np.ndarray.tolist) -> dict:
+        """The CDF as a dict, each array turned into a list by `column`."""
         return {
-            "breakpoints": self.breakpoints.tolist(),
-            "fractions": self.fractions.tolist(),
+            "breakpoints": column(self.breakpoints),
+            "fractions": column(self.fractions),
             "total_count": self.total_count,
-            "stderr": self.stderr.tolist(),
+            "stderr": column(self.stderr),
         }
 
     @classmethod
@@ -164,13 +163,6 @@ class SandwichVerdict:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass
-class CovarianceEstimate:
-    lags: np.ndarray
-    estimates: np.ndarray
-    stderrs: np.ndarray
 
 
 def _check_same_ensemble(samples: list[FieldSample]) -> None:
@@ -523,18 +515,3 @@ def ks_distance(a: EmpiricalCdf, b: EmpiricalCdf) -> float:
 def nodal_length_density(decs: list[NodalDecomposition]) -> tuple[float, float]:
     """Mean and stderr of total crossing length per unit area."""
     return fold_nodal_length(_records(decs, ("nodal_length",)), decs[0].sample.grid)
-
-
-def empirical_covariance(samples: list[FieldSample], lags) -> CovarianceEstimate:
-    """Monte Carlo covariance at the given lags along the first axis.
-
-    Averages F(x0) F(x0 + lag e1) over a fixed probe set and the sample list;
-    stderr is the realization-to-realization scatter of the per-sample probe
-    mean (probes within one sample are correlated, samples are not).
-    """
-    _check_same_ensemble(samples)
-    if len(samples) < 2:
-        raise ValueError("need at least two samples")
-    lags = np.asarray(lags, dtype=np.float64)
-    estimates, stderrs = mean_stderr([covariance_probe_means(s, lags) for s in samples])
-    return CovarianceEstimate(lags=lags, estimates=estimates, stderrs=stderrs)

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 from pathlib import Path
@@ -28,7 +29,7 @@ from nodal_census import (
 )
 from nodal_census import engine, sampler
 from nodal_census.io import canonical_json, joint_csv, read_json, text_sha256, write_json
-from nodal_census.stats import census_record
+from nodal_census.stats import census_record, fold_boundary
 
 GRID = PlanarWindow(side=9 * math.pi, spacing=2 * math.pi / 10)
 
@@ -440,3 +441,31 @@ def test_report_folds_like_the_library(tmp_path):
     min_area, violations = faber_krahn_check(decs, margin=0.10)
     assert report["checks"]["faber_krahn"]["min_area"] == min_area
     assert report["checks"]["faber_krahn"]["violations"] == [list(v) for v in violations]
+
+
+def _assert_exports_share_the_report_text(run) -> None:
+    outdir = run.output_dir
+    report = json.loads((outdir / "report.json").read_text(), parse_float=str)
+    psi = report["psi"]
+    rows = zip(psi["breakpoints"], psi["fractions"], psi["stderr"])
+    assert (outdir / "psi.csv").read_text().splitlines() == ["t,psi_hat,stderr", *map(",".join, rows)]
+    _, pairs = fold_boundary(run.records, run.config.effective_psi_radius())
+    assert (outdir / "joint.csv").read_text().splitlines() == [
+        "area,perimeter", *(f"{a!r},{p!r}" for a, p in pairs)]
+    assert canonical_json(run.report) == canonical_json(read_json(outdir / "report.json"))
+
+
+def _sphere_l8_config(outdir):
+    return EnsembleConfig(model=SphericalHarmonic(degree=8), grid=LatLongSphere(n_lat=40, n_lon=80),
+                          realizations=3, master_seed=6, output_dir=str(outdir))
+
+
+@pytest.mark.parametrize("make_config", [_config, _sphere_l8_config], ids=["desk", "sphere"])
+def test_exports_share_the_report_text(tmp_path, make_config):
+    # Each psi and boundary float is rendered once: every psi.csv row is the
+    # text report.json gives its breakpoint, fraction and stderr, and every
+    # joint.csv field is the repr of its pair, fresh and resumed alike.
+    config = make_config(tmp_path)
+    _assert_exports_share_the_report_text(run_ensemble(config))
+    (tmp_path / "realizations" / "00001.json").unlink()
+    _assert_exports_share_the_report_text(resume_ensemble(config, tmp_path))

@@ -30,6 +30,7 @@ from nodal_census import (
     write_field,
 )
 from nodal_census.io import (
+    FloatColumn,
     canonical_json,
     domain_table_csv,
     file_sha256,
@@ -128,6 +129,7 @@ JSON_CORPUS = [
     [-0.0, 5e-324, 1e300, -1e300, 1.0, 0.1], [1.0, math.inf, -math.inf], np.array([math.inf, 1.0]),
     math.inf, -math.inf, 0.1, -0.0, "top", 7, np.int64(7), None, True,
     {"nested": {"deeper": [{"x": np.float64(2.5), "y": [np.float64(-math.inf)]}]}},
+    [True, False, False], {"touches": [[False], [True, True]]},
 ]
 
 
@@ -142,7 +144,8 @@ def test_canonical_json_matches_the_stdlib(tmp_path, obj):
     assert _emitted(obj, "compact", tmp_path) == _reference_json(obj, "compact").encode("ascii")
 
 
-NAN_OBJECTS = [math.nan, [1.0, math.nan], {"x": np.float64(math.nan)}, np.array([0.5, math.nan])]
+NAN_OBJECTS = [math.nan, [1.0, math.nan], {"x": np.float64(math.nan)}, np.array([0.5, math.nan]),
+               FloatColumn([0.5, math.nan])]
 
 
 def _refuses_nan(obj, layout, tmp_path):
@@ -161,6 +164,22 @@ def test_write_json_refuses_nan(tmp_path, obj):
 @pytest.mark.parametrize("obj", NAN_OBJECTS)
 def test_canonical_json_refuses_nan(tmp_path, obj):
     _refuses_nan(obj, "compact", tmp_path)
+
+
+FLOAT_COLUMNS = [[], [0.1], [-0.0, 5e-324, 1e300, -1e300, 1.0, 0.1], [1.0, math.inf, -math.inf]]
+
+
+@pytest.mark.parametrize("values", FLOAT_COLUMNS)
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_float_column_emits_like_its_floats(tmp_path, values, layout):
+    # a pre-rendered column gives the float path's bytes, with its text or
+    # after the text is released, and with infinities spelled out
+    column = FloatColumn(values)
+    expected = _emitted({"c": values, "n": [values, 2.5]}, layout, tmp_path)
+    assert _emitted({"c": column, "n": [column, 2.5]}, layout, tmp_path) == expected
+    assert expected == _reference_json({"c": values, "n": [values, 2.5]}, layout).encode("ascii")
+    column.text = None
+    assert _emitted({"c": column, "n": [column, 2.5]}, layout, tmp_path) == expected
 
 
 UNSERIALIZABLE = [{1, 2}, [np.bool_(True)], {"x": object()}]
@@ -534,6 +553,24 @@ def test_stat_csv_exports_match_the_scalar_rendering(mini_ensemble):
     table = np.array(pairs)
     for form in (pairs, table, [tuple(row) for row in table], np.array([[-0.0, 5e-324]])):
         assert joint_csv(form) == _joint_csv_reference(form)
+
+
+def test_exports_take_text_from_float_columns():
+    # psi_csv joins a dict's pre-rendered columns; joint_csv takes a value's
+    # text from the column entry it is found at only when the bits agree, so
+    # -0.0 and 0.0 stay apart and a value the column lacks is rendered
+    cdf = EmpiricalCdf.from_values([0.5, 1 / 3, 2.5])
+    columns = cdf.to_dict(FloatColumn)
+    assert psi_csv(columns) == psi_csv(cdf) == _psi_csv_reference(cdf)
+    columns["fractions"].text = ["a", "b", "c"]
+    assert psi_csv(columns).splitlines()[1:] == [f"{t!r},{f},{e!r}" for t, f, e in zip(
+        cdf.breakpoints.tolist(), "abc", cdf.stderr.tolist())]
+    areas, perimeters = FloatColumn([0.0, 1 / 3]), FloatColumn([-0.0, 2.5])
+    areas.text, perimeters.text = ["zero", "third"], ["minus zero", "two and a half"]
+    pairs = [(-0.0, 0.0), (0.0, -0.0), (1 / 3, 2.5), (7.0, 5e-324)]
+    assert joint_csv(pairs, areas, perimeters).splitlines() == [
+        "area,perimeter", "-0.0,0.0", "zero,minus zero", "third,two and a half", "7.0,5e-324"]
+    assert joint_csv(pairs, FloatColumn([]), None) == _joint_csv_reference(pairs)
 
 
 def test_sandwich_csv_spells_infinity(mini_ensemble):

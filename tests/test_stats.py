@@ -14,7 +14,6 @@ from nodal_census import (
     Torus,
     boundary_and_joint_distributions,
     critical_cell_count,
-    empirical_covariance,
     faber_krahn_check,
     ks_distance,
     label_domains,
@@ -27,9 +26,8 @@ from nodal_census import (
     synthetic_sample,
 )
 from nodal_census.engine import DEFAULT_SANDWICH_GEOMETRIES
-from nodal_census.sampler import covariance_probe_means
 from nodal_census import specfn
-from nodal_census.stats import _lattice_offsets, _row_runs, fold_faber_krahn, mean_stderr
+from nodal_census.stats import _lattice_offsets, _row_runs, fold_faber_krahn
 
 FK_FLOOR = 18.168414535536805
 
@@ -106,6 +104,9 @@ def test_psi_requires_interior_domains():
         psi_estimate([dec], volume_scale=0.0)
     with pytest.raises(ValueError, match="at least one"):
         psi_estimate([])
+    other = label_domains(synthetic_sample(np.ones((7, 7)), PlanarWindow(side=3.0, spacing=0.5)))
+    with pytest.raises(ValueError, match="different models or grids"):
+        psi_estimate([dec, other])
 
 
 def test_restrict_counts_against_recount():
@@ -367,21 +368,3 @@ def test_domain_density_below_critical_density(mini_ensemble):
     side = mini_ensemble[0].sample.grid.side
     crit = np.mean([critical_cell_count(d.sample) / side**2 for d in mini_ensemble])
     assert 0.0 < est.pooled <= crit
-
-
-def test_empirical_covariance_is_mean_stderr_of_probe_means():
-    # one ensemble mean-and-error routine: the library estimate is the fold
-    # the engine's covariance summary makes, bit for bit
-    grid = PlanarWindow(side=6 * math.pi, spacing=2 * math.pi / 10)
-    samples = [sample_field(PlaneWave2D(), grid, RngStream(4, i)) for i in range(5)]
-    lags = (0.0, 1.0, 2.4048)
-    est = empirical_covariance(samples, lags)
-    means, errs = mean_stderr(np.stack([covariance_probe_means(s, lags) for s in samples]))
-    assert est.estimates.tobytes() == means.tobytes()
-    assert est.stderrs.tobytes() == errs.tobytes()
-    assert est.lags.tolist() == list(lags)
-    other = PlanarWindow(side=7 * math.pi, spacing=2 * math.pi / 10)
-    with pytest.raises(ValueError, match="different models or grids"):
-        empirical_covariance([samples[0], sample_field(PlaneWave2D(), other, RngStream(4, 0))], lags)
-    with pytest.raises(ValueError, match="at least two"):
-        empirical_covariance(samples[:1], lags)

@@ -12,11 +12,9 @@ from .io import domain_table_csv, load_field, write_field
 from .nodal import (
     DomainRecord,
     NodalDecomposition,
-    critical_cell_count,
     label_domains,
     measure_domains,
     perturbation_stability,
-    restrict_counts,
     synthetic_sample,
 )
 from .sampler import (
@@ -31,7 +29,7 @@ from .sampler import (
     sample_field,
     spherical_laplacian_residual,
 )
-from .specfn import bessel_j, bessel_zero, faber_krahn_floor, kernel_eval
+from .specfn import faber_krahn_floor
 from .stats import (
     EmpiricalCdf,
     NsEstimate,
@@ -64,17 +62,13 @@ __all__ = [
     "SandwichVerdict",
     "SphericalHarmonic",
     "Torus",
-    "bessel_j",
-    "bessel_zero",
     "boundary_and_joint_distributions",
-    "critical_cell_count",
     "domain_table_csv",
     "evaluate_at",
     "faber_krahn_check",
     "faber_krahn_floor",
     "grid_from_dict",
     "helmholtz_residual",
-    "kernel_eval",
     "ks_distance",
     "label_domains",
     "load_field",
@@ -84,7 +78,6 @@ __all__ = [
     "ns_constant_estimate",
     "perturbation_stability",
     "psi_estimate",
-    "restrict_counts",
     "resume_ensemble",
     "run_ensemble",
     "sample_field",

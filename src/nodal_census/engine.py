@@ -3,16 +3,19 @@
 A run directory holds `manifest.json` (config echo, config hash, version),
 `realizations/#####.csv` (the pinned per-domain tables), `realizations/
 #####.json` (per-realization sidecars carrying the engine version, the
-config hash, the table checksum and, as payload, the census record of
-`stats.census_record` plus the check results),
-`report.json`, and the CSV exports.  The record carries `dmax` only where a
-fold reads it, on planar and torus runs (`effective_psi_radius` is set); a
-sphere record has none, and a reused sphere sidecar that has one is folded
-as if it had not.  The report payload is a pure fold of the
-sidecar payloads sorted by index, through the same `stats` estimators the
-library calls, so it is byte-identical across execution orders, worker
-counts, and fresh-vs-resumed runs; wall-clock numbers live only under the
-"timing" key.
+config hash, the table checksum, the payload checksum and, as payload, the
+canonical JSON text of what the table lacks: the census record's
+`nodal_length`, its `dmax` where a fold reads it, and the check results),
+`report.json`, and the CSV exports.  The table is the only on-disk home of
+the per-domain columns: fresh and resumed realizations alike fold the record
+`io.read_domain_table` reads from the table's text, joined with the
+payload.  Both checksums cover text exactly as stored, so a resume checks
+them without rendering anything.  `dmax` is stored only on planar and torus
+runs (`effective_psi_radius` is set); a sphere has no ball restriction.  The
+report payload is a pure fold of those records sorted by index, through the
+same `stats` estimators the library calls, so it is byte-identical across
+execution orders, worker counts, and fresh-vs-resumed runs; wall-clock
+numbers live only under the "timing" key.
 
 The config hash deliberately excludes `output_dir`: it identifies what was
 computed, not where it landed, which is what both resume validation and the
@@ -27,6 +30,8 @@ no table.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -40,11 +45,11 @@ from .io import (
     FloatColumn,
     canonical_json,
     domain_table_csv,
-    file_sha256,
     fnv1a64,
     joint_csv,
     ns_csv,
     psi_csv,
+    read_domain_table,
     read_json,
     sandwich_csv,
     text_sha256,
@@ -62,7 +67,6 @@ from .sampler import (
     sample_field,
 )
 from .stats import (
-    RECORD_COLUMNS,
     EmpiricalCdf,
     NsEstimate,
     SandwichVerdict,
@@ -270,17 +274,18 @@ def _run_checks(config: EnsembleConfig, sample, dec, index: int) -> dict:
     return out
 
 
-def _record_columns(config: EnsembleConfig) -> tuple:
-    """The census record columns a payload carries and the fold reads."""
-    if config.effective_psi_radius() is None:  # no ball restriction reads dmax
-        return tuple(c for c in RECORD_COLUMNS if c != "dmax")
-    return RECORD_COLUMNS
+def _payload_columns(config: EnsembleConfig) -> tuple:
+    """The census record columns the domain table lacks, which the payload
+    carries: `nodal_length`, and `dmax` where a ball restriction reads it."""
+    if config.effective_psi_radius() is None:
+        return ("nodal_length",)
+    return ("dmax", "nodal_length")
 
 
 def _payload_complete(config: EnsembleConfig, payload) -> bool:
-    """Whether `payload` is a dict holding every record column and check
-    result the fold reads; values are not checked."""
-    if not isinstance(payload, dict) or not all(c in payload for c in _record_columns(config)):
+    """Whether `payload` is a dict holding every check result the fold
+    reads; its values are checked by the sidecar's payload checksum."""
+    if not isinstance(payload, dict):
         return False
     checks = payload.get("checks")
     # faber_krahn folds the record columns; every other check stores a result
@@ -292,8 +297,8 @@ def _realize(config: EnsembleConfig, index: int, outdir: Path) -> tuple[str, dic
     sample = sample_field(config.model, config.grid, RngStream(config.master_seed, index))
     dec = label_domains(sample)
     measure_domains(dec)
-    record = census_record(dec, columns=_record_columns(config))
-    payload = dict(record, checks=_run_checks(config, sample, dec, index))
+    payload = census_record(dec, columns=_payload_columns(config))
+    payload["checks"] = _run_checks(config, sample, dec, index)
     csv_text = domain_table_csv(dec)
     if config.keep_fields:
         fields_dir = outdir / "fields"
@@ -305,25 +310,66 @@ def _realize(config: EnsembleConfig, index: int, outdir: Path) -> tuple[str, dic
 def _persist(outdir: Path, config: EnsembleConfig, index: int, csv_text: str, payload: dict) -> None:
     csv_path, json_path = _realization_paths(outdir, index)
     write_text(csv_path, csv_text)
+    payload_text = canonical_json(payload)
     sidecar = {
         "version": ENGINE_VERSION,
         "index": index,
         "master_seed": config.master_seed,
         "config_hash": config.config_hash(),
         "csv_sha256": text_sha256(csv_text),
-        "payload": payload,
+        "payload_sha256": text_sha256(payload_text),
+        "payload": payload_text,
     }
     write_json(json_path, sidecar)
 
 
+def _record(csv_text: str, payload: dict) -> dict:
+    """The census record a realization folds: its domain table's columns,
+    as the one table reader gives them, joined with its payload."""
+    return dict(payload, **read_domain_table(csv_text))
+
+
+def _stored_record(config: EnsembleConfig, config_hash: str, outdir: Path, index: int):
+    """The record of realization `index` as stored under `outdir`, or None
+    when it must be recomputed: a table or sidecar that is missing or
+    unreadable, a sidecar that is not a JSON object, was written by another
+    engine version or for another config, or whose table or payload
+    checksum disagrees, a payload without a check result the fold reads, and
+    a table the reader refuses.  Each checksum is taken over the text as
+    stored: the table is read once, as bytes, whose UTF-8 text is parsed,
+    and the payload is stored as its canonical JSON text, so checking it
+    renders nothing."""
+    csv_path, json_path = _realization_paths(outdir, index)
+    try:
+        sidecar = read_json(json_path)
+        if not isinstance(sidecar, dict) or sidecar.get("version") != ENGINE_VERSION:
+            return None
+        if sidecar.get("index") != index or sidecar.get("config_hash") != config_hash:
+            return None
+        table = csv_path.read_bytes()
+        if sidecar.get("csv_sha256") != hashlib.sha256(table).hexdigest():
+            return None
+        text = sidecar.get("payload")
+        if not isinstance(text, str) or sidecar.get("payload_sha256") != text_sha256(text):
+            return None
+        payload = json.loads(text)
+        if not _payload_complete(config, payload):
+            return None
+        return _record(table.decode("utf-8"), payload)
+    except (OSError, ValueError):  # missing, torn, or refused by a reader
+        return None
+
+
 def _execute(config: EnsembleConfig, outdir: Path, reuse: dict) -> tuple[dict, list]:
+    """Fold records by index: `reuse`'s records as given, and every other
+    realization sampled, persisted and read back through `_record`."""
     def run_one(index: int):
         if index in reuse:
             return index, reuse[index], None
         try:
             csv_text, payload = _realize(config, index, outdir)
             _persist(outdir, config, index, csv_text, payload)
-            return index, payload, None
+            return index, _record(csv_text, payload), None
         except Exception as exc:  # noqa: BLE001 - failure isolation contract
             return index, None, f"{type(exc).__name__}: {exc}"
 
@@ -337,33 +383,33 @@ def _execute(config: EnsembleConfig, outdir: Path, reuse: dict) -> tuple[dict, l
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_one, indices))
-    payloads = {i: p for i, p, err in outcomes if err is None}
-    failures = sorted((i, err) for i, p, err in outcomes if err is not None)
+    records = {i: r for i, r, err in outcomes if err is None}
+    failures = sorted((i, err) for i, r, err in outcomes if err is not None)
     if len(failures) > 0.10 * config.realizations:
         lines = "; ".join(f"#{i}: {err}" for i, err in failures[:5])
         raise EnsembleFailure(
             f"{len(failures)}/{config.realizations} realizations failed ({lines})"
         )
-    return payloads, failures
+    return records, failures
 
 
-def _summarize_checks(config: EnsembleConfig, payloads: list[dict]) -> dict:
+def _summarize_checks(config: EnsembleConfig, records: list[dict]) -> dict:
     out = {}
     if "faber_krahn" in config.checks:
-        ids = [(config.master_seed, p["index"]) for p in payloads]
-        out["faber_krahn"] = fold_faber_krahn(payloads, ids, FK_MARGIN, config.grid.dim)
+        ids = [(config.master_seed, p["index"]) for p in records]
+        out["faber_krahn"] = fold_faber_krahn(records, ids, FK_MARGIN, config.grid.dim)
     if "sandwich" in config.checks:
         total = holding = 0
-        for p in payloads:
+        for p in records:
             for v in p["checks"]["sandwich"]["verdicts"]:
                 total += 1
                 holding += bool(v["holds"])
         out["sandwich"] = {"total": total, "holding": holding, "all_hold": holding == total}
     if "helmholtz" in config.checks:
-        mean, err = mean_stderr([p["checks"]["helmholtz"]["residual"] for p in payloads])
+        mean, err = mean_stderr([p["checks"]["helmholtz"]["residual"] for p in records])
         out["helmholtz"] = {"mean_residual": mean, "stderr": err}
     if "covariance" in config.checks:
-        means, errs = mean_stderr([p["checks"]["covariance"]["probe_means"] for p in payloads])
+        means, errs = mean_stderr([p["checks"]["covariance"]["probe_means"] for p in records])
         out["covariance"] = {
             "lags": list(COVARIANCE_LAGS),
             "means": means.tolist(),
@@ -372,12 +418,12 @@ def _summarize_checks(config: EnsembleConfig, payloads: list[dict]) -> dict:
     if "perturbation" in config.checks:
         rows = [
             p["checks"]["perturbation"]["medians"]
-            for p in payloads
+            for p in records
             if all(m is not None for m in p["checks"]["perturbation"]["medians"])
         ]
         ratios = [
             p["checks"]["perturbation"]["ratio"]
-            for p in payloads
+            for p in records
             if p["checks"]["perturbation"]["ratio"] is not None
         ]
         rmean, rerr = mean_stderr(ratios) if ratios else (None, None)
@@ -391,11 +437,11 @@ def _summarize_checks(config: EnsembleConfig, payloads: list[dict]) -> dict:
 
 
 def _assemble(
-    config: EnsembleConfig, outdir: Path, payloads: dict, failures: list, wall: float
+    config: EnsembleConfig, outdir: Path, records: dict, failures: list, wall: float
 ) -> EnsembleReport:
-    if not payloads:
+    if not records:
         raise EnsembleFailure("no realizations completed")
-    ordered = [dict(payloads[i], index=i) for i in sorted(payloads)]
+    ordered = [dict(records[i], index=i) for i in sorted(records)]
     psi_r = config.effective_psi_radius()
     try:
         psi = fold_psi(ordered, psi_r)
@@ -461,8 +507,8 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleReport:
         {"version": ENGINE_VERSION, "config": config.to_dict(), "config_hash": config.config_hash()},
     )
     start = time.monotonic()
-    payloads, failures = _execute(config, outdir, reuse={})
-    return _assemble(config, outdir, payloads, failures, time.monotonic() - start)
+    records, failures = _execute(config, outdir, reuse={})
+    return _assemble(config, outdir, records, failures, time.monotonic() - start)
 
 
 def resume_ensemble(config: EnsembleConfig, partial_dir) -> EnsembleReport:
@@ -470,12 +516,10 @@ def resume_ensemble(config: EnsembleConfig, partial_dir) -> EnsembleReport:
 
     The partial directory must carry a manifest of this `ENGINE_VERSION`
     whose config hash matches.
-    A sidecar that cannot be parsed or is not a JSON object, that was
-    written by another engine version or for another config, whose
-    stored checksum disagrees with its table, or whose payload is not a
-    JSON object with every record column and check result the fold reads
-    is treated as missing, so torn, stale and tampered realizations are
-    recomputed.
+    Every realization `_stored_record` refuses is recomputed, so torn,
+    stale and tampered realizations, and those stored in an older sidecar
+    shape, are recomputed; every other one is folded from its table and
+    payload as stored.
     """
     config.validate()
     outdir = Path(partial_dir)
@@ -494,24 +538,8 @@ def resume_ensemble(config: EnsembleConfig, partial_dir) -> EnsembleReport:
             f"config hash mismatch: manifest has {manifest.get('config_hash')}, "
             f"resume config hashes to {config_hash}"
         )
-    reuse = {}
-    for i in range(config.realizations):
-        csv_path, json_path = _realization_paths(outdir, i)
-        if not (csv_path.exists() and json_path.exists()):
-            continue
-        try:
-            sidecar = read_json(json_path)
-        except ValueError:
-            continue
-        if not isinstance(sidecar, dict) or sidecar.get("version") != ENGINE_VERSION:
-            continue
-        if sidecar.get("index") != i or sidecar.get("config_hash") != config_hash:
-            continue
-        if sidecar.get("csv_sha256") != file_sha256(csv_path):
-            continue
-        if not _payload_complete(config, sidecar.get("payload")):
-            continue
-        reuse[i] = sidecar["payload"]
+    stored = {i: _stored_record(config, config_hash, outdir, i) for i in range(config.realizations)}
+    reuse = {i: record for i, record in stored.items() if record is not None}
     start = time.monotonic()
-    payloads, failures = _execute(config, outdir, reuse)
-    return _assemble(config, outdir, payloads, failures, time.monotonic() - start)
+    records, failures = _execute(config, outdir, reuse)
+    return _assemble(config, outdir, records, failures, time.monotonic() - start)

@@ -19,8 +19,7 @@ is answered by the grid itself:
   a periodic axis); `nodal` and the samplers' cell-center tables both read
   them, so every saddle center `nodal` evaluates is a key of those tables;
 * `node_distances(center)`: the distance of every node from a point
-  (minimal image on the torus, great-circle on the sphere); planar and
-  torus grids also measure the lattice of other `axes` coordinates;
+  (minimal image on the torus, great-circle on the sphere);
 * `require_ball(center, radius, what)`: raise unless the ball is one the
   ball statistics may use (planar and torus grids).
 """
@@ -94,8 +93,8 @@ class PlanarWindow:
     def node_coords(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(*self.axes(), indexing="ij")
 
-    def node_distances(self, center, axes=None) -> np.ndarray:
-        x, y = self.axes() if axes is None else axes
+    def node_distances(self, center) -> np.ndarray:
+        x, y = self.axes()
         return np.hypot(x[:, None] - center[0], y[None, :] - center[1])
 
     def require_ball(self, center, radius: float, what: str) -> None:
@@ -155,11 +154,10 @@ class Torus:
         """Cell n - 1 on each axis spans the wrap; its center is the side."""
         return ((np.arange(self.n_intervals) + 1.0) * self.spacing,) * self.dim
 
-    def node_distances(self, center, axes=None) -> np.ndarray:
+    def node_distances(self, center) -> np.ndarray:
         """Minimal-image distances."""
-        axes = self.axes() if axes is None else axes
-        acc = np.zeros(tuple(c.size for c in axes))
-        for ax, c in enumerate(axes):
+        acc = np.zeros(self.shape)
+        for ax, c in enumerate(self.axes()):
             d = np.abs(c - center[ax])
             d = np.minimum(d, self.side - d)
             acc = acc + (d.reshape([-1 if a == ax else 1 for a in range(self.dim)])) ** 2

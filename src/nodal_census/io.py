@@ -5,11 +5,15 @@ floats are rendered with `repr` (shortest round trip), JSON is sorted, and
 infinities are spelled "inf"/"-inf" so that canonical hashing stays inside
 strict JSON.  All JSON text comes from one emitter, `_emit_json`, in two
 layouts: the compact hashing form, `canonical_json` (config hashes,
-container headers), and the stdlib's two-space indented layout, `json_text`,
-which `write_json` writes for every JSON file (reports, sidecars, manifests,
-comparisons, container sidecars).  The emitter formats each list of plain
-floats, and each list of plain bools, in one join rather than one call per
-element.
+container headers, sidecar payloads), and the stdlib's two-space
+indented layout, `json_text`, which `write_json` writes for every JSON file
+(reports, sidecars, manifests, comparisons, container sidecars).  The
+emitter formats each list of plain floats, and each list of plain bools, in
+one join rather than one call per element.
+
+A domain table has one writer, `domain_table_csv`, and one reader,
+`read_domain_table`, which gives back the census record's per-domain columns
+bit for bit: each float is written as its shortest round-trip `repr`.
 
 Each float of a report is rendered once.  A `FloatColumn` is a list of
 floats that carries their text, and `psi_csv`, `joint_csv` and the emitter
@@ -48,6 +52,7 @@ __all__ = [
     "write_field",
     "load_field",
     "domain_table_csv",
+    "read_domain_table",
     "psi_csv",
     "ns_csv",
     "joint_csv",
@@ -304,11 +309,15 @@ def load_field(path) -> FieldSample:
     return sample
 
 
+_TABLE_HEADER = "label,sign,area,perimeter,boundary_components,touches_window"
+_TOUCHES = {"true": True, "false": False}
+
+
 def domain_table_csv(dec) -> str:
     """Pinned per-domain table; one row per label in label order.  Measures
     the decomposition first if it is not yet measured."""
     measure_domains(dec)
-    lines = ["label,sign,area,perimeter,boundary_components,touches_window"]
+    lines = [_TABLE_HEADER]
     for rec in dec.domains:
         lines.append(
             f"{rec.label},{'+' if rec.sign > 0 else '-'},{rec.area!r},"
@@ -316,6 +325,29 @@ def domain_table_csv(dec) -> str:
             f"{'true' if rec.touches_window else 'false'}"
         )
     return "\n".join(lines) + "\n"
+
+
+def read_domain_table(text: str) -> dict:
+    """The census record columns of a `domain_table_csv` text: `areas`,
+    `perimeters` and `touches`, in label order, as the plain floats and
+    bools `stats.census_record` builds.  Raises ValueError for a text whose
+    header differs, whose rows are ragged, or whose fields do not parse."""
+    lines = text.split("\n")
+    if lines[0] != _TABLE_HEADER or lines[-1] != "":
+        raise ValueError("not a domain table: wrong header or no final newline")
+    rows = [line.split(",") for line in lines[1:-1]]
+    if any(len(row) != 6 for row in rows):
+        raise ValueError("ragged domain table row")
+    _, _, areas, perimeters, _, touches = zip(*rows)  # refuses a table with no row
+    try:
+        touches = list(map(_TOUCHES.__getitem__, touches))
+    except KeyError as exc:
+        raise ValueError(f"bad touches_window field {exc}") from None
+    return {
+        "areas": list(map(float, areas)),
+        "perimeters": list(map(float, perimeters)),
+        "touches": touches,
+    }
 
 
 _CDF_COLUMNS = ("breakpoints", "fractions", "stderr")

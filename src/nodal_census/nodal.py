@@ -91,10 +91,8 @@ __all__ = [
     "NodalDecomposition",
     "label_domains",
     "measure_domains",
-    "restrict_counts",
     "domain_max_distance",
     "perturbation_stability",
-    "critical_cell_count",
     "synthetic_sample",
 ]
 
@@ -991,32 +989,6 @@ def domain_max_distance(dec: NodalDecomposition, dist: np.ndarray) -> np.ndarray
     return dmax
 
 
-def restrict_counts(
-    dec: NodalDecomposition, center, R: float, t: float
-) -> tuple[int, int]:
-    """(N, N*) domain counts with area <= t: fully inside the open ball
-    B(center, R), and intersecting the closed ball.  Node membership decides
-    both.  Planar balls must sit inside the window; torus distances use the
-    minimal image, so any radius is legal and large ones saturate.
-    """
-    grid = dec.sample.grid
-    if isinstance(grid, LatLongSphere):
-        raise ValueError("ball restriction is defined for planar and torus grids")
-    if R <= 0:
-        raise ValueError("ball radius must be positive")
-    if isinstance(grid, PlanarWindow):
-        grid.require_ball(center, R, f"ball of radius {R} at {tuple(center)}")
-    dist = grid.node_distances(center).ravel()
-    dmin = np.full(len(dec.domains), np.inf)
-    np.minimum.at(dmin, dec.labels.ravel(), dist)
-    dmax = domain_max_distance(dec, dist)
-    areas = dec.areas()
-    ok = areas <= t
-    n_full = int(np.sum(ok & (dmax < R)))
-    n_meet = int(np.sum(ok & (dmin <= R)))
-    return n_full, n_meet
-
-
 def perturbation_stability(
     base: NodalDecomposition, direction: FieldSample, b: float
 ) -> list[tuple[int, int, float, float]]:
@@ -1072,21 +1044,3 @@ def perturbation_stability(
         delta = abs(rec.refined_area - pert_areas[match])
         out.append((rec.label, match, delta, rec.perimeter))
     return out
-
-
-def critical_cell_count(sample: FieldSample, center=None, radius: float | None = None) -> int:
-    """Cells of the dual grid where both discrete gradient components change
-    sign -- a grid proxy for critical points, used as an upper-bound density
-    for domain counts; with a radius, only cells centered within it of
-    `center` count (default the grid's center; minimal image on a torus)."""
-    grid = sample.grid
-    if not isinstance(grid, (PlanarWindow, Torus)) or grid.dim != 2:
-        raise ValueError("critical cell counting is defined for planar and 2-D torus grids")
-    v = _wrap_extended(sample.values, grid.wraps)
-    sgx = np.diff(v, axis=0) >= 0
-    sgy = np.diff(v, axis=1) >= 0
-    crit = (sgx[:, :-1] != sgx[:, 1:]) & (sgy[:-1, :] != sgy[1:, :])
-    if radius is not None:  # the dual cells are the marching cells
-        center = grid.center if center is None else center
-        crit &= grid.node_distances(center, grid.cell_centers()) <= radius
-    return int(np.sum(crit))

@@ -184,9 +184,12 @@ def census_record(dec: NodalDecomposition, center=None, columns=RECORD_COLUMNS) 
     Per-domain columns in label order -- `areas`, `perimeters`, `touches`
     (the domain meets the window edge) and `dmax` (largest node distance
     from `center`, the grid's default center when None) -- plus the scalar
-    `nodal_length`.  The engine persists the record as a sidecar payload,
-    without `dmax` on a sphere; `columns` picks the keys to build, so the
-    engine and each library estimator pay only for the columns they read.
+    `nodal_length`.  `columns` picks the keys to build, so the engine and
+    each library estimator pay only for the columns they read.  The engine
+    stores `areas`, `perimeters` and `touches` only in the realization's
+    domain table, which `io.read_domain_table` reads back to these same
+    lists; its sidecar payload carries `nodal_length`, and `dmax` where a
+    ball restriction reads it (not on a sphere).
     """
     if "perimeters" in columns or "nodal_length" in columns:
         measure_domains(dec)

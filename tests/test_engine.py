@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import shutil
 import time
 from pathlib import Path
 
@@ -28,8 +30,10 @@ from nodal_census import (
     sample_field,
 )
 from nodal_census import engine, sampler
-from nodal_census.io import canonical_json, joint_csv, read_json, text_sha256, write_json
-from nodal_census.stats import census_record, fold_boundary
+from nodal_census.io import (
+    canonical_json, joint_csv, read_domain_table, read_json, text_sha256, write_json,
+)
+from nodal_census.stats import fold_boundary
 
 GRID = PlanarWindow(side=9 * math.pi, spacing=2 * math.pi / 10)
 
@@ -48,6 +52,12 @@ def _config(outdir, realizations=6, **overrides):
     )
     kw.update(overrides)
     return EnsembleConfig(**kw)
+
+
+def _forged(sidecar: dict, forge) -> dict:
+    """`sidecar` with `forge` applied to its payload, which is stored as its
+    canonical JSON text; the payload checksum is left as it was."""
+    return dict(sidecar, payload=canonical_json(forge(json.loads(sidecar["payload"]))))
 
 
 def _stripped(outdir) -> str:
@@ -143,26 +153,20 @@ def test_resume_recomputes_missing_and_tampered(tmp_path):
 
 
 def test_resume_ignores_sidecar_of_another_config(tmp_path, monkeypatch, fail_realizations):
-    # Realization 1 fails, leaving its slot to a forged sidecar from another
-    # seed whose table checksum matches; resume must recompute it.
-    a, b = tmp_path / "a", tmp_path / "b"
+    # Realization 1 fails, leaving its slot to the pair of a complete run with
+    # another seed: version, index and both checksums hold, and only the
+    # config hash tells it apart.  Resume must recompute it.
+    a, b, other = tmp_path / "a", tmp_path / "b", tmp_path / "other"
     config = _config(a, realizations=10, checks=(), radii=(), thresholds=())
 
     fail_realizations(1)
     run_ensemble(config)
     monkeypatch.undo()
-    stale = (
-        "label,sign,area,perimeter,boundary_components,touches_window\n"
-        "0,+,0.001,0.1,1,false\n"
+    run_ensemble(
+        _config(other, realizations=10, master_seed=4, checks=(), radii=(), thresholds=())
     )
-    (a / "realizations" / "00001.csv").write_text(stale)
-    write_json(a / "realizations" / "00001.json", {
-        "index": 1,
-        "master_seed": 99,
-        "csv_sha256": text_sha256(stale),
-        "payload": {"areas": [1e-3], "perimeters": [0.1], "touches": [False], "dmax": [1.0],
-                    "nodal_length": 0.1, "checks": {}},
-    })
+    for name in ("00001.csv", "00001.json"):
+        shutil.copyfile(other / "realizations" / name, a / "realizations" / name)
 
     resume_ensemble(config, a)
     run_ensemble(_config(b, realizations=10, checks=(), radii=(), thresholds=()))
@@ -170,10 +174,9 @@ def test_resume_ignores_sidecar_of_another_config(tmp_path, monkeypatch, fail_re
 
 
 def test_resume_ignores_sidecar_without_this_engine_version(tmp_path):
-    # Two sidecars with this config's hash and a matching table checksum,
-    # one stamped with another engine version and one with none, carry a
-    # forged payload, and a third is a JSON list; resume must recompute all
-    # three.
+    # Two sidecars with this config's hash and matching checksums, one
+    # stamped with another engine version and one with none, carry a forged
+    # payload, and a third is a JSON list; resume must recompute all three.
     a, b = tmp_path / "a", tmp_path / "b"
     config = _config(a, realizations=4, checks=(), radii=(), thresholds=())
     run_ensemble(config)
@@ -181,7 +184,8 @@ def test_resume_ignores_sidecar_without_this_engine_version(tmp_path):
         path = a / "realizations" / f"{index:05d}.json"
         sidecar = read_json(path)
         assert sidecar["version"] == engine.ENGINE_VERSION
-        sidecar["payload"]["nodal_length"] *= 2.0
+        sidecar = _forged(sidecar, lambda p: dict(p, nodal_length=2.0 * p["nodal_length"]))
+        sidecar["payload_sha256"] = text_sha256(sidecar["payload"])
         if version is None:
             del sidecar["version"]
         else:
@@ -194,21 +198,28 @@ def test_resume_ignores_sidecar_without_this_engine_version(tmp_path):
     assert _stripped(a) == _stripped(b)
 
 
-@pytest.mark.parametrize("forge", [
-    lambda payload: None,
-    lambda payload: [payload],
-    lambda payload: {k: v for k, v in payload.items() if k != "touches"},
-    lambda payload: dict(payload, checks={}),
-], ids=["null", "list", "no-touches", "no-check-result"])
-def test_resume_recomputes_a_malformed_payload(tmp_path, forge):
+@pytest.mark.parametrize("forge, restamp", [
+    (lambda payload: None, False),
+    (lambda payload: [payload], False),
+    (lambda payload: {k: v for k, v in payload.items() if k != "nodal_length"}, False),
+    (lambda payload: dict(payload, checks={}), False),
+    (lambda payload: [payload], True),
+    (lambda payload: dict(payload, checks={}), True),
+], ids=["null", "list", "no-nodal_length", "no-check-result", "list-restamped",
+        "no-check-result-restamped"])
+def test_resume_recomputes_a_malformed_payload(tmp_path, forge, restamp):
     # The table checksum matches, but the payload lacks what the fold reads;
-    # resume must recompute the realization, not crash in the fold.
+    # resume must recompute the realization, not crash in the fold.  With
+    # the payload checksum restamped, the payload's shape is checked.
     a, b = tmp_path / "a", tmp_path / "b"
     config = _config(a, realizations=3, checks=("helmholtz",), thresholds=())
     run_ensemble(config)
     path = a / "realizations" / "00001.json"
     sidecar = read_json(path)
-    write_json(path, dict(sidecar, payload=forge(sidecar["payload"])))
+    forged = _forged(sidecar, forge)
+    if restamp:
+        forged["payload_sha256"] = text_sha256(forged["payload"])
+    write_json(path, forged)
 
     resume_ensemble(config, a)
     run_ensemble(_config(b, realizations=3, checks=("helmholtz",), thresholds=()))
@@ -227,12 +238,9 @@ def _sphere_config(outdir):
     )
 
 
-def _payloads(outdir) -> list[dict]:
-    return [read_json(p)["payload"] for p in sorted((outdir / "realizations").glob("*.json"))]
-
-
 def test_sidecars_carry_dmax_only_where_a_ball_reads_it(tmp_path):
-    # dmax feeds the planar and torus ball restrictions; a sphere run has none
+    # dmax feeds the planar and torus ball restrictions; a sphere run has none.
+    # The table holds the per-domain columns, and no payload repeats them.
     run_ensemble(_sphere_config(tmp_path / "sphere"))
     run_ensemble(_config(tmp_path / "plane", realizations=2, checks=()))
     run_ensemble(EnsembleConfig(
@@ -242,34 +250,123 @@ def test_sidecars_carry_dmax_only_where_a_ball_reads_it(tmp_path):
         master_seed=5,
         output_dir=str(tmp_path / "torus"),
     ))
-    assert [("dmax" in p) for p in _payloads(tmp_path / "sphere")] == [False] * 3
-    for name, count in (("plane", 2), ("torus", 1)):
-        payloads = _payloads(tmp_path / name)
-        assert len(payloads) == count
-        assert all(len(p["dmax"]) == len(p["areas"]) for p in payloads)
+    for name, count in (("sphere", 3), ("plane", 2), ("torus", 1)):
+        paths = sorted((tmp_path / name / "realizations").glob("*.json"))
+        assert len(paths) == count
+        for path in paths:
+            sidecar = read_json(path)
+            payload = json.loads(sidecar["payload"])
+            assert sidecar["payload"] == canonical_json(payload)
+            assert sidecar["payload_sha256"] == text_sha256(sidecar["payload"])
+            assert sorted(payload) == (["checks", "nodal_length"] if name == "sphere"
+                                       else ["checks", "dmax", "nodal_length"])
+            if name != "sphere":
+                rows = path.with_suffix(".csv").read_text().splitlines()[1:]
+                assert len(payload["dmax"]) == len(rows)
 
 
-def test_resume_folds_sphere_sidecars_written_with_dmax(tmp_path, monkeypatch):
-    # Sphere sidecars from before dmax was dropped there still carry it; a
-    # resume reuses them and folds the report a fresh run folds.
+def test_fresh_and_resumed_records_read_the_table(tmp_path, monkeypatch):
+    # one source for the per-domain columns: every folded record, sampled or
+    # reused, is parsed from its table's text by the one reader
+    read = []
+
+    def reading(text):
+        read.append(text)
+        return read_domain_table(text)
+
+    monkeypatch.setattr(engine, "read_domain_table", reading)
+    config = _config(tmp_path, realizations=3, checks=(), thresholds=())
+    fresh = run_ensemble(config)
+    tables = sorted(p.read_text() for p in (tmp_path / "realizations").glob("*.csv"))
+    assert sorted(read) == tables  # in any order: workers may run in parallel
+    read.clear()
+    (tmp_path / "realizations" / "00001.json").unlink()
+    resumed = resume_ensemble(config, tmp_path)
+    assert sorted(read) == tables
+    assert resumed.records == fresh.records
+
+
+@pytest.mark.parametrize("forge", [
+    lambda payload: dict(payload, dmax=[0.0] * len(payload["dmax"])),
+    lambda payload: dict(payload, nodal_length=2.0 * payload["nodal_length"]),
+    lambda payload: dict(payload, checks={"helmholtz": {"residual": 0.5}}),
+], ids=["dmax", "nodal_length", "check-result"])
+def test_resume_recomputes_a_forged_payload(tmp_path, forge):
+    # The table checksum matches and the payload is complete, but a value
+    # differs from the one its checksum was taken over; resume must
+    # recompute the realization rather than fold the forged value.
     a, b = tmp_path / "a", tmp_path / "b"
-    run_ensemble(_sphere_config(a))
-    run_ensemble(_sphere_config(b))
-    for path in sorted((a / "realizations").glob("*.json")):
-        sidecar = read_json(path)
-        index = sidecar["index"]
-        sample = sample_field(SphericalHarmonic(degree=4), LatLongSphere(n_lat=20, n_lon=40),
-                              RngStream(5, index))
-        sidecar["payload"]["dmax"] = census_record(label_domains(sample), columns=("dmax",))["dmax"]
-        write_json(path, sidecar)
+    config = _config(a, realizations=3, checks=("helmholtz",), thresholds=())
+    run_ensemble(config)
+    path = a / "realizations" / "00001.json"
+    sidecar = read_json(path)
+    write_json(path, _forged(sidecar, forge))
 
-    def boom(*args, **kwargs):
-        raise AssertionError("every sidecar must be reused")
-
-    monkeypatch.setattr(engine, "sample_field", boom)
-    resume_ensemble(_sphere_config(a), a)
+    resume_ensemble(config, a)
+    run_ensemble(_config(b, realizations=3, checks=("helmholtz",), thresholds=()))
     assert _stripped(a) == _stripped(b)
-    assert all("dmax" in p for p in _payloads(a))
+    assert read_json(path) == sidecar
+
+
+@pytest.mark.parametrize("make_config", [_config, _sphere_config], ids=["desk", "sphere"])
+def test_resume_recomputes_an_old_shape_sidecar(tmp_path, make_config):
+    # A sidecar whose payload is an object that repeats the table's columns,
+    # with no payload checksum, is recomputed and rewritten to the same bytes.
+    a = tmp_path / "a"
+    config = make_config(a)
+    run_ensemble(config)
+    before = _stripped(a)
+    path = a / "realizations" / "00001.json"
+    fresh = path.read_bytes()
+    sidecar = read_json(path)
+    table = read_domain_table(path.with_suffix(".csv").read_text())
+    del sidecar["payload_sha256"]
+    write_json(path, dict(sidecar, payload=dict(json.loads(sidecar["payload"]), **table)))
+
+    resume_ensemble(config, a)
+    assert path.read_bytes() == fresh
+    assert _stripped(a) == before
+
+
+@pytest.mark.parametrize("forge", [
+    lambda text: text.replace(b"\n1,", b"\n1,\xff", 1),
+    lambda text: text.replace(b"\n1,", b"\n1,0,", 1),
+    lambda text: text.replace(b"label,", b"lbl,", 1),
+], ids=["bad-utf8", "ragged-row", "wrong-header"])
+def test_resume_recomputes_a_table_the_reader_refuses(tmp_path, forge):
+    # The sidecar's table checksum is restamped over the forged bytes, so
+    # only the table reader refuses them; resume must recompute the
+    # realization, not crash.
+    a, b = tmp_path / "a", tmp_path / "b"
+    config = _config(a, realizations=3, checks=("helmholtz",), thresholds=())
+    run_ensemble(config)
+    csv_path = a / "realizations" / "00001.csv"
+    fresh = csv_path.read_bytes()
+    forged = forge(fresh)
+    assert forged != fresh
+    csv_path.write_bytes(forged)
+    sidecar = read_json(csv_path.with_suffix(".json"))
+    write_json(csv_path.with_suffix(".json"), dict(sidecar, csv_sha256=hashlib.sha256(forged).hexdigest()))
+
+    resume_ensemble(config, a)
+    run_ensemble(_config(b, realizations=3, checks=("helmholtz",), thresholds=()))
+    assert _stripped(a) == _stripped(b)
+    assert csv_path.read_bytes() == fresh
+
+
+def test_resume_checks_the_table_bytes(tmp_path):
+    # A table rewritten with CRLF line ends reads as the same text, but its
+    # bytes miss the checksum; resume must recompute it.
+    a = tmp_path / "a"
+    config = _config(a, realizations=2, checks=(), thresholds=())
+    run_ensemble(config)
+    csv_path = a / "realizations" / "00001.csv"
+    fresh = csv_path.read_bytes()
+    csv_path.write_bytes(fresh.replace(b"\n", b"\r\n"))
+    assert csv_path.read_text() == fresh.decode()
+
+    resume_ensemble(config, a)
+    assert csv_path.read_bytes() == fresh
 
 
 def test_resume_complete_run_never_samples(tmp_path, monkeypatch):

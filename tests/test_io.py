@@ -39,6 +39,7 @@ from nodal_census.io import (
     joint_csv,
     ns_csv,
     psi_csv,
+    read_domain_table,
     read_json,
     sandwich_csv,
     text_sha256,
@@ -48,6 +49,7 @@ from nodal_census.io import (
 from nodal_census.stats import (
     EmpiricalCdf,
     boundary_and_joint_distributions,
+    census_record,
     ns_constant_estimate,
     psi_estimate,
     sandwich_check_many,
@@ -504,6 +506,47 @@ def test_domain_table_csv_measures_first():
     sample = sample_field(PlaneWave2D(), grid, RngStream(3, 0))
     expected = domain_table_csv(measure_domains(label_domains(sample)))
     assert domain_table_csv(label_domains(sample)) == expected
+
+
+@pytest.mark.parametrize("case", ["sphere", "desk", "torus-2d"])
+def test_read_domain_table_gives_the_census_record_columns(case, sphere_l8_dec, desk_grid):
+    # the fold reads the table back: the same plain floats and bools, bit
+    # for bit, that census_record builds from the decomposition
+    if case == "sphere":
+        dec = sphere_l8_dec
+    else:
+        model, grid = {
+            "desk": (PlaneWave2D(), desk_grid),
+            "torus-2d": (BandLimitedTorus(dim=2, alpha=1.0),
+                         Torus(side=40 * math.pi, spacing=2 * math.pi / 10)),
+        }[case]
+        dec = measure_domains(label_domains(sample_field(model, grid, RngStream(7, 0))))
+    columns = ("areas", "perimeters", "touches")
+    record = census_record(dec, columns=columns)
+    table = read_domain_table(domain_table_csv(dec))
+    assert table == record
+    assert {type(x) for x in table["areas"] + table["perimeters"]} == {float}
+    assert {type(x) for x in table["touches"]} == {bool}
+    if case == "desk":  # both spellings of touches_window are read back
+        assert any(record["touches"]) and not all(record["touches"])
+
+
+@pytest.mark.parametrize("text, match", [
+    ("label,sign,area,perimeter\n0,+,1.0,2.0\n", "wrong header"),
+    ("label,sign,area,perimeter,boundary_components,touches_window\n0,+,1.0,2.0,1\n", "ragged"),
+    ("label,sign,area,perimeter,boundary_components,touches_window\n0,+,1.0,2.0,1,false,x\n",
+     "ragged"),
+    ("label,sign,area,perimeter,boundary_components,touches_window\n0,+,1.0,2.0,1,yes\n",
+     "touches_window"),
+    ("label,sign,area,perimeter,boundary_components,touches_window\n0,+,one,2.0,1,false\n",
+     "could not convert"),
+    ("label,sign,area,perimeter,boundary_components,touches_window\n0,+,1.0,2.0,1,false",
+     "final newline"),
+    ("label,sign,area,perimeter,boundary_components,touches_window\n", "values to unpack"),
+], ids=["wrong-header", "short-row", "long-row", "touches", "float", "no-newline", "no-row"])
+def test_read_domain_table_rejects_what_the_writer_never_writes(text, match):
+    with pytest.raises(ValueError, match=match):
+        read_domain_table(text)
 
 
 def test_stat_csv_exports(mini_ensemble):

@@ -17,13 +17,11 @@ from nodal_census import (
     RngStream,
     SphericalHarmonic,
     Torus,
-    critical_cell_count,
     domain_table_csv,
     evaluate_at,
     label_domains,
     measure_domains,
     perturbation_stability,
-    restrict_counts,
     sample_field,
     synthetic_sample,
 )
@@ -950,32 +948,6 @@ def test_torus_3d_face_area_matches_kac_rice(seed):
     assert density == pytest.approx(lattice / (math.pi * h), rel=0.005)
 
 
-def test_restrict_counts_quadrant():
-    grid = PlanarWindow(side=2 * math.pi, spacing=2 * math.pi / 8)
-    xx, yy = grid.node_coords()
-    dec = label_domains(synthetic_sample(np.sin(xx) * np.sin(yy), grid))
-    # ball of radius 1 at the first quadrant's center: the quadrant meets it
-    # but its corner nodes stick out, and no other domain reaches in
-    assert restrict_counts(dec, (math.pi / 2, math.pi / 2), 1.0, math.inf) == (0, 1)
-
-
-def test_restrict_counts_saturate_and_monotone():
-    dec = label_domains(_sinsin_torus(4 * math.pi, 2 * math.pi / 8))
-    center = dec.sample.grid.center
-    assert dec.n_domains == 16
-    assert restrict_counts(dec, center, 100.0, math.inf) == (16, 16)
-    n1, m1 = restrict_counts(dec, center, 2.0, math.inf)
-    n2, m2 = restrict_counts(dec, center, 5.0, math.inf)
-    assert n1 <= n2 and m1 <= m2
-
-
-def test_restrict_counts_rejects_escaping_ball():
-    grid = PlanarWindow(side=2 * math.pi, spacing=2 * math.pi / 8)
-    dec = label_domains(synthetic_sample(np.ones((9, 9)), grid))
-    with pytest.raises(ValueError, match="does not fit in the window"):
-        restrict_counts(dec, (1.0, 1.0), 2.0, math.inf)
-
-
 def test_annuli_boundary_components():
     # the disc and the outer domain touch one contour, each annulus two
     grid = PlanarWindow(side=4.0, spacing=0.25)
@@ -1048,22 +1020,7 @@ def test_perturbation_matches_full_measure_oracle(case, desk_grid):
         assert _types(result) == _types(expected)
 
 
-@pytest.mark.parametrize("grid, center", [
-    (PlanarWindow(side=6.0, spacing=0.25), None),
-    (Torus(side=6.0, spacing=0.25), None),
-    (Torus(side=6.0, spacing=0.25), (0.4, 5.3)),
-], ids=["plane", "torus", "torus-off-centre"])
-def test_critical_cells_match_brute_force(grid, center):
-    rng = np.random.default_rng(17)
-    for _ in range(3):
-        sample = synthetic_sample(rng.standard_normal(grid.shape), grid)
-        for radius in (None, 1.3, 2.9):
-            expected = oracles.critical_cells_brute_force(
-                sample.values, grid, center or grid.center, radius)
-            assert critical_cell_count(sample, center, radius) == expected
-        assert 0 < critical_cell_count(sample, center, 1.3) < critical_cell_count(sample)
-
-
 def test_critical_cells_bound_domain_count(mini_ensemble):
     for dec in mini_ensemble:
-        assert critical_cell_count(dec.sample) >= dec.n_domains
+        crit = oracles.critical_cells_brute_force(dec.sample.values, dec.sample.grid)
+        assert crit >= dec.n_domains

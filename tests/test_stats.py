@@ -13,21 +13,18 @@ from nodal_census import (
     RngStream,
     Torus,
     boundary_and_joint_distributions,
-    critical_cell_count,
     faber_krahn_check,
     ks_distance,
     label_domains,
     nodal_length_density,
     ns_constant_estimate,
     psi_estimate,
-    restrict_counts,
     sandwich_check_many,
     sample_field,
     synthetic_sample,
 )
 from nodal_census.engine import DEFAULT_SANDWICH_GEOMETRIES
-from nodal_census import specfn
-from nodal_census.stats import _lattice_offsets, _row_runs, fold_faber_krahn
+from nodal_census.stats import _lattice_offsets, _row_runs
 
 FK_FLOOR = 18.168414535536805
 
@@ -107,24 +104,6 @@ def test_psi_requires_interior_domains():
     other = label_domains(synthetic_sample(np.ones((7, 7)), PlanarWindow(side=3.0, spacing=0.5)))
     with pytest.raises(ValueError, match="different models or grids"):
         psi_estimate([dec, other])
-
-
-def test_restrict_counts_against_recount():
-    dec = label_domains(_sinsin_torus(4 * math.pi, 2 * math.pi / 8))
-    grid = dec.sample.grid
-    center = grid.center
-    R = 1.5 * math.pi
-
-    c = grid.axis_coords()
-    xx, yy = np.meshgrid(c, c, indexing="ij")
-    dx = np.abs(xx - center[0])
-    dy = np.abs(yy - center[1])
-    dist = np.hypot(np.minimum(dx, grid.side - dx), np.minimum(dy, grid.side - dy))
-    n_full = sum(1 for r in dec.domains if dist[dec.labels == r.label].max() < R)
-    n_meet = sum(1 for r in dec.domains if dist[dec.labels == r.label].min() <= R)
-
-    assert (n_full, n_meet) == (4, 12)
-    assert restrict_counts(dec, center, R, math.inf) == (n_full, n_meet)
 
 
 def test_sandwich_brackets_ball_count():
@@ -266,25 +245,6 @@ def test_sandwich_geometry_guards():
         sandwich_check_many(decp, [(1.0, math.pi)], [math.inf])
 
 
-def test_faber_krahn_floor_is_found_once_per_dimension(monkeypatch):
-    # the report's fold reads the floor; a second fold finds no Bessel zero
-    zeros = []
-    bessel_zero = specfn.bessel_zero
-
-    def counted(*args):
-        zeros.append(args)
-        return bessel_zero(*args)
-
-    monkeypatch.setattr(specfn, "bessel_zero", counted)
-    specfn.faber_krahn_floor.cache_clear()
-    records, ids = [{"areas": [17.0, 30.0], "touches": [False, True]}], [(1, 0)]
-    first = fold_faber_krahn(records, ids)
-    assert len(zeros) == 1
-    assert fold_faber_krahn(records, ids) == first
-    assert len(zeros) == 1
-    assert first["floor"] == FK_FLOOR
-
-
 def test_faber_krahn_flags_small_quadrants():
     grid = PlanarWindow(side=4 * math.pi, spacing=2 * math.pi / 16)
     xx, yy = grid.node_coords()
@@ -366,5 +326,6 @@ def test_ns_guards(mini_ensemble, sphere_l8_dec):
 def test_domain_density_below_critical_density(mini_ensemble):
     est = ns_constant_estimate(mini_ensemble, radii=(8.0, 12.0))
     side = mini_ensemble[0].sample.grid.side
-    crit = np.mean([critical_cell_count(d.sample) / side**2 for d in mini_ensemble])
+    crit = np.mean([oracles.critical_cells_brute_force(d.sample.values, d.sample.grid) / side**2
+                    for d in mini_ensemble])
     assert 0.0 < est.pooled <= crit

@@ -21,11 +21,14 @@ The config hash deliberately excludes `output_dir`: it identifies what was
 computed, not where it landed, which is what both resume validation and the
 cross-directory determinism contract need.
 
-The engine holds no per-grid table: each realization calls `sample_field`,
-and the sampler builds the grid's table on the first draw and shares it
-read-only across realizations, worker threads and later runs on the same
-grid.  A resume that reuses every realization never samples, so it builds
-no table.
+The engine holds no per-grid table: each realization calls `sample_field`
+once, for its field and, when the perturbation check runs, its direction
+field (stream `PERTURBATION_STREAM_BASE + index`), which a plane wave
+synthesizes in one pass over its basis.  The sampler builds the grid's
+table on the first draw and shares it read-only across realizations, worker
+threads and later runs on the same grid.  A resume that reuses every
+realization never samples, so it builds no table.  A run computes its
+config hash once and stamps it into every sidecar and the report.
 """
 
 from __future__ import annotations
@@ -246,7 +249,7 @@ def _realization_paths(outdir: Path, index: int) -> tuple[Path, Path]:
     return base / f"{index:05d}.csv", base / f"{index:05d}.json"
 
 
-def _run_checks(config: EnsembleConfig, sample, dec, index: int) -> dict:
+def _run_checks(config: EnsembleConfig, sample, dec, direction) -> dict:
     out = {}
     if "sandwich" in config.checks:
         thresholds = [float(t) for t in config.thresholds]
@@ -258,10 +261,6 @@ def _run_checks(config: EnsembleConfig, sample, dec, index: int) -> dict:
         probe = covariance_probe_means(sample, COVARIANCE_LAGS)
         out["covariance"] = {"lags": list(COVARIANCE_LAGS), "probe_means": probe.tolist()}
     if "perturbation" in config.checks:
-        direction = sample_field(
-            config.model, config.grid,
-            RngStream(config.master_seed, PERTURBATION_STREAM_BASE + index),
-        )
         medians = []
         for b in PERTURBATION_B:
             matches = perturbation_stability(dec, direction, b)
@@ -283,9 +282,10 @@ def _payload_columns(config: EnsembleConfig) -> tuple:
 
 
 def _payload_complete(config: EnsembleConfig, payload) -> bool:
-    """Whether `payload` is a dict holding every check result the fold
-    reads; its values are checked by the sidecar's payload checksum."""
-    if not isinstance(payload, dict):
+    """Whether `payload` is a dict holding every record column and check
+    result the fold reads; its values are checked by the sidecar's payload
+    checksum."""
+    if not isinstance(payload, dict) or not all(c in payload for c in _payload_columns(config)):
         return False
     checks = payload.get("checks")
     # faber_krahn folds the record columns; every other check stores a result
@@ -294,11 +294,18 @@ def _payload_complete(config: EnsembleConfig, payload) -> bool:
 
 
 def _realize(config: EnsembleConfig, index: int, outdir: Path) -> tuple[str, dict]:
-    sample = sample_field(config.model, config.grid, RngStream(config.master_seed, index))
+    stream = RngStream(config.master_seed, index)
+    if "perturbation" in config.checks:
+        sample, direction = sample_field(
+            config.model, config.grid, stream,
+            RngStream(config.master_seed, PERTURBATION_STREAM_BASE + index),
+        )
+    else:
+        sample, direction = sample_field(config.model, config.grid, stream), None
     dec = label_domains(sample)
     measure_domains(dec)
     payload = census_record(dec, columns=_payload_columns(config))
-    payload["checks"] = _run_checks(config, sample, dec, index)
+    payload["checks"] = _run_checks(config, sample, dec, direction)
     csv_text = domain_table_csv(dec)
     if config.keep_fields:
         fields_dir = outdir / "fields"
@@ -307,7 +314,9 @@ def _realize(config: EnsembleConfig, index: int, outdir: Path) -> tuple[str, dic
     return csv_text, payload
 
 
-def _persist(outdir: Path, config: EnsembleConfig, index: int, csv_text: str, payload: dict) -> None:
+def _persist(
+    outdir: Path, config: EnsembleConfig, index: int, csv_text: str, payload: dict, config_hash: str
+) -> None:
     csv_path, json_path = _realization_paths(outdir, index)
     write_text(csv_path, csv_text)
     payload_text = canonical_json(payload)
@@ -315,7 +324,7 @@ def _persist(outdir: Path, config: EnsembleConfig, index: int, csv_text: str, pa
         "version": ENGINE_VERSION,
         "index": index,
         "master_seed": config.master_seed,
-        "config_hash": config.config_hash(),
+        "config_hash": config_hash,
         "csv_sha256": text_sha256(csv_text),
         "payload_sha256": text_sha256(payload_text),
         "payload": payload_text,
@@ -334,11 +343,11 @@ def _stored_record(config: EnsembleConfig, config_hash: str, outdir: Path, index
     when it must be recomputed: a table or sidecar that is missing or
     unreadable, a sidecar that is not a JSON object, was written by another
     engine version or for another config, or whose table or payload
-    checksum disagrees, a payload without a check result the fold reads, and
-    a table the reader refuses.  Each checksum is taken over the text as
-    stored: the table is read once, as bytes, whose UTF-8 text is parsed,
-    and the payload is stored as its canonical JSON text, so checking it
-    renders nothing."""
+    checksum disagrees, a payload without a record column or check result
+    the fold reads, and a table the reader refuses.  Each checksum is taken
+    over the text as stored: the table is read once, as bytes, whose UTF-8
+    text is parsed, and the payload is stored as its canonical JSON text, so
+    checking it renders nothing."""
     csv_path, json_path = _realization_paths(outdir, index)
     try:
         sidecar = read_json(json_path)
@@ -360,7 +369,7 @@ def _stored_record(config: EnsembleConfig, config_hash: str, outdir: Path, index
         return None
 
 
-def _execute(config: EnsembleConfig, outdir: Path, reuse: dict) -> tuple[dict, list]:
+def _execute(config: EnsembleConfig, config_hash: str, outdir: Path, reuse: dict) -> tuple[dict, list]:
     """Fold records by index: `reuse`'s records as given, and every other
     realization sampled, persisted and read back through `_record`."""
     def run_one(index: int):
@@ -368,7 +377,7 @@ def _execute(config: EnsembleConfig, outdir: Path, reuse: dict) -> tuple[dict, l
             return index, reuse[index], None
         try:
             csv_text, payload = _realize(config, index, outdir)
-            _persist(outdir, config, index, csv_text, payload)
+            _persist(outdir, config, index, csv_text, payload, config_hash)
             return index, _record(csv_text, payload), None
         except Exception as exc:  # noqa: BLE001 - failure isolation contract
             return index, None, f"{type(exc).__name__}: {exc}"
@@ -437,7 +446,8 @@ def _summarize_checks(config: EnsembleConfig, records: list[dict]) -> dict:
 
 
 def _assemble(
-    config: EnsembleConfig, outdir: Path, records: dict, failures: list, wall: float
+    config: EnsembleConfig, config_hash: str, outdir: Path, records: dict, failures: list,
+    wall: float,
 ) -> EnsembleReport:
     if not records:
         raise EnsembleFailure("no realizations completed")
@@ -462,7 +472,7 @@ def _assemble(
     report = {
         "version": ENGINE_VERSION,
         "config": config.to_dict(),
-        "config_hash": config.config_hash(),
+        "config_hash": config_hash,
         "realizations_completed": len(ordered),
         "failures": [{"index": i, "error": err} for i, err in failures],
         "psi": dict(psi_dict, largest_jump=largest_jump, window_radius=psi_r),
@@ -502,13 +512,14 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleReport:
     config.validate()
     outdir = Path(config.output_dir)
     (outdir / "realizations").mkdir(parents=True, exist_ok=True)
+    config_hash = config.config_hash()
     write_json(
         outdir / "manifest.json",
-        {"version": ENGINE_VERSION, "config": config.to_dict(), "config_hash": config.config_hash()},
+        {"version": ENGINE_VERSION, "config": config.to_dict(), "config_hash": config_hash},
     )
     start = time.monotonic()
-    records, failures = _execute(config, outdir, reuse={})
-    return _assemble(config, outdir, records, failures, time.monotonic() - start)
+    records, failures = _execute(config, config_hash, outdir, reuse={})
+    return _assemble(config, config_hash, outdir, records, failures, time.monotonic() - start)
 
 
 def resume_ensemble(config: EnsembleConfig, partial_dir) -> EnsembleReport:
@@ -541,5 +552,5 @@ def resume_ensemble(config: EnsembleConfig, partial_dir) -> EnsembleReport:
     stored = {i: _stored_record(config, config_hash, outdir, i) for i in range(config.realizations)}
     reuse = {i: record for i, record in stored.items() if record is not None}
     start = time.monotonic()
-    records, failures = _execute(config, outdir, reuse)
-    return _assemble(config, outdir, records, failures, time.monotonic() - start)
+    records, failures = _execute(config, config_hash, outdir, reuse)
+    return _assemble(config, config_hash, outdir, records, failures, time.monotonic() - start)

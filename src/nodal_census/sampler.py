@@ -16,9 +16,9 @@ Three spectral models, all unit variance with wavenumber fixed at 1:
 
 Each model gives its per-grid `table`, its coefficient `draw` (grid checks,
 then Gaussian draws), its values on the grid (`synthesize`) and at arbitrary
-points (`evaluate`).  `sample_field` draws, then synthesizes.  A sample's
-coefficients are its Gaussian draws alone; the truncation, modes and norm
-follow from the model and the grid.
+points (`evaluate`).  `sample_field` draws, then synthesizes, for one stream
+or several on the same grid.  A sample's coefficients are its Gaussian draws
+alone; the truncation, modes and norm follow from the model and the grid.
 
 Randomness comes from a counter-based Philox generator keyed by
 (master_seed, stream_id), so realization i of a run is reproducible in
@@ -35,18 +35,31 @@ through every order into (order, node) scratch rows and is copied in
 transposed, which took about half the time of writing one strided column
 per order over all nodes (95 against 180 ms), with the same bytes.
 
+Plane-wave synthesis is one pass over the basis in the same blocks of
+`_BASIS_BLOCK` rows: each block's ``cos_block @ a + sin_block @ b`` runs for
+every requested field while the block is still in cache, so a realization
+and its perturbation direction stream the 85 MB basis once, not twice.  A
+block that starts on a multiple of 4 rows gives the bytes of the whole-table
+product on one BLAS thread.  The bytes also do not depend on the BLAS
+thread count: under OPENBLAS_NUM_THREADS=2, a 1,024-row mat-vec ran on one
+thread (process CPU time equal to wall time) where the whole-table one ran
+on two, and on the desk the whole-table product under 2-4 threads changed 5
+of 12 seed-7 fields in their last digits, the blocked pass none.
+
 The plane wave and the harmonic keep a second per-grid table for `evaluate`,
 their radial factor at the grid's cell centers (`grid.cell_centers()`, where
 marching squares resolves its saddle cells): J_0..J_N at the distinct
 cell-center radii (6,448 on the 40 pi desk, 6.8 MB, from one sweep of about
 20 ms), and the Legendre matrix at the cell-center colatitudes (399 on the
 l = 80 sphere, 0.26 MB).  It is built the same way, on the first `evaluate`
-on the grid, never by a draw.  A batch whose every radius (colatitude) is a
-key of the table gathers its rows; any other batch, such as the covariance
-probes or a reloaded field's check nodes, is swept whole.  The rows are the
-ones the sweep gives: `legendre_matrix` works point by point, and every
-in-window radius is below the truncation N, which fixes the Bessel sweep's
-start order (see `specfn._sweep`).
+on the grid, never by a draw.  The plane wave keeps a third, the same rows
+at the covariance probes of one set of lags, built on the first
+`covariance_probe_means` for them.  A batch whose every radius (colatitude)
+is a key of the table it reads gathers its rows; any other batch, such as a
+reloaded field's check nodes, is swept whole.  The rows are the ones the
+sweep gives: `legendre_matrix` works point by point, and every in-window
+radius is below the truncation N, which fixes the Bessel sweep's start
+order (see `specfn._sweep`).
 """
 
 from __future__ import annotations
@@ -82,9 +95,11 @@ _MAX_PLANE_RADIUS = 300.0
 _MIN_TORUS_SIDE = 20.0 * 2.0 * math.pi
 # axis-1 indices per block of the torus's axis-0 inverse-FFT pass
 _TORUS_BLOCK = 4
-# nodes per block of the plane-wave basis build: on the 40 pi desk, blocks
-# of 1,024 nodes built the basis in about half the time of one strided
-# column per order over all nodes, and 2,048 and 16,384 took longer
+# nodes per block of the plane-wave basis build and of synthesis: on the
+# 40 pi desk, blocks of 1,024 nodes built the basis in about half the time
+# of one strided column per order over all nodes, and 2,048 and 16,384 took
+# longer.  Synthesis needs a multiple of 4: a BLAS mat-vec block starting
+# elsewhere regroups its rows and can change the last digit of a value.
 _BASIS_BLOCK = 1024
 
 
@@ -134,7 +149,8 @@ def plane_wave_truncation(max_radius: float) -> int:
 
 @dataclass(frozen=True)
 class PlaneWaveBasis:
-    """Per-grid Bessel/angular basis so each realization is two mat-vecs.
+    """Per-grid Bessel/angular basis: a field's values are
+    cos_basis @ a + sin_basis @ b, taken in row blocks (`PlaneWave2D.synthesize`).
 
     cos_basis[:, 0] = J_0(r); cos_basis[:, n] = sqrt(2) J_n(r) cos(n theta);
     sin_basis[:, n-1] = sqrt(2) J_n(r) sin(n theta), all about the window
@@ -216,30 +232,53 @@ class PlaneWave2D:
         b = gen.standard_normal(n_trunc)
         return {"a": a, "b": b}
 
-    def synthesize(self, grid: PlanarWindow, coeffs: dict) -> np.ndarray:
+    def synthesize(self, grid: PlanarWindow, *coeffs: dict) -> list[np.ndarray]:
+        """The values of each coefficient set, from one pass over the basis:
+        every block of `_BASIS_BLOCK` rows gives its part of every field."""
         basis = _grid_table(self, grid)
-        values = basis.cos_basis @ coeffs["a"] + basis.sin_basis @ coeffs["b"]
-        return values.reshape(grid.shape)
+        fields = [np.empty(grid.shape) for _ in coeffs]
+        flat = [values.reshape(-1) for values in fields]
+        for lo in range(0, basis.cos_basis.shape[0], _BASIS_BLOCK):
+            cos_rows = basis.cos_basis[lo : lo + _BASIS_BLOCK]
+            sin_rows = basis.sin_basis[lo : lo + _BASIS_BLOCK]
+            for values, c in zip(flat, coeffs):
+                np.add(cos_rows @ c["a"], sin_rows @ c["b"], out=values[lo : lo + _BASIS_BLOCK])
+        return fields
 
-    def center_table(self, grid: PlanarWindow) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct cell-center radii about the window center, sorted,
-        and J_0..J_N at each of them, from one sweep."""
-        cx, cy = grid.center
-        cu, cv = grid.cell_centers()
-        radii = np.unique(np.hypot(cu[:, None] - cx, cv[None, :] - cy))
+    def _radial_table(self, grid: PlanarWindow, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct values of the radii `r`, sorted, and J_0..J_N at each
+        of them, from one sweep."""
+        radii = np.unique(r)
         jmat = bessel_j_orders(plane_wave_truncation(grid.max_radius()), radii)
         radii.setflags(write=False)
         jmat.setflags(write=False)
         return radii, jmat
 
-    def evaluate(self, grid: PlanarWindow, coeffs: dict, pts: np.ndarray) -> np.ndarray:
+    def center_table(self, grid: PlanarWindow) -> tuple[np.ndarray, np.ndarray]:
+        """The radial table of the cell centers about the window center."""
+        cx, cy = grid.center
+        cu, cv = grid.cell_centers()
+        return self._radial_table(grid, np.hypot(cu[:, None] - cx, cv[None, :] - cy))
+
+    def probe_table(self, grid: PlanarWindow, lags: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """The radial table of the covariance probes for `lags`."""
+        cx, cy = grid.center
+        pts = _probe_points(grid, lags)
+        return self._radial_table(grid, np.hypot(pts[:, 0] - cx, pts[:, 1] - cy))
+
+    def evaluate(self, grid: PlanarWindow, coeffs: dict, pts: np.ndarray, table=None) -> np.ndarray:
+        """Values at `pts`; their J_0..J_N rows are gathered from the radial
+        `table` (by default the cell-center table) when every radius is one
+        of its keys, and swept otherwise."""
         cx, cy = grid.center
         dx = pts[:, 0] - cx
         dy = pts[:, 1] - cy
         r = np.hypot(dx, dy)
         theta = np.arctan2(dy, dx)
         n_trunc = plane_wave_truncation(grid.max_radius())
-        jmat = _table_rows(_grid_table(self, grid, centers=True), r)
+        if table is None:
+            table = _grid_table(self, grid, centers=True)
+        jmat = _table_rows(table, r)
         if jmat is None:
             jmat = bessel_j_orders(n_trunc, r)
         a, b = coeffs["a"], coeffs["b"]
@@ -523,16 +562,20 @@ _TABLE_LOCK = threading.Lock()
 
 
 @functools.lru_cache(maxsize=8)
-def _built_table(model: SpectralModel, grid: GridSpec, centers: bool):
+def _built_table(model: SpectralModel, grid: GridSpec, centers: bool, lags: tuple | None):
+    if lags is not None:
+        return model.probe_table(grid, lags)
     return model.center_table(grid) if centers else model.table(grid)
 
 
-def _grid_table(model: SpectralModel, grid: GridSpec, centers: bool = False):
-    """The model's per-grid table (with `centers`, its cell-center table),
-    built on the first call for a (model, grid) and shared read-only after;
-    the lock makes it built once."""
+def _grid_table(model: SpectralModel, grid: GridSpec, centers: bool = False,
+                lags: tuple | None = None):
+    """The model's per-grid table (with `centers`, its cell-center table;
+    with `lags`, the plane wave's covariance-probe table for those lags),
+    built on the first call for its key and shared read-only after; the
+    lock makes it built once."""
     with _TABLE_LOCK:
-        return _built_table(model, grid, centers)
+        return _built_table(model, grid, centers, lags)
 
 
 def _table_rows(table: tuple[np.ndarray, np.ndarray], at: np.ndarray) -> np.ndarray | None:
@@ -546,12 +589,23 @@ def _table_rows(table: tuple[np.ndarray, np.ndarray], at: np.ndarray) -> np.ndar
     return rows[idx]
 
 
-def sample_field(model: SpectralModel, grid: GridSpec, stream: RngStream) -> FieldSample:
-    """Draw the model's coefficients for the grid, then synthesize its values."""
+def sample_field(model: SpectralModel, grid: GridSpec, stream: RngStream, *streams: RngStream):
+    """Draw the model's coefficients for the grid, then synthesize its values.
+
+    Given further streams, it returns a list of samples, one per stream in
+    order, each the sample `stream` alone would give; the plane wave
+    synthesizes them together, in one pass over its basis.
+    """
     if not isinstance(model, SpectralModel):
         raise ValueError(f"unknown model {model!r}")
-    coeffs = model.draw(grid, stream)
-    return FieldSample(model.synthesize(grid, coeffs), grid, model, stream, coeffs)
+    streams = (stream, *streams)
+    coeffs = [model.draw(grid, s) for s in streams]
+    if isinstance(model, PlaneWave2D):
+        fields = model.synthesize(grid, *coeffs)
+    else:
+        fields = [model.synthesize(grid, c) for c in coeffs]
+    samples = [FieldSample(v, grid, model, s, c) for v, s, c in zip(fields, streams, coeffs)]
+    return samples if len(samples) > 1 else samples[0]
 
 
 def evaluate_at(sample: FieldSample, points: np.ndarray) -> np.ndarray:
@@ -639,21 +693,35 @@ _PROBE_FRACTIONS = (
 )
 
 
-def covariance_probe_means(sample: FieldSample, lags) -> np.ndarray:
-    """Mean of F(x0) F(x0 + lag e1) over the fixed probe set, one realization."""
-    grid = sample.grid
-    if not isinstance(grid, (PlanarWindow, Torus)):
-        raise ValueError("covariance probing is only defined for planar and torus grids")
+def _probe_points(grid: PlanarWindow | Torus, lags: tuple) -> np.ndarray:
+    """The fixed probe set x0, then its copy x0 + lag e1 for each lag."""
     lags = np.asarray(lags, dtype=np.float64)
     side = grid.side
-    dim = grid.dim
-    base = np.full((len(_PROBE_FRACTIONS), dim), 0.5 * side)
+    base = np.full((len(_PROBE_FRACTIONS), grid.dim), 0.5 * side)
     base[:, :2] = np.array(_PROBE_FRACTIONS) * side
     if isinstance(grid, PlanarWindow) and np.max(base[:, 0]) + np.max(lags) > side:
         raise ValueError("probe set plus maximal lag leaves the window")
-    # the base probes and every lagged copy of them in one evaluation
-    n_probes = base.shape[0]
     shifted = np.tile(base, (lags.shape[0], 1))
-    shifted[:, 0] += np.repeat(lags, n_probes)
-    v = evaluate_at(sample, np.concatenate([base, shifted]))
+    shifted[:, 0] += np.repeat(lags, base.shape[0])
+    return np.concatenate([base, shifted])
+
+
+def covariance_probe_means(sample: FieldSample, lags) -> np.ndarray:
+    """Mean of F(x0) F(x0 + lag e1) over the fixed probe set, one realization.
+
+    The base probes and every lagged copy are evaluated at once.  A plane
+    wave gathers their J_0..J_N rows from its per-(grid, lags) probe table,
+    the rows a sweep over the probes gives, so no realization sweeps.
+    """
+    grid = sample.grid
+    if not isinstance(grid, (PlanarWindow, Torus)):
+        raise ValueError("covariance probing is only defined for planar and torus grids")
+    lags = tuple(float(lag) for lag in lags)
+    pts = _probe_points(grid, lags)
+    if isinstance(sample.model, PlaneWave2D) and sample.coeffs is not None:
+        table = _grid_table(sample.model, grid, lags=lags)
+        v = sample.model.evaluate(grid, sample.coeffs, pts, table)
+    else:
+        v = evaluate_at(sample, pts)
+    n_probes = len(_PROBE_FRACTIONS)
     return np.mean(v[:n_probes] * v[n_probes:].reshape(-1, n_probes), axis=1)

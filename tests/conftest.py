@@ -76,16 +76,17 @@ def mini_ensemble():
 def fail_realizations(monkeypatch):
     """`fail(*indices)` makes the engine's draw for those realizations raise.
 
-    Perturbation directions draw from streams at 2**32 and up, so they pass.
+    The realization's own stream comes first in the engine's draw; a
+    perturbation direction's stream, at 2**32 and up, follows it.
     """
 
     def fail(*indices):
         draw = engine.sample_field
 
-        def failing(model, grid, stream):
+        def failing(model, grid, stream, *streams):
             if stream.stream_id in indices:
                 raise RuntimeError("injected")
-            return draw(model, grid, stream)
+            return draw(model, grid, stream, *streams)
 
         monkeypatch.setattr(engine, "sample_field", failing)
 

@@ -91,9 +91,55 @@ def test_perturbation_ratio_of_a_zero_median(tmp_path, monkeypatch, deltas, rati
     )
     config = _config(tmp_path, checks=("perturbation",))
     sample = sample_field(config.model, config.grid, RngStream(config.master_seed, 0))
-    out = engine._run_checks(config, sample, label_domains(sample), 0)["perturbation"]
+    out = engine._run_checks(config, sample, label_domains(sample), sample)["perturbation"]
     assert out["medians"] == list(deltas.values())
     assert out["ratio"] == ratio
+
+
+def test_perturbation_direction_is_its_own_stream(tmp_path, monkeypatch):
+    # the engine draws a realization and its direction in one call; the
+    # direction is the field its stream gives alone
+    seen = []
+    check = engine.perturbation_stability
+
+    def recording(dec, direction, b):
+        seen.append((dec.sample, direction))
+        return check(dec, direction, b)
+
+    monkeypatch.setattr(engine, "perturbation_stability", recording)
+    config = _config(tmp_path, realizations=2, checks=("perturbation",))
+    run_ensemble(config)
+    assert len(seen) == 2 * len(engine.PERTURBATION_B)
+    for sample, direction in seen:
+        index = sample.stream.stream_id
+        alone = sample_field(config.model, config.grid, RngStream(
+            config.master_seed, engine.PERTURBATION_STREAM_BASE + index))
+        assert direction.stream == alone.stream
+        assert direction.values.tobytes() == alone.values.tobytes()
+        base = sample_field(config.model, config.grid, RngStream(config.master_seed, index))
+        assert sample.values.tobytes() == base.values.tobytes()
+
+
+def test_config_hashed_once_per_run(tmp_path, monkeypatch):
+    # fresh and resumed runs hash the config once and stamp that hash into
+    # the manifest, every sidecar and the report
+    calls = []
+    hash_config = engine.hash_config
+
+    def counting(config):
+        calls.append(config)
+        return hash_config(config)
+
+    monkeypatch.setattr(engine, "hash_config", counting)
+    a = tmp_path / "a"
+    config = _config(a, realizations=3)
+    run_ensemble(config)
+    assert len(calls) == 1
+    (a / "realizations" / "00001.json").unlink()
+    resume_ensemble(config, a)
+    assert len(calls) == 2
+    stamped = {read_json(path)["config_hash"] for path in (a / "realizations").glob("*.json")}
+    assert stamped == {read_json(a / "report.json")["config_hash"], hash_config(config.to_dict())}
 
 
 def test_report_independent_of_worker_count(tmp_path, monkeypatch):
@@ -205,8 +251,10 @@ def test_resume_ignores_sidecar_without_this_engine_version(tmp_path):
     (lambda payload: dict(payload, checks={}), False),
     (lambda payload: [payload], True),
     (lambda payload: dict(payload, checks={}), True),
+    (lambda payload: {k: v for k, v in payload.items() if k != "nodal_length"}, True),
+    (lambda payload: {k: v for k, v in payload.items() if k != "dmax"}, True),
 ], ids=["null", "list", "no-nodal_length", "no-check-result", "list-restamped",
-        "no-check-result-restamped"])
+        "no-check-result-restamped", "no-nodal_length-restamped", "no-dmax-restamped"])
 def test_resume_recomputes_a_malformed_payload(tmp_path, forge, restamp):
     # The table checksum matches, but the payload lacks what the fold reads;
     # resume must recompute the realization, not crash in the fold.  With

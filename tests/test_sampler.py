@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +26,10 @@ from nodal_census import (
     spherical_laplacian_residual,
     synthetic_sample,
 )
+from nodal_census.engine import COVARIANCE_LAGS, PERTURBATION_STREAM_BASE
 from nodal_census.sampler import (
     _grid_table,
+    _probe_points,
     build_plane_wave_basis,
     covariance_probe_means,
     legendre_matrix,
@@ -139,6 +146,106 @@ def test_plane_wave_basis_matches_column_oracle(grid):
             assert got.flags.c_contiguous
             assert got.tobytes() == want.tobytes()
     assert not table.cos_basis.flags.writeable and not table.sin_basis.flags.writeable
+
+
+def _under_blas_threads(threads: int, script: str) -> str:
+    """Standard output of `script` in a fresh interpreter whose BLAS runs
+    `threads` threads: the variables are set before numpy loads."""
+    src = str(Path(sampler.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+_BLOCKED_AGAINST_WHOLE = """
+import json, math
+from nodal_census import PlanarWindow, PlaneWave2D, RngStream
+from nodal_census.sampler import _grid_table
+model, out = PlaneWave2D(), {}
+for n in (201, 91, 26):
+    grid = PlanarWindow(side=(n - 1) * math.pi / 5, spacing=2 * math.pi / 10)
+    basis = _grid_table(model, grid)
+    coeffs = [model.draw(grid, RngStream(7, i)) for i in range(3)]
+    fields = model.synthesize(grid, *coeffs)
+    out[n] = [basis.cos_basis.shape[0]] + [
+        (basis.cos_basis @ c["a"] + basis.sin_basis @ c["b"]).tobytes()
+        == v.reshape(-1).tobytes() for c, v in zip(coeffs, fields)
+    ]
+print(json.dumps(out))
+"""
+
+
+def test_blocked_synthesis_is_the_whole_table_product_on_one_blas_thread():
+    # One pass in blocks of 1,024 rows, three fields at once, gives each
+    # field the bytes of cos_basis @ a + sin_basis @ b, on the desk (whose
+    # last block has 465 rows), a 91^2 window and one smaller than a block.
+    out = json.loads(_under_blas_threads(1, _BLOCKED_AGAINST_WHOLE))
+    assert out == {"201": [201**2, True, True, True], "91": [91**2, True, True, True],
+                   "26": [26**2, True, True, True]}
+    assert 201**2 % sampler._BASIS_BLOCK == 465 and sampler._BASIS_BLOCK % 4 == 0
+
+
+_DESK_FIELD_DIGESTS = """
+import hashlib, math
+from nodal_census import PlanarWindow, PlaneWave2D, RngStream, sample_field
+grid = PlanarWindow(side=40 * math.pi, spacing=2 * math.pi / 10)
+for i in range(12):
+    values = sample_field(PlaneWave2D(), grid, RngStream(7, i)).values
+    print(hashlib.sha256(values.tobytes()).hexdigest())
+"""
+
+
+def test_desk_fields_do_not_depend_on_blas_threads():
+    # The whole-table product under 2 BLAS threads splits its rows where a
+    # 4-row group does not start, and changed 5 of these 12 fields in their
+    # last digits; each blocked product runs on one thread.
+    one, two = (_under_blas_threads(t, _DESK_FIELD_DIGESTS).split() for t in (1, 2))
+    assert len(one) == 12
+    assert one == two
+
+
+@pytest.mark.parametrize("model, grid", [
+    (PlaneWave2D(), PlanarWindow(side=18 * math.pi, spacing=2 * math.pi / 10)),
+    (SphericalHarmonic(degree=6), LatLongSphere(n_lat=24, n_lon=48)),
+    (BandLimitedTorus(dim=2, alpha=1.0), Torus(side=TORUS_L, spacing=2 * math.pi / 8)),
+], ids=["plane", "sphere", "torus"])
+def test_sample_field_streams_together_are_the_streams_alone(model, grid):
+    # a realization's field and its perturbation direction, as the engine
+    # draws them in one call, are the samples each stream gives alone
+    streams = [RngStream(7, 3), RngStream(7, PERTURBATION_STREAM_BASE + 3)]
+    together = sample_field(model, grid, *streams)
+    assert isinstance(together, list) and len(together) == 2
+    for sample, stream in zip(together, streams):
+        alone = sample_field(model, grid, stream)
+        assert sample.stream == stream and sample.grid == grid and sample.model == model
+        assert sample.values.shape == grid.shape
+        assert sample.values.tobytes() == alone.values.tobytes()
+        assert all(np.array_equal(sample.coeffs[k], alone.coeffs[k]) for k in alone.coeffs)
+
+
+def test_covariance_probe_rows_are_the_sweeps(monkeypatch):
+    # the plane wave reads the probes' rows from its per-(grid, lags) table:
+    # each is the row a sweep over every probe gives, and so are the means
+    grid = PlanarWindow(side=18 * math.pi, spacing=2 * math.pi / 10)
+    model = PlaneWave2D()
+    radii, rows = _grid_table(model, grid, lags=COVARIANCE_LAGS)
+    assert _grid_table(model, grid, lags=COVARIANCE_LAGS)[1] is rows
+    assert not rows.flags.writeable
+    cx, cy = grid.center
+    pts = _probe_points(grid, COVARIANCE_LAGS)
+    r = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
+    n_trunc = plane_wave_truncation(grid.max_radius())
+    assert rows[np.searchsorted(radii, r)].tobytes() == bessel_j_orders(n_trunc, r).tobytes()
+    samples = [sample_field(model, grid, RngStream(11, i)) for i in range(3)]
+    fast = [covariance_probe_means(s, COVARIANCE_LAGS) for s in samples]
+    monkeypatch.setattr(sampler, "_table_rows", lambda table, at: None)
+    for sample, means in zip(samples, fast):
+        assert covariance_probe_means(sample, COVARIANCE_LAGS).tobytes() == means.tobytes()
 
 
 def _center_points(grid):

@@ -45,9 +45,9 @@ import numpy as np
 
 from .grids import GridSpec, LatLongSphere, PlanarWindow, grid_from_dict
 from .io import (
-    FloatColumn,
     canonical_json,
     domain_table_csv,
+    float_columns,
     fnv1a64,
     joint_csv,
     ns_csv,
@@ -103,6 +103,7 @@ FK_MARGIN = 0.10
 # Direction fields for the perturbation check draw from streams disjoint
 # from the realization streams (which are the plain indices 0..M-1).
 PERTURBATION_STREAM_BASE = 2**32
+_CDF_COLUMNS = ("breakpoints", "fractions", "stderr")
 
 
 def hash_config(config: dict) -> str:
@@ -464,9 +465,12 @@ def _assemble(
         ) from None
     boundary, pairs = fold_boundary(ordered, psi_r)
     largest_jump = float(np.max(np.diff(np.concatenate([[0.0], psi.fractions]))))
-    # each psi and boundary float is rendered once, and report.json, psi.csv
-    # and joint.csv are joined from that text
-    psi_dict, boundary_dict = psi.to_dict(FloatColumn), boundary.to_dict(FloatColumn)
+    # each distinct float of the six psi and boundary columns is rendered
+    # once, and report.json, psi.csv and joint.csv are joined from that text
+    columns = float_columns(
+        *(getattr(cdf, name) for cdf in (psi, boundary) for name in _CDF_COLUMNS))
+    psi_dict = dict(zip(_CDF_COLUMNS, columns[:3]), total_count=psi.total_count)
+    boundary_dict = dict(zip(_CDF_COLUMNS, columns[3:]), total_count=boundary.total_count)
     ns = fold_ns(ordered, config.radii, config.grid.dim) if config.radii else None
     length_mean, length_err = fold_nodal_length(ordered, config.grid)
     report = {
@@ -489,9 +493,8 @@ def _assemble(
     write_text(outdir / "psi.csv", psi_csv(psi_dict))
     write_text(outdir / "joint.csv", joint_csv(
         pairs, psi_dict["breakpoints"], boundary_dict["breakpoints"]))
-    for cdf in (psi_dict, boundary_dict):  # written: the report keeps the floats only
-        for name in ("breakpoints", "fractions", "stderr"):
-            cdf[name].text = None
+    for column in columns:  # written: the report keeps the floats only
+        column.text = None
     if ns is not None:
         write_text(outdir / "ns.csv", ns_csv(ns))
     if "sandwich" in config.checks:

@@ -15,12 +15,18 @@ A domain table has one writer, `domain_table_csv`, and one reader,
 `read_domain_table`, which gives back the census record's per-domain columns
 bit for bit: each float is written as its shortest round-trip `repr`.
 
-Each float of a report is rendered once.  A `FloatColumn` is a list of
-floats that carries their text, and `psi_csv`, `joint_csv` and the emitter
-take the text from it.  The engine turns the psi and boundary columns into
-`FloatColumn`s, and `report.json`, `psi.csv` and `joint.csv` are all joined
-from their text: `joint.csv` takes each area's text from the psi breakpoints
-and each perimeter's from the boundary breakpoints, found by position.
+Each distinct float of a report's six psi and boundary columns
+(breakpoints, fractions and stderrs of each CDF) is rendered once and its
+text shared across them.  A `FloatColumn` is a list of floats that carries
+their text, and `psi_csv`, `joint_csv` and the emitter take the text from
+it.  One function, `_rendered`, renders every such column: it keys the
+values on their float64 bits, renders each distinct pattern once and hands
+every value its pattern's text.  The engine builds all six columns in one
+`float_columns` call, so a boundary fraction or stderr that equals a psi
+one, as nearly all do, takes the psi text; `report.json`, `psi.csv` and
+`joint.csv` are all joined from that text: `joint.csv` takes each area's
+text from the psi breakpoints and each perimeter's from the boundary
+breakpoints, found by position.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import json
 import math
 import os
 import struct
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -57,6 +64,7 @@ __all__ = [
     "ns_csv",
     "joint_csv",
     "FloatColumn",
+    "float_columns",
     "sandwich_csv",
     "file_sha256",
     "text_sha256",
@@ -100,19 +108,43 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
+def _rendered(arrays: list[np.ndarray]) -> list[list[str]]:
+    """The one rendering of report floats: the shortest round-trip `repr` of
+    every value of each 1-D float64 array.  Each distinct bit pattern among
+    all the arrays is rendered once, and every value takes its pattern's
+    text by a gather, so equal values across arrays share one string;
+    keying on bits keeps -0.0 apart from 0.0."""
+    bits, inverse = np.unique(np.concatenate(arrays).view(np.int64), return_inverse=True)
+    text = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    ends = np.cumsum([a.size for a in arrays])
+    return [text[part].tolist() for part in np.split(inverse, ends[:-1])]
+
+
 class FloatColumn(list):
-    """A list of plain floats that carries their text: the shortest
-    round-trip `repr` of each, the one rendering every float export shares.
-    Every reader, the stdlib encoder included, sees the floats; `_emit_json`,
-    `psi_csv` and `joint_csv` join `text` instead of rendering each float
-    again.  Treat it as read-only, and set `text` to None once the files
-    that share it are written."""
+    """A list of plain floats that carries their text, the shortest
+    round-trip `repr` of each, from `_rendered`, the one rendering every
+    float export shares.  `FloatColumn(values)` renders its values;
+    `float_columns` builds several columns from one rendering, passing each
+    its share as `text`, so each distinct float among them is rendered once
+    and its text shared.  Every reader, the stdlib encoder included, sees
+    the floats; `_emit_json`, `psi_csv` and `joint_csv` join `text` instead
+    of rendering each float again.  Treat it as read-only, and set `text` to
+    None once the files that share it are written."""
 
     __slots__ = ("text",)
 
-    def __init__(self, values):
-        super().__init__(np.asarray(values, dtype=np.float64).tolist())
-        self.text = list(map(float.__repr__, self))
+    def __init__(self, values, text=None):
+        values = np.asarray(values, dtype=np.float64)
+        super().__init__(values.tolist())
+        self.text = _rendered([values])[0] if text is None else text
+
+
+def float_columns(*columns) -> list[FloatColumn]:
+    """Each of `columns` as a `FloatColumn`, all rendered in one `_rendered`
+    pass: a float that occurs in several columns, or several times in one,
+    is rendered once and every occurrence shares its text."""
+    arrays = [np.asarray(column, dtype=np.float64) for column in columns]
+    return list(map(FloatColumn, arrays, _rendered(arrays)))
 
 
 def _column_text(values) -> list[str]:
@@ -327,11 +359,18 @@ def domain_table_csv(dec) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the bytes of float fields that `repr` wrote, joined by commas: no
+# underscore, whitespace, or letter of "nan" and "inf"
+_FIELD_BYTES = b"0123456789.e+-,"
+
+
 def read_domain_table(text: str) -> dict:
     """The census record columns of a `domain_table_csv` text: `areas`,
     `perimeters` and `touches`, in label order, as the plain floats and
     bools `stats.census_record` builds.  Raises ValueError for a text whose
-    header differs, whose rows are ragged, or whose fields do not parse."""
+    header differs, whose rows are ragged, or whose fields do not parse,
+    and for a float field the writer never writes, though `float` reads
+    it: a non-finite value, an underscore, whitespace or a leading "+"."""
     lines = text.split("\n")
     if lines[0] != _TABLE_HEADER or lines[-1] != "":
         raise ValueError("not a domain table: wrong header or no final newline")
@@ -343,11 +382,15 @@ def read_domain_table(text: str) -> dict:
         touches = list(map(_TOUCHES.__getitem__, touches))
     except KeyError as exc:
         raise ValueError(f"bad touches_window field {exc}") from None
-    return {
+    record = {
         "areas": list(map(float, areas)),
         "perimeters": list(map(float, perimeters)),
         "touches": touches,
     }
+    fields = ",".join(areas + perimeters)
+    if fields.encode().translate(None, _FIELD_BYTES) or fields[0] == "+" or ",+" in fields:
+        raise ValueError("a float field the domain table writer never writes")
+    return record
 
 
 _CDF_COLUMNS = ("breakpoints", "fractions", "stderr")
@@ -378,8 +421,10 @@ def _text_by_position(values: np.ndarray, column) -> list[str]:
     keys = np.asarray(column, dtype=np.float64)
     pos = np.minimum(np.searchsorted(keys, values), keys.size - 1)
     text = list(map(_column_text(column).__getitem__, pos.tolist()))
-    for i in np.flatnonzero(keys.view(np.int64)[pos] != values.view(np.int64)).tolist():
-        text[i] = float.__repr__(float(values[i]))
+    missing = np.flatnonzero(keys.view(np.int64)[pos] != values.view(np.int64))
+    if missing.size:
+        for i, rendered in zip(missing.tolist(), _rendered([values[missing]])[0]):
+            text[i] = rendered
     return text
 
 
@@ -388,7 +433,7 @@ def joint_csv(pairs, areas=None, perimeters=None) -> str:
     given, are sorted columns that hold the pairs' values, such as the psi
     and boundary breakpoints; each value then takes the text of its entry
     there."""
-    table = np.asarray(pairs, dtype=np.float64).reshape(-1, 2)
+    table = np.fromiter(chain.from_iterable(pairs), np.float64, 2 * len(pairs)).reshape(-1, 2)
     rows = zip(_text_by_position(table[:, 0], areas), _text_by_position(table[:, 1], perimeters))
     return "\n".join(["area,perimeter", *map(",".join, rows)]) + "\n"
 

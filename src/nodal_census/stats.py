@@ -120,13 +120,12 @@ class EmpiricalCdf:
         out = np.where(idx >= 0, self.fractions[np.maximum(idx, 0)], 0.0)
         return float(out) if np.isscalar(t) else out
 
-    def to_dict(self, column=np.ndarray.tolist) -> dict:
-        """The CDF as a dict, each array turned into a list by `column`."""
+    def to_dict(self) -> dict:
         return {
-            "breakpoints": column(self.breakpoints),
-            "fractions": column(self.fractions),
+            "breakpoints": self.breakpoints.tolist(),
+            "fractions": self.fractions.tolist(),
             "total_count": self.total_count,
-            "stderr": column(self.stderr),
+            "stderr": self.stderr.tolist(),
         }
 
     @classmethod
@@ -218,16 +217,19 @@ def _records(decs: list[NodalDecomposition], columns, window=None) -> list[dict]
     return [census_record(dec, center, columns) for dec in decs]
 
 
+def _interior_mask(record, radius) -> list[bool]:
+    """Which domains of `record` are interior, and fully in B(center, R)
+    when a radius is given (`dmax` holds distances from that center)."""
+    if radius is None:
+        return [not t for t in record["touches"]]
+    return [not t and d < radius for t, d in zip(record["touches"], record["dmax"])]
+
+
 def _interior(records, key: str, radius):
-    """The `key` column of the interior domains, restricted to those fully
-    in B(center, R) when a radius is given (`dmax` holds distances from that
-    center), in record then label order."""
+    """The `key` column of the interior domains, restricted like
+    `_interior_mask`, in record then label order."""
     for r in records:
-        if radius is None:
-            keep = [not t for t in r["touches"]]
-        else:
-            keep = [not t and d < radius for t, d in zip(r["touches"], r["dmax"])]
-        yield from compress(r[key], keep)
+        yield from compress(r[key], _interior_mask(r, radius))
 
 
 def mean_stderr(values):
@@ -261,12 +263,18 @@ def fold_psi(records, radius=None, volume_scale: float = 1.0) -> EmpiricalCdf:
 
 def fold_boundary(records, radius=None):
     """Perimeter CDF and the sorted joint (area, perimeter) sample of the
-    interior domains, restricted like fold_psi."""
-    areas = list(_interior(records, "areas", radius))
-    perims = list(_interior(records, "perimeters", radius))
+    interior domains, restricted like fold_psi: a list of float tuples in
+    the order `sorted` gives them, by area and then perimeter."""
+    areas, perims = [], []
+    for r in records:
+        keep = _interior_mask(r, radius)
+        areas += compress(r["areas"], keep)
+        perims += compress(r["perimeters"], keep)
     if not perims:
         raise ValueError("no interior domains in the requested window; nothing to estimate")
-    return EmpiricalCdf.from_values(perims), sorted(zip(areas, perims))
+    areas, perims = np.array(areas), np.array(perims)
+    order = np.lexsort((perims, areas))  # stable, like sorted()
+    return EmpiricalCdf.from_values(perims), list(zip(areas[order].tolist(), perims[order].tolist()))
 
 
 def fold_ns(records, radii, dim: int) -> NsEstimate:

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import math
+import re
 import shutil
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nodal_census import (
@@ -29,7 +31,7 @@ from nodal_census import (
     run_ensemble,
     sample_field,
 )
-from nodal_census import engine, sampler
+from nodal_census import engine, io, sampler
 from nodal_census.io import (
     canonical_json, joint_csv, read_domain_table, read_json, text_sha256, write_json,
 )
@@ -376,15 +378,36 @@ def test_resume_recomputes_an_old_shape_sidecar(tmp_path, make_config):
     assert _stripped(a) == before
 
 
+def _interior_area(spell):
+    """A table forge that respells the area field of the first interior
+    domain's row with `spell`."""
+    def forge(table: bytes) -> bytes:
+        lines = table.split(b"\n")
+        row = next(i for i, line in enumerate(lines) if line.endswith(b",false"))
+        fields = lines[row].split(b",")
+        fields[2] = spell(fields[2])
+        lines[row] = b",".join(fields)
+        return b"\n".join(lines)
+    return forge
+
+
 @pytest.mark.parametrize("forge", [
     lambda text: text.replace(b"\n1,", b"\n1,\xff", 1),
     lambda text: text.replace(b"\n1,", b"\n1,0,", 1),
     lambda text: text.replace(b"label,", b"lbl,", 1),
-], ids=["bad-utf8", "ragged-row", "wrong-header"])
+    _interior_area(lambda area: b"nan"),
+    _interior_area(lambda area: b"inf"),
+    _interior_area(lambda area: re.sub(rb"(\d)(\d)", rb"\1_\2", area, count=1)),
+    _interior_area(lambda area: b" " + area),
+    _interior_area(lambda area: b"+" + area),
+], ids=["bad-utf8", "ragged-row", "wrong-header", "nan-area", "inf-area", "underscore",
+        "whitespace", "leading-plus"])
 def test_resume_recomputes_a_table_the_reader_refuses(tmp_path, forge):
     # The sidecar's table checksum is restamped over the forged bytes, so
     # only the table reader refuses them; resume must recompute the
-    # realization, not crash.
+    # realization, not crash.  An interior area respelled with an
+    # underscore, whitespace or a leading "+" reads as the same float, and
+    # one respelled "nan" would reach the report's emitter.
     a, b = tmp_path / "a", tmp_path / "b"
     config = _config(a, realizations=3, checks=("helmholtz",), thresholds=())
     run_ensemble(config)
@@ -614,3 +637,29 @@ def test_exports_share_the_report_text(tmp_path, make_config):
     _assert_exports_share_the_report_text(run_ensemble(config))
     (tmp_path / "realizations" / "00001.json").unlink()
     _assert_exports_share_the_report_text(resume_ensemble(config, tmp_path))
+
+
+def test_each_distinct_report_float_is_rendered_once(tmp_path, monkeypatch):
+    # One rendering for the six psi and boundary columns: every distinct bit
+    # pattern among them is rendered once, and every value with that pattern
+    # shares its string, on a fresh run and on a resume of it.
+    rendered = []
+    render = io._rendered
+
+    def counting(arrays):
+        texts = render(arrays)
+        rendered.append(len({id(t) for text in texts for t in text}))
+        return texts
+
+    monkeypatch.setattr(io, "_rendered", counting)
+    config = _sphere_l8_config(tmp_path)
+    run_ensemble(config)
+    report = read_json(tmp_path / "report.json")
+    values = np.array([x for cdf in ("psi", "boundary")
+                       for name in ("breakpoints", "fractions", "stderr") for x in report[cdf][name]])
+    distinct = np.unique(values.view(np.int64)).size
+    assert distinct < values.size  # the two CDFs share values
+    assert sum(rendered) == distinct
+    rendered.clear()
+    resume_ensemble(config, tmp_path)
+    assert sum(rendered) == distinct

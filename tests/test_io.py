@@ -34,6 +34,7 @@ from nodal_census.io import (
     canonical_json,
     domain_table_csv,
     file_sha256,
+    float_columns,
     fnv1a64,
     json_text,
     joint_csv,
@@ -182,6 +183,36 @@ def test_float_column_emits_like_its_floats(tmp_path, values, layout):
     assert expected == _reference_json({"c": values, "n": [values, 2.5]}, layout).encode("ascii")
     column.text = None
     assert _emitted({"c": column, "n": [column, 2.5]}, layout, tmp_path) == expected
+
+
+def test_float_columns_share_one_rendering(tmp_path):
+    # Awkward columns rendered together: -0.0 in one column and 0.0 in
+    # another keep their own text, subnormal and huge values, repeats inside
+    # one column, and a boundary value psi lacks.  Every text is its value's
+    # repr, and each distinct bit pattern is rendered once: all values with
+    # it share one string.
+    values = [[-0.0, 5e-324, 0.5, 0.5, 1e300], [0.25, 0.5, 0.5, 1.0, 1.0],
+              [0.0, 5e-324, 2.5, 1e300], [0.1, 0.1, 0.1]]
+    columns = float_columns(*values)
+    assert columns == values
+    for column, floats in zip(columns, values):
+        assert isinstance(column, FloatColumn)
+        assert {type(x) for x in column} == {float}
+        assert column.text == list(map(float.__repr__, floats))
+    text = [(struct.pack("<d", x), t) for column in columns for x, t in zip(column, column.text)]
+    assert len({id(t) for _, t in text}) == len({bits for bits, _ in text}) == 9
+    assert len({(bits, id(t)) for bits, t in text}) == 9
+    assert [column.text for column in float_columns([0.5, -0.0], [], [0.0])] == [
+        ["0.5", "-0.0"], [], ["0.0"]]
+    assert FloatColumn(values[0]).text == columns[0].text
+    for layout in LAYOUTS:
+        expected = _reference_json(dict(zip("abcd", values)), layout).encode("ascii")
+        assert _emitted(dict(zip("abcd", columns)), layout, tmp_path) == expected
+    refused = float_columns([0.5, math.nan], [0.5])
+    assert refused[0].text == ["0.5", "nan"]
+    for layout in LAYOUTS:
+        with pytest.raises(ValueError, match="NaN"):
+            _emitted({"psi": refused[0], "boundary": refused[1]}, layout, tmp_path)
 
 
 UNSERIALIZABLE = [{1, 2}, [np.bool_(True)], {"x": object()}]
@@ -543,10 +574,24 @@ def test_read_domain_table_gives_the_census_record_columns(case, sphere_l8_dec, 
     ("label,sign,area,perimeter,boundary_components,touches_window\n0,+,1.0,2.0,1,false",
      "final newline"),
     ("label,sign,area,perimeter,boundary_components,touches_window\n", "values to unpack"),
-], ids=["wrong-header", "short-row", "long-row", "touches", "float", "no-newline", "no-row"])
+    *((f"label,sign,area,perimeter,boundary_components,touches_window\n0,+,1.5,2.0,1,false\n"
+       f"1,-,{area},{perimeter},1,false\n", "never writes") for area, perimeter in [
+        ("nan", "2.0"), ("1.0", "inf"), ("-inf", "2.0"), ("1.0", "Infinity"), ("1_0.5", "2.0"),
+        (" 7.25", "2.0"), ("7.25", "2.0\t"), ("+7.25", "2.0"), ("1.0", "+2.0"), ("7.25", "２.0")]),
+], ids=["wrong-header", "short-row", "long-row", "touches", "float", "no-newline", "no-row",
+        "nan", "inf", "minus-inf", "infinity", "underscore", "leading-space", "trailing-tab",
+        "plus-area", "plus-perimeter", "non-ascii-digit"])
 def test_read_domain_table_rejects_what_the_writer_never_writes(text, match):
     with pytest.raises(ValueError, match=match):
         read_domain_table(text)
+
+
+def test_read_domain_table_reads_every_spelling_repr_writes():
+    # exponents carry their own sign; only a leading "+" is refused
+    floats = [5e-324, 1e-05, 1e+300, 0.1, 12.566370614359172, 2.0]
+    rows = [f"{i},+,{x!r},{y!r},1,true" for i, (x, y) in enumerate(zip(floats, floats[::-1]))]
+    table = read_domain_table("\n".join([nodal_census.io._TABLE_HEADER, *rows]) + "\n")
+    assert table == {"areas": floats, "perimeters": floats[::-1], "touches": [True] * 6}
 
 
 def test_stat_csv_exports(mini_ensemble):
@@ -603,7 +648,8 @@ def test_exports_take_text_from_float_columns():
     # text from the column entry it is found at only when the bits agree, so
     # -0.0 and 0.0 stay apart and a value the column lacks is rendered
     cdf = EmpiricalCdf.from_values([0.5, 1 / 3, 2.5])
-    columns = cdf.to_dict(FloatColumn)
+    columns = dict(zip(("breakpoints", "fractions", "stderr"),
+                       float_columns(cdf.breakpoints, cdf.fractions, cdf.stderr)))
     assert psi_csv(columns) == psi_csv(cdf) == _psi_csv_reference(cdf)
     columns["fractions"].text = ["a", "b", "c"]
     assert psi_csv(columns).splitlines()[1:] == [f"{t!r},{f},{e!r}" for t, f, e in zip(

@@ -24,7 +24,7 @@ from nodal_census import (
     synthetic_sample,
 )
 from nodal_census.engine import DEFAULT_SANDWICH_GEOMETRIES
-from nodal_census.stats import _lattice_offsets, _row_runs
+from nodal_census.stats import _lattice_offsets, _row_runs, census_record, fold_boundary
 
 FK_FLOOR = 18.168414535536805
 
@@ -277,6 +277,42 @@ def test_boundary_distribution_single_island():
     assert perim_cdf.breakpoints[0] == pytest.approx(2 * math.sqrt(2) * h, abs=1e-12)
     assert perim_cdf.fractions[0] == 1.0
     assert pairs == [(h * h, perim_cdf.breakpoints[0])]
+
+
+def _sorted_pairs(records, radius):
+    pairs = []
+    for r in records:
+        for a, p, t, d in zip(r["areas"], r["perimeters"], r["touches"], r["dmax"]):
+            if not t and (radius is None or d < radius):
+                pairs.append((a, p))
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("radius", [None, 8.0], ids=["window", "ball"])
+def test_fold_boundary_pairs_sort_like_sorted(radius, mini_ensemble):
+    # the joint sample is sorted(zip(areas, perimeters)) of the interior
+    # domains, as Python float tuples; tied areas are ordered by perimeter,
+    # and equal pairs (0.0 and -0.0 alike) keep their record order
+    records = [
+        {"areas": [2.0, 1.0, 2.0, 3.0, 1.0, 0.0], "perimeters": [5.0, 4.0, 3.0, 1.0, 4.5, -0.0],
+         "touches": [False, False, False, True, False, False],
+         "dmax": [1.0, 2.0, 3.0, 0.5, 9.0, 1.0]},
+        {"areas": [2.0, 1.0, -0.0, 2.0], "perimeters": [3.0, 4.5, 0.0, 4.0],
+         "touches": [False, False, False, False], "dmax": [2.0, 5.0, 0.5, 3.5]},
+    ]
+    grid = mini_ensemble[0].sample.grid
+    records.extend(census_record(dec, grid.center) for dec in mini_ensemble)
+    perimeters, pairs = fold_boundary(records, radius)
+    expected = _sorted_pairs(records, radius)
+    assert pairs == expected
+    assert [tuple(map(float.__repr__, p)) for p in pairs] == [
+        tuple(map(float.__repr__, p)) for p in expected]
+    assert all(type(p) is tuple and list(map(type, p)) == [float, float] for p in pairs)
+    assert perimeters.to_dict() == EmpiricalCdf.from_values([p for _, p in expected]).to_dict()
+    assert len(pairs) > len(_sorted_pairs(records[:2], radius))  # and the mini ensemble's
+    ones = [(1.0, 4.0), (1.0, 4.5), (1.0, 4.5)] if radius is None else [(1.0, 4.0), (1.0, 4.5)]
+    assert pairs[:len(ones) + 6] == [(0.0, -0.0), (-0.0, 0.0), *ones,
+                                     (2.0, 3.0), (2.0, 3.0), (2.0, 4.0), (2.0, 5.0)]
 
 
 def test_ensemble_distributions(mini_ensemble):

@@ -24,6 +24,7 @@ from .grids import LatLongSphere, PlanarWindow, Torus
 from .io import (
     canonical_json,
     domain_table_csv,
+    json_object,
     json_text,
     load_field,
     psi_csv,
@@ -289,7 +290,7 @@ def cmd_sphere_compare(args) -> int:
     planar_path = Path(args.planar_report)
     if planar_path.is_dir():
         planar_path = planar_path / "report.json"
-    planar = read_json(planar_path)
+    planar = json_object(read_json(planar_path), planar_path, "config", "psi")
     stored = planar.get("config_hash")
     recomputed = hash_config(planar["config"])
     hash_ok = stored == recomputed
@@ -313,7 +314,8 @@ def cmd_sphere_compare(args) -> int:
     scale = args.degree * (args.degree + 1)
     sphere_cdf = fold_psi(rep.records, None, scale)
     ks = ks_distance(sphere_cdf, planar_cdf)
-    write_text(rep.output_dir / "sphere-psi.csv", psi_csv(sphere_cdf))
+    write_text(rep.output_dir / "sphere-psi.csv",
+               psi_csv(sphere_cdf.breakpoints, sphere_cdf.fractions, sphere_cdf.stderr))
     comparison = {
         "ks_distance": ks,
         "degree": args.degree,
@@ -339,7 +341,7 @@ def cmd_report(args) -> int:
     manifest_path = rundir / "manifest.json"
     if not manifest_path.exists():
         raise UsageError(f"{rundir} has no manifest.json")
-    manifest = read_json(manifest_path)
+    manifest = json_object(read_json(manifest_path), manifest_path, "config")
     cfg = EnsembleConfig.from_dict(manifest["config"], output_dir=str(rundir))
     rep = resume_ensemble(cfg, rundir)
     checks = rep.report["checks"]

@@ -50,6 +50,7 @@ from .io import (
     float_columns,
     fnv1a64,
     joint_csv,
+    json_object,
     ns_csv,
     psi_csv,
     read_domain_table,
@@ -237,12 +238,15 @@ class EnsembleReport:
 
 def worker_count() -> int:
     env = os.environ.get("NODAL_CENSUS_THREADS")
-    if env is not None:
+    if env is None:
+        return os.cpu_count() or 1
+    try:
         n = int(env)
-        if n < 1:
-            raise ValueError("NODAL_CENSUS_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"NODAL_CENSUS_THREADS must be an integer >= 1, not {env!r}")
+    return n
 
 
 def _realization_paths(outdir: Path, index: int) -> tuple[Path, Path]:
@@ -465,12 +469,12 @@ def _assemble(
         ) from None
     boundary, pairs = fold_boundary(ordered, psi_r)
     largest_jump = float(np.max(np.diff(np.concatenate([[0.0], psi.fractions]))))
-    # each distinct float of the six psi and boundary columns is rendered
-    # once, and report.json, psi.csv and joint.csv are joined from that text
+    # each distinct float of the eight columns report.json, psi.csv and
+    # joint.csv print is rendered once, and all three are joined from that text
     columns = float_columns(
-        *(getattr(cdf, name) for cdf in (psi, boundary) for name in _CDF_COLUMNS))
+        *(getattr(cdf, name) for cdf in (psi, boundary) for name in _CDF_COLUMNS), *pairs.T)
     psi_dict = dict(zip(_CDF_COLUMNS, columns[:3]), total_count=psi.total_count)
-    boundary_dict = dict(zip(_CDF_COLUMNS, columns[3:]), total_count=boundary.total_count)
+    boundary_dict = dict(zip(_CDF_COLUMNS, columns[3:6]), total_count=boundary.total_count)
     ns = fold_ns(ordered, config.radii, config.grid.dim) if config.radii else None
     length_mean, length_err = fold_nodal_length(ordered, config.grid)
     report = {
@@ -490,9 +494,8 @@ def _assemble(
         },
     }
     write_json(outdir / "report.json", report)
-    write_text(outdir / "psi.csv", psi_csv(psi_dict))
-    write_text(outdir / "joint.csv", joint_csv(
-        pairs, psi_dict["breakpoints"], boundary_dict["breakpoints"]))
+    write_text(outdir / "psi.csv", psi_csv(*columns[:3]))
+    write_text(outdir / "joint.csv", joint_csv(*columns[6:]))
     for column in columns:  # written: the report keeps the floats only
         column.text = None
     if ns is not None:
@@ -540,7 +543,7 @@ def resume_ensemble(config: EnsembleConfig, partial_dir) -> EnsembleReport:
     manifest_path = outdir / "manifest.json"
     if not manifest_path.exists():
         raise ValueError(f"{outdir} has no manifest.json to resume from")
-    manifest = read_json(manifest_path)
+    manifest = json_object(read_json(manifest_path), manifest_path)
     if manifest.get("version") != ENGINE_VERSION:
         raise ValueError(
             f"engine version mismatch: manifest has {manifest.get('version')}, "

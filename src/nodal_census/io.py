@@ -15,18 +15,17 @@ A domain table has one writer, `domain_table_csv`, and one reader,
 `read_domain_table`, which gives back the census record's per-domain columns
 bit for bit: each float is written as its shortest round-trip `repr`.
 
-Each distinct float of a report's six psi and boundary columns
-(breakpoints, fractions and stderrs of each CDF) is rendered once and its
-text shared across them.  A `FloatColumn` is a list of floats that carries
-their text, and `psi_csv`, `joint_csv` and the emitter take the text from
-it.  One function, `_rendered`, renders every such column: it keys the
-values on their float64 bits, renders each distinct pattern once and hands
-every value its pattern's text.  The engine builds all six columns in one
-`float_columns` call, so a boundary fraction or stderr that equals a psi
-one, as nearly all do, takes the psi text; `report.json`, `psi.csv` and
-`joint.csv` are all joined from that text: `joint.csv` takes each area's
-text from the psi breakpoints and each perimeter's from the boundary
-breakpoints, found by position.
+Each float that `report.json`, `psi.csv` and `joint.csv` print is rendered
+once.  A `FloatColumn` is a list of floats that carries their text, and
+`psi_csv`, `joint_csv` and the emitter join that text.  One function,
+`_rendered`, renders every such column: it keys the values on their float64
+bits, renders each distinct pattern once and hands every value its
+pattern's text.  The engine builds all eight columns the three files print
+(the breakpoints, fractions and stderrs of the psi and boundary CDFs, and
+the joint sample's areas and perimeters) in one `float_columns` call, so a
+value that occurs in several columns, as every joint value and nearly every
+boundary fraction does, is rendered once; each CSV is a row-by-row join of
+its columns' text.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ import json
 import math
 import os
 import struct
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -56,6 +54,7 @@ __all__ = [
     "json_text",
     "write_json",
     "read_json",
+    "json_object",
     "write_field",
     "load_field",
     "domain_table_csv",
@@ -147,14 +146,6 @@ def float_columns(*columns) -> list[FloatColumn]:
     return list(map(FloatColumn, arrays, _rendered(arrays)))
 
 
-def _column_text(values) -> list[str]:
-    """The text of each value of a 1-D column, read as a float.  A
-    `FloatColumn` hands over the text it carries."""
-    if not isinstance(values, FloatColumn) or values.text is None:
-        values = FloatColumn(values)
-    return values.text
-
-
 _BOOL_TEXT = {True: "true", False: "false"}
 
 
@@ -244,6 +235,17 @@ def read_json(path):
         return json.load(fh)
 
 
+def json_object(obj, where, *keys) -> dict:
+    """`obj`, a JSON value read from `where`, when it is an object holding
+    every one of `keys`; else ValueError naming `where` and what it lacks."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{where} lacks {key!r}")
+    return obj
+
+
 def write_field(sample: FieldSample, path) -> None:
     """Write the self-describing binary container plus its JSON sidecar.
 
@@ -302,19 +304,11 @@ def load_field(path) -> FieldSample:
         if version != CONTAINER_VERSION:
             raise ValueError(f"unsupported container version {version}")
         (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if not isinstance(header, dict):
-            raise ValueError(f"{path}: header is not a JSON object")
-        for key in ("dtype", "grid", "shape", "model", "values_sha256"):
-            if key not in header:
-                raise ValueError(f"{path}: header lacks {key!r}")
+        header = json_object(json.loads(fh.read(hlen).decode("utf-8")), f"{path}: header",
+                             "dtype", "grid", "shape", "model", "values_sha256")
         seed = header.get("seed")
         if seed is not None:
-            if not isinstance(seed, dict):
-                raise ValueError(f"{path}: header seed is not a JSON object")
-            for key in ("master_seed", "stream_id"):
-                if key not in seed:
-                    raise ValueError(f"{path}: header seed lacks {key!r}")
+            json_object(seed, f"{path}: header seed", "master_seed", "stream_id")
         if header["dtype"] != "<f8":
             raise ValueError(f"unsupported dtype {header['dtype']}")
         grid = grid_from_dict(header["grid"])
@@ -393,16 +387,20 @@ def read_domain_table(text: str) -> dict:
     return record
 
 
-_CDF_COLUMNS = ("breakpoints", "fractions", "stderr")
+def _joined(header: str, *columns) -> str:
+    """`header`, then one row per index: the text of each column's value
+    there, comma-joined.  Columns that all carry their text, as the
+    engine's `float_columns` give them, are joined as they are; otherwise
+    every column is rendered in one `float_columns` call."""
+    if not all(isinstance(column, FloatColumn) and column.text is not None for column in columns):
+        columns = float_columns(*columns)
+    return "\n".join([header, *map(",".join, zip(*(column.text for column in columns)))]) + "\n"
 
 
-def psi_csv(cdf) -> str:
-    """One row per breakpoint: t, psi_hat and stderr.  `cdf` is an
-    `EmpiricalCdf` or a dict with its columns, such as its `to_dict()`."""
-    if not isinstance(cdf, dict):
-        cdf = {name: getattr(cdf, name) for name in _CDF_COLUMNS}
-    rows = zip(*(_column_text(cdf[name]) for name in _CDF_COLUMNS))
-    return "\n".join(["t,psi_hat,stderr", *map(",".join, rows)]) + "\n"
+def psi_csv(breakpoints, fractions, stderr) -> str:
+    """One row per breakpoint of a CDF's three columns: t, psi_hat and
+    stderr."""
+    return _joined("t,psi_hat,stderr", breakpoints, fractions, stderr)
 
 
 def ns_csv(est) -> str:
@@ -412,30 +410,10 @@ def ns_csv(est) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _text_by_position(values: np.ndarray, column) -> list[str]:
-    """The text of each of `values`, taken from the entry of the sorted
-    `column` it is found at by `searchsorted` when that entry has the same
-    bits, else rendered.  Equal bits keep -0.0 apart from 0.0."""
-    if column is None or len(column) == 0:
-        return _column_text(values)
-    keys = np.asarray(column, dtype=np.float64)
-    pos = np.minimum(np.searchsorted(keys, values), keys.size - 1)
-    text = list(map(_column_text(column).__getitem__, pos.tolist()))
-    missing = np.flatnonzero(keys.view(np.int64)[pos] != values.view(np.int64))
-    if missing.size:
-        for i, rendered in zip(missing.tolist(), _rendered([values[missing]])[0]):
-            text[i] = rendered
-    return text
-
-
-def joint_csv(pairs, areas=None, perimeters=None) -> str:
-    """One row per (area, perimeter) pair.  `areas` and `perimeters`, when
-    given, are sorted columns that hold the pairs' values, such as the psi
-    and boundary breakpoints; each value then takes the text of its entry
-    there."""
-    table = np.fromiter(chain.from_iterable(pairs), np.float64, 2 * len(pairs)).reshape(-1, 2)
-    rows = zip(_text_by_position(table[:, 0], areas), _text_by_position(table[:, 1], perimeters))
-    return "\n".join(["area,perimeter", *map(",".join, rows)]) + "\n"
+def joint_csv(areas, perimeters) -> str:
+    """One row per (area, perimeter) pair of the joint sample's two columns,
+    such as `pairs[:, 0]` and `pairs[:, 1]` of `stats.fold_boundary`."""
+    return _joined("area,perimeter", areas, perimeters)
 
 
 def sandwich_csv(verdicts) -> str:

@@ -235,7 +235,7 @@ class PlaneWave2D:
     def synthesize(self, grid: PlanarWindow, *coeffs: dict) -> list[np.ndarray]:
         """The values of each coefficient set, from one pass over the basis:
         every block of `_BASIS_BLOCK` rows gives its part of every field."""
-        basis = _grid_table(self, grid)
+        basis = _grid_table(self.table, grid)
         fields = [np.empty(grid.shape) for _ in coeffs]
         flat = [values.reshape(-1) for values in fields]
         for lo in range(0, basis.cos_basis.shape[0], _BASIS_BLOCK):
@@ -277,7 +277,7 @@ class PlaneWave2D:
         theta = np.arctan2(dy, dx)
         n_trunc = plane_wave_truncation(grid.max_radius())
         if table is None:
-            table = _grid_table(self, grid, centers=True)
+            table = _grid_table(self.center_table, grid)
         jmat = _table_rows(table, r)
         if jmat is None:
             jmat = bessel_j_orders(n_trunc, r)
@@ -349,7 +349,7 @@ class BandLimitedTorus:
                 f"torus side {grid.side:.2f} too small for the lattice spectral measure; "
                 f"need at least {_MIN_TORUS_SIDE:.2f}"
             )
-        modes, lo = _grid_table(self, grid)
+        modes, lo = _grid_table(self.table, grid)
         if modes.shape[0] == 0:
             raise ValueError(
                 f"no torus frequencies in the band [{lo:.4f}, 1]; "
@@ -389,7 +389,7 @@ class BandLimitedTorus:
         last axis in the values.  Each pass runs in place (``out=``): about
         51 MiB of transients on the 160^3 torus (tracemalloc).
         """
-        modes = _grid_table(self, grid)[0]
+        modes = _grid_table(self.table, grid)[0]
         nonzero = ~np.all(modes == 0, axis=1)
         norm = 1.0 / math.sqrt(modes.shape[0])
         n = grid.n_intervals
@@ -427,7 +427,7 @@ class BandLimitedTorus:
         return values
 
     def evaluate(self, grid: Torus, coeffs: dict, pts: np.ndarray) -> np.ndarray:
-        modes = _grid_table(self, grid)[0]
+        modes = _grid_table(self.table, grid)[0]
         norm = 1.0 / math.sqrt(modes.shape[0])
         xi = modes.astype(np.float64) * (2.0 * math.pi / grid.side)
         # canonicalize into one period so x and x + L give bit-identical values
@@ -506,7 +506,7 @@ class SphericalHarmonic:
 
     def synthesize(self, grid: LatLongSphere, coeffs: dict) -> np.ndarray:
         l = self.degree
-        legendre = _grid_table(self, grid)
+        legendre = _grid_table(self.table, grid)
         z = coeffs["z"]
         scale = math.sqrt(4.0 * math.pi / (2.0 * l + 1.0))
         half = grid.n_lon // 2 + 1
@@ -532,7 +532,7 @@ class SphericalHarmonic:
     def evaluate(self, grid: LatLongSphere, coeffs: dict, pts: np.ndarray) -> np.ndarray:
         l = self.degree
         z = coeffs["z"]
-        leg = _table_rows(_grid_table(self, grid, centers=True), pts[:, 0])
+        leg = _table_rows(_grid_table(self.center_table, grid), pts[:, 0])
         if leg is None:
             leg = legendre_matrix(l, np.cos(pts[:, 0]))
         ang = np.outer(pts[:, 1], np.arange(1, l + 1))
@@ -562,20 +562,19 @@ _TABLE_LOCK = threading.Lock()
 
 
 @functools.lru_cache(maxsize=8)
-def _built_table(model: SpectralModel, grid: GridSpec, centers: bool, lags: tuple | None):
-    if lags is not None:
-        return model.probe_table(grid, lags)
-    return model.center_table(grid) if centers else model.table(grid)
+def _built_table(build, model: SpectralModel, grid: GridSpec, *args):
+    return build(model, grid, *args)
 
 
-def _grid_table(model: SpectralModel, grid: GridSpec, centers: bool = False,
-                lags: tuple | None = None):
-    """The model's per-grid table (with `centers`, its cell-center table;
-    with `lags`, the plane wave's covariance-probe table for those lags),
-    built on the first call for its key and shared read-only after; the
-    lock makes it built once."""
+def _grid_table(build, grid: GridSpec, *args):
+    """What the model method `build` (`table`, `center_table` or
+    `probe_table`, bound to its model) gives for `grid` and `args`, built on
+    the first call for an equal model, method, grid and args and shared
+    read-only after; the lock makes it built once.  The memo keys the
+    unbound method and the model, as a bound method compares its model by
+    identity."""
     with _TABLE_LOCK:
-        return _built_table(model, grid, centers, lags)
+        return _built_table(build.__func__, build.__self__, grid, *args)
 
 
 def _table_rows(table: tuple[np.ndarray, np.ndarray], at: np.ndarray) -> np.ndarray | None:
@@ -719,7 +718,7 @@ def covariance_probe_means(sample: FieldSample, lags) -> np.ndarray:
     lags = tuple(float(lag) for lag in lags)
     pts = _probe_points(grid, lags)
     if isinstance(sample.model, PlaneWave2D) and sample.coeffs is not None:
-        table = _grid_table(sample.model, grid, lags=lags)
+        table = _grid_table(sample.model.probe_table, grid, lags)
         v = sample.model.evaluate(grid, sample.coeffs, pts, table)
     else:
         v = evaluate_at(sample, pts)

@@ -263,8 +263,8 @@ def fold_psi(records, radius=None, volume_scale: float = 1.0) -> EmpiricalCdf:
 
 def fold_boundary(records, radius=None):
     """Perimeter CDF and the sorted joint (area, perimeter) sample of the
-    interior domains, restricted like fold_psi: a list of float tuples in
-    the order `sorted` gives them, by area and then perimeter."""
+    interior domains, restricted like fold_psi: an (n, 2) float64 array of
+    rows ordered by area, then perimeter, equal rows in record order."""
     areas, perims = [], []
     for r in records:
         keep = _interior_mask(r, radius)
@@ -272,9 +272,9 @@ def fold_boundary(records, radius=None):
         perims += compress(r["perimeters"], keep)
     if not perims:
         raise ValueError("no interior domains in the requested window; nothing to estimate")
-    areas, perims = np.array(areas), np.array(perims)
-    order = np.lexsort((perims, areas))  # stable, like sorted()
-    return EmpiricalCdf.from_values(perims), list(zip(areas[order].tolist(), perims[order].tolist()))
+    joint = np.array([areas, perims]).T
+    order = np.lexsort((joint[:, 1], joint[:, 0]))  # stable, like sorted()
+    return EmpiricalCdf.from_values(joint[:, 1]), joint[order]
 
 
 def fold_ns(records, radii, dim: int) -> NsEstimate:
@@ -510,7 +510,9 @@ def faber_krahn_check(decs: list[NodalDecomposition], margin: float = 0.10):
 
 def boundary_and_joint_distributions(decs: list[NodalDecomposition], window=None):
     """Perimeter CDF and the joint (area, perimeter) sample, interior domains
-    only, optionally restricted to a (center, R) ball like psi_estimate."""
+    only, optionally restricted to a (center, R) ball like psi_estimate.
+    The sample is an (n, 2) float64 array, one row per domain, sorted by
+    area and then perimeter (`fold_boundary`)."""
     records = _records(decs, ("areas", "perimeters", "touches"), window)
     return fold_boundary(records, None if window is None else window[1])
 

@@ -240,6 +240,15 @@ def test_report_reaggregates(tmp_path, capsys):
     assert main(["report", "--dir", str(tmp_path / "nope")]) == 2
 
 
+@pytest.mark.parametrize("manifest, reason", [
+    ([], "is not a JSON object"), ({"version": 1}, "lacks 'config'"), ("run", "is not a JSON object"),
+], ids=["list", "no-config", "string"])
+def test_report_refuses_a_malformed_manifest(tmp_path, capsys, manifest, reason):
+    write_json(tmp_path / "manifest.json", manifest)
+    assert main(["report", "--dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'manifest.json'} {reason}\n"
+
+
 def test_report_json_prints_the_report_file(tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["psi", "--window", "9pi", "--M", "1", "--seed", "3",
@@ -299,7 +308,8 @@ def test_sphere_compare_scales_areas_before_binning(tmp_path, capsys):
     assert all(a < b for a, b in zip(ts, ts[1:]))
     model, grid = SphericalHarmonic(degree=12), LatLongSphere(n_lat=60, n_lon=120)
     decs = [label_domains(sample_field(model, grid, RngStream(0, i))) for i in range(6)]
-    assert text == psi_csv(psi_estimate(decs, volume_scale=12 * 13))
+    psi = psi_estimate(decs, volume_scale=12 * 13)
+    assert text == psi_csv(psi.breakpoints, psi.fractions, psi.stderr)
 
 
 def test_sphere_compare_flags_tampered_report(tmp_path, capsys):
@@ -325,6 +335,17 @@ def test_sphere_compare_requires_inputs(tmp_path):
     assert main(["sphere-compare", "--model", "sphere", "--M", "1",
                  "--planar-report", str(tmp_path)]) == 2
     assert main(["sphere-compare", "--model", "sphere", "--degree", "1", "--M", "1"]) == 2
+
+
+@pytest.mark.parametrize("report, reason", [
+    ({}, "lacks 'config'"), ({"config": {}}, "lacks 'psi'"), ([1], "is not a JSON object"),
+], ids=["empty", "no-psi", "list"])
+def test_sphere_compare_refuses_a_malformed_report(tmp_path, capsys, report, reason):
+    write_json(tmp_path / "report.json", report)
+    assert main(["sphere-compare", "--model", "sphere", "--degree", "1", "--M", "1",
+                 "--planar-report", str(tmp_path), "--out", str(tmp_path / "sphere")]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'report.json'} {reason}\n"
+    assert not (tmp_path / "sphere").exists()
 
 
 def test_sphere_compare_rejects_config(tmp_path):

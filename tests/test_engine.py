@@ -167,9 +167,13 @@ def test_report_independent_of_worker_count(tmp_path, monkeypatch):
 
 
 def test_worker_count_env_guard(monkeypatch):
-    monkeypatch.setenv("NODAL_CENSUS_THREADS", "0")
-    with pytest.raises(ValueError):
-        engine.worker_count()
+    # a count that is not a positive integer is refused, naming the variable
+    for value in ("0", "-2", "abc", "", "1.5"):
+        monkeypatch.setenv("NODAL_CENSUS_THREADS", value)
+        with pytest.raises(ValueError, match=f"^NODAL_CENSUS_THREADS must be .*, not '{value}'$"):
+            engine.worker_count()
+    monkeypatch.setenv("NODAL_CENSUS_THREADS", " 3 ")
+    assert engine.worker_count() == 3
 
 
 def test_realization_prefix_is_stable(tmp_path):
@@ -478,6 +482,10 @@ def test_resume_validates_directory(tmp_path):
     write_json(a / "manifest.json", {**manifest, "version": engine.ENGINE_VERSION + 1})
     with pytest.raises(ValueError, match="engine version mismatch"):
         resume_ensemble(_config(a, realizations=2), a)
+    for malformed in ([1], "manifest", None):
+        write_json(a / "manifest.json", malformed)
+        with pytest.raises(ValueError, match=re.escape(f"{a / 'manifest.json'} is not a JSON object")):
+            resume_ensemble(_config(a, realizations=2), a)
 
 
 def test_single_failure_is_logged(tmp_path, fail_realizations):
@@ -602,7 +610,7 @@ def test_report_folds_like_the_library(tmp_path):
     assert {key: report["psi"][key] for key in psi} == psi
     perimeters, pairs = boundary_and_joint_distributions(decs, window=window)
     assert report["boundary"] == perimeters.to_dict()
-    assert (a / "joint.csv").read_text() == joint_csv(pairs)
+    assert (a / "joint.csv").read_text() == joint_csv(*pairs.T)
     assert report["ns"] == ns_constant_estimate(decs, config.radii).to_dict()
     mean, stderr = nodal_length_density(decs)
     assert report["nodal_length_density"] == {"mean": mean, "stderr": stderr}
@@ -619,7 +627,7 @@ def _assert_exports_share_the_report_text(run) -> None:
     assert (outdir / "psi.csv").read_text().splitlines() == ["t,psi_hat,stderr", *map(",".join, rows)]
     _, pairs = fold_boundary(run.records, run.config.effective_psi_radius())
     assert (outdir / "joint.csv").read_text().splitlines() == [
-        "area,perimeter", *(f"{a!r},{p!r}" for a, p in pairs)]
+        "area,perimeter", *(f"{a!r},{p!r}" for a, p in pairs.tolist())]
     assert canonical_json(run.report) == canonical_json(read_json(outdir / "report.json"))
 
 
@@ -640,26 +648,27 @@ def test_exports_share_the_report_text(tmp_path, make_config):
 
 
 def test_each_distinct_report_float_is_rendered_once(tmp_path, monkeypatch):
-    # One rendering for the six psi and boundary columns: every distinct bit
-    # pattern among them is rendered once, and every value with that pattern
-    # shares its string, on a fresh run and on a resume of it.
+    # One rendering for the eight columns report.json, psi.csv and joint.csv
+    # print: the report assembly renders all of them in one call, every
+    # distinct bit pattern among the columns is rendered once, and every value
+    # with that pattern shares its string, on a fresh run and on a resume of it.
     rendered = []
     render = io._rendered
 
     def counting(arrays):
         texts = render(arrays)
-        rendered.append(len({id(t) for text in texts for t in text}))
+        rendered.append((sum(map(len, texts)), len({id(t) for text in texts for t in text})))
         return texts
 
     monkeypatch.setattr(io, "_rendered", counting)
     config = _sphere_l8_config(tmp_path)
-    run_ensemble(config)
-    report = read_json(tmp_path / "report.json")
-    values = np.array([x for cdf in ("psi", "boundary")
-                       for name in ("breakpoints", "fractions", "stderr") for x in report[cdf][name]])
-    distinct = np.unique(values.view(np.int64)).size
-    assert distinct < values.size  # the two CDFs share values
-    assert sum(rendered) == distinct
-    rendered.clear()
-    resume_ensemble(config, tmp_path)
-    assert sum(rendered) == distinct
+    for run in (run_ensemble, lambda config: resume_ensemble(config, tmp_path)):
+        rendered.clear()
+        run(config)
+        report = read_json(tmp_path / "report.json")
+        joint = np.loadtxt(tmp_path / "joint.csv", delimiter=",", skiprows=1)
+        values = np.concatenate([report[cdf][name] for cdf in ("psi", "boundary")
+                                 for name in ("breakpoints", "fractions", "stderr")] + [joint.ravel()])
+        distinct = np.unique(values.view(np.int64)).size
+        assert distinct < values.size  # the columns share values
+        assert rendered == [(values.size, distinct)]  # one call, one text per bit pattern

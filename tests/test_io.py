@@ -596,7 +596,7 @@ def test_read_domain_table_reads_every_spelling_repr_writes():
 
 def test_stat_csv_exports(mini_ensemble):
     psi = psi_estimate(mini_ensemble)
-    lines = psi_csv(psi).splitlines()
+    lines = psi_csv(psi.breakpoints, psi.fractions, psi.stderr).splitlines()
     assert lines[0] == "t,psi_hat,stderr"
     assert len(lines) == 1 + psi.breakpoints.size
     t0, f0, _ = lines[1].split(",")
@@ -609,7 +609,7 @@ def test_stat_csv_exports(mini_ensemble):
     assert [float(l.split(",")[0]) for l in nlines[1:]] == [8.0, 12.0]
 
     _, pairs = boundary_and_joint_distributions(mini_ensemble)
-    jlines = joint_csv(pairs).splitlines()
+    jlines = joint_csv(*pairs.T).splitlines()
     assert jlines[0] == "area,perimeter"
     assert len(jlines) == 1 + len(pairs)
     parsed = [tuple(map(float, l.split(","))) for l in jlines[1:]]
@@ -636,30 +636,35 @@ def test_stat_csv_exports_match_the_scalar_rendering(mini_ensemble):
     cdfs = [psi_estimate(mini_ensemble), EmpiricalCdf.from_values(values),
             EmpiricalCdf(breakpoints=single, fractions=single, total_count=5, stderr=single)]
     for cdf in cdfs:
-        assert psi_csv(cdf) == _psi_csv_reference(cdf)
+        assert psi_csv(cdf.breakpoints, cdf.fractions, cdf.stderr) == _psi_csv_reference(cdf)
     _, pairs = boundary_and_joint_distributions(mini_ensemble)
-    table = np.array(pairs)
-    for form in (pairs, table, [tuple(row) for row in table], np.array([[-0.0, 5e-324]])):
-        assert joint_csv(form) == _joint_csv_reference(form)
+    for table in (pairs, np.array([[-0.0, 5e-324]]), np.array([[3e38, 0.1]], dtype=np.float32)):
+        expected = _joint_csv_reference(table)
+        assert joint_csv(*table.T) == joint_csv(*table.T.tolist()) == expected
 
 
 def test_exports_take_text_from_float_columns():
-    # psi_csv joins a dict's pre-rendered columns; joint_csv takes a value's
-    # text from the column entry it is found at only when the bits agree, so
-    # -0.0 and 0.0 stay apart and a value the column lacks is rendered
+    # psi_csv and joint_csv join the text their FloatColumns carry, row by
+    # row; columns without text are rendered in one float_columns call, so
+    # -0.0 and 0.0 keep their own text, and empty columns give the header
     cdf = EmpiricalCdf.from_values([0.5, 1 / 3, 2.5])
-    columns = dict(zip(("breakpoints", "fractions", "stderr"),
-                       float_columns(cdf.breakpoints, cdf.fractions, cdf.stderr)))
-    assert psi_csv(columns) == psi_csv(cdf) == _psi_csv_reference(cdf)
-    columns["fractions"].text = ["a", "b", "c"]
-    assert psi_csv(columns).splitlines()[1:] == [f"{t!r},{f},{e!r}" for t, f, e in zip(
+    columns = float_columns(cdf.breakpoints, cdf.fractions, cdf.stderr)
+    assert psi_csv(*columns) == psi_csv(cdf.breakpoints, cdf.fractions, cdf.stderr)
+    assert psi_csv(*columns) == _psi_csv_reference(cdf)
+    columns[1].text = ["a", "b", "c"]
+    assert psi_csv(*columns).splitlines()[1:] == [f"{t!r},{f},{e!r}" for t, f, e in zip(
         cdf.breakpoints.tolist(), "abc", cdf.stderr.tolist())]
-    areas, perimeters = FloatColumn([0.0, 1 / 3]), FloatColumn([-0.0, 2.5])
-    areas.text, perimeters.text = ["zero", "third"], ["minus zero", "two and a half"]
     pairs = [(-0.0, 0.0), (0.0, -0.0), (1 / 3, 2.5), (7.0, 5e-324)]
-    assert joint_csv(pairs, areas, perimeters).splitlines() == [
-        "area,perimeter", "-0.0,0.0", "zero,minus zero", "third,two and a half", "7.0,5e-324"]
-    assert joint_csv(pairs, FloatColumn([]), None) == _joint_csv_reference(pairs)
+    areas, perimeters = float_columns(*zip(*pairs))
+    assert joint_csv(areas, perimeters) == joint_csv(*zip(*pairs)) == _joint_csv_reference(pairs)
+    assert joint_csv(areas, perimeters).splitlines() == [
+        "area,perimeter", "-0.0,0.0", "0.0,-0.0", "0.3333333333333333,2.5", "7.0,5e-324"]
+    areas.text = ["zero", "third", "x", "y"]
+    assert joint_csv(areas, perimeters).splitlines()[1:3] == ["zero,0.0", "third,-0.0"]
+    assert joint_csv(areas, list(perimeters)) == _joint_csv_reference(pairs)
+    for empty in (float_columns([], []), ([], []), (FloatColumn([]), np.array([]))):
+        assert joint_csv(*empty) == "area,perimeter\n"
+    assert psi_csv([], [], []) == "t,psi_hat,stderr\n"
 
 
 def test_sandwich_csv_spells_infinity(mini_ensemble):

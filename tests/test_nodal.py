@@ -46,7 +46,7 @@ from nodal_census.nodal import (
 from nodal_census.sampler import torus_modes
 
 
-_MODULES = ("nodal", "stats", "sampler", "io", "engine", "grids", "specfn")
+_MODULES = ("nodal", "stats", "sampler", "io", "engine", "grids", "specfn", "cli", "svg")
 
 
 @pytest.mark.parametrize(
@@ -677,7 +677,7 @@ def test_saddle_centers_read_the_cell_center_tables(desk_grid, monkeypatch):
     for model, grid in ((PlaneWave2D(), desk_grid), (SphericalHarmonic(degree=40), sphere)):
         sample = sample_field(model, grid, RngStream(7000, 0))
         direction = sample_field(model, grid, RngStream(7000, PERTURBATION_STREAM_BASE))
-        nodal_census.sampler._grid_table(model, grid, centers=True)
+        nodal_census.sampler._grid_table(model.center_table, grid)
         cases.append((sample, direction))
     calls = []
 

@@ -108,13 +108,13 @@ def test_grid_tables_are_shared_read_only():
     band = BandLimitedTorus(dim=2, alpha=1.0)
     for model, grid in ((PlaneWave2D(), TINY), (harmonic, sphere), (band, torus)):
         sample_field(model, grid, RngStream(1, 0))
-        assert _grid_table(model, grid) is _grid_table(model, grid)
+        assert _grid_table(model.table, grid) is _grid_table(model.table, grid)
 
-    basis, ref = _grid_table(PlaneWave2D(), TINY), build_plane_wave_basis(TINY)
+    basis, ref = _grid_table(PlaneWave2D().table, TINY), build_plane_wave_basis(TINY)
     pairs = [(basis.cos_basis, ref.cos_basis), (basis.sin_basis, ref.sin_basis)]
-    legendre = _grid_table(harmonic, sphere)
+    legendre = _grid_table(harmonic.table, sphere)
     pairs.append((legendre, legendre_matrix(6, np.cos(sphere.colatitudes()))))
-    (modes, lo), (ref_modes, ref_lo) = _grid_table(band, torus), torus_modes(torus, 1.0)
+    (modes, lo), (ref_modes, ref_lo) = _grid_table(band.table, torus), torus_modes(torus, 1.0)
     assert lo == ref_lo
     pairs.append((modes, ref_modes))
     for table, expected in pairs:
@@ -169,7 +169,7 @@ from nodal_census.sampler import _grid_table
 model, out = PlaneWave2D(), {}
 for n in (201, 91, 26):
     grid = PlanarWindow(side=(n - 1) * math.pi / 5, spacing=2 * math.pi / 10)
-    basis = _grid_table(model, grid)
+    basis = _grid_table(model.table, grid)
     coeffs = [model.draw(grid, RngStream(7, i)) for i in range(3)]
     fields = model.synthesize(grid, *coeffs)
     out[n] = [basis.cos_basis.shape[0]] + [
@@ -233,8 +233,8 @@ def test_covariance_probe_rows_are_the_sweeps(monkeypatch):
     # each is the row a sweep over every probe gives, and so are the means
     grid = PlanarWindow(side=18 * math.pi, spacing=2 * math.pi / 10)
     model = PlaneWave2D()
-    radii, rows = _grid_table(model, grid, lags=COVARIANCE_LAGS)
-    assert _grid_table(model, grid, lags=COVARIANCE_LAGS)[1] is rows
+    radii, rows = _grid_table(model.probe_table, grid, COVARIANCE_LAGS)
+    assert _grid_table(model.probe_table, grid, COVARIANCE_LAGS)[1] is rows
     assert not rows.flags.writeable
     cx, cy = grid.center
     pts = _probe_points(grid, COVARIANCE_LAGS)
@@ -258,7 +258,7 @@ def test_plane_wave_center_table_rows_are_the_sweeps(grid):
     # every cell-center radius is below the window radius R < N, so every
     # batch of them starts its sweep at the same order: a row depends on its
     # radius alone
-    radii, rows = _grid_table(PlaneWave2D(), grid, centers=True)
+    radii, rows = _grid_table(PlaneWave2D().center_table, grid)
     assert not rows.flags.writeable
     n_trunc = plane_wave_truncation(grid.max_radius())
     for i in range(radii.size):
@@ -272,7 +272,7 @@ def test_plane_wave_center_table_rows_are_the_sweeps(grid):
 
 def test_sphere_center_table_rows_are_legendre_rows():
     grid = LatLongSphere(n_lat=40, n_lon=80)
-    theta, rows = _grid_table(SphericalHarmonic(degree=8), grid, centers=True)
+    theta, rows = _grid_table(SphericalHarmonic(degree=8).center_table, grid)
     assert not rows.flags.writeable
     assert np.array_equal(theta, grid.cell_centers()[0])
     for i in range(theta.size):

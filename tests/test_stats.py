@@ -276,7 +276,8 @@ def test_boundary_distribution_single_island():
     assert perim_cdf.breakpoints.size == 1
     assert perim_cdf.breakpoints[0] == pytest.approx(2 * math.sqrt(2) * h, abs=1e-12)
     assert perim_cdf.fractions[0] == 1.0
-    assert pairs == [(h * h, perim_cdf.breakpoints[0])]
+    assert pairs.dtype == np.float64
+    assert pairs.tolist() == [[h * h, perim_cdf.breakpoints[0]]]
 
 
 def _sorted_pairs(records, radius):
@@ -290,9 +291,10 @@ def _sorted_pairs(records, radius):
 
 @pytest.mark.parametrize("radius", [None, 8.0], ids=["window", "ball"])
 def test_fold_boundary_pairs_sort_like_sorted(radius, mini_ensemble):
-    # the joint sample is sorted(zip(areas, perimeters)) of the interior
-    # domains, as Python float tuples; tied areas are ordered by perimeter,
-    # and equal pairs (0.0 and -0.0 alike) keep their record order
+    # the joint sample holds the rows sorted(zip(areas, perimeters)) gives
+    # for the interior domains, as an (n, 2) float64 array; tied areas are
+    # ordered by perimeter, and equal pairs (0.0 and -0.0 alike) keep their
+    # record order
     records = [
         {"areas": [2.0, 1.0, 2.0, 3.0, 1.0, 0.0], "perimeters": [5.0, 4.0, 3.0, 1.0, 4.5, -0.0],
          "touches": [False, False, False, True, False, False],
@@ -302,12 +304,13 @@ def test_fold_boundary_pairs_sort_like_sorted(radius, mini_ensemble):
     ]
     grid = mini_ensemble[0].sample.grid
     records.extend(census_record(dec, grid.center) for dec in mini_ensemble)
-    perimeters, pairs = fold_boundary(records, radius)
+    perimeters, table = fold_boundary(records, radius)
     expected = _sorted_pairs(records, radius)
+    assert table.dtype == np.float64 and table.shape == (len(expected), 2)
+    pairs = list(map(tuple, table.tolist()))
     assert pairs == expected
     assert [tuple(map(float.__repr__, p)) for p in pairs] == [
         tuple(map(float.__repr__, p)) for p in expected]
-    assert all(type(p) is tuple and list(map(type, p)) == [float, float] for p in pairs)
     assert perimeters.to_dict() == EmpiricalCdf.from_values([p for _, p in expected]).to_dict()
     assert len(pairs) > len(_sorted_pairs(records[:2], radius))  # and the mini ensemble's
     ones = [(1.0, 4.0), (1.0, 4.5), (1.0, 4.5)] if radius is None else [(1.0, 4.0), (1.0, 4.5)]

@@ -117,7 +117,7 @@ def _build_grid(args, model, default_window: float | None = None):
 def _ensemble_config(args, radii=(), default_window: float | None = None) -> EnsembleConfig:
     if args.config:
         d = read_json(args.config)
-        cfg = EnsembleConfig.from_dict(d)
+        cfg = EnsembleConfig.from_dict(d, where=args.config)
         if args.M is not None:
             cfg.realizations = args.M
         if args.seed is not None:
@@ -191,13 +191,7 @@ def cmd_psi(args) -> int:
     rep = run_ensemble(cfg)
     outdir = rep.output_dir
     if args.format != "csv-only":
-        svg = step_plot_svg(
-            rep.psi,
-            title="empirical domain-area CDF",
-            x_label="t",
-            y_label="psi_hat(t)",
-        )
-        write_text(outdir / "psi.svg", svg)
+        write_text(outdir / "psi.svg", step_plot_svg(rep.psi))
     summary = {
         "out": str(outdir),
         "realizations": rep.report["realizations_completed"],
@@ -300,7 +294,7 @@ def cmd_sphere_compare(args) -> int:
             f"(expected {recomputed}); comparing anyway",
             file=sys.stderr,
         )
-    planar_cdf = EmpiricalCdf.from_dict(planar["psi"])
+    planar_cdf = EmpiricalCdf.from_dict(planar["psi"], f"{planar_path}: psi")
     model = SphericalHarmonic(degree=args.degree)
     grid = _build_grid(args, model)
     cfg = EnsembleConfig(
@@ -342,7 +336,7 @@ def cmd_report(args) -> int:
     if not manifest_path.exists():
         raise UsageError(f"{rundir} has no manifest.json")
     manifest = json_object(read_json(manifest_path), manifest_path, "config")
-    cfg = EnsembleConfig.from_dict(manifest["config"], output_dir=str(rundir))
+    cfg = EnsembleConfig.from_dict(manifest["config"], str(rundir), f"{manifest_path}: config")
     rep = resume_ensemble(cfg, rundir)
     checks = rep.report["checks"]
     human = [

@@ -203,10 +203,12 @@ class EnsembleConfig:
         }
 
     @classmethod
-    def from_dict(cls, d: dict, output_dir: str = "") -> "EnsembleConfig":
+    def from_dict(cls, d: dict, output_dir: str = "", where: str = "config") -> "EnsembleConfig":
+        """The config `d` echoes; ValueError naming `where` if it is malformed."""
+        json_object(d, where, "model", "grid", "realizations", "master_seed")
         return cls(
-            model=model_from_dict(d["model"]),
-            grid=grid_from_dict(d["grid"]),
+            model=model_from_dict(d["model"], f"{where}: model"),
+            grid=grid_from_dict(d["grid"], f"{where}: grid"),
             realizations=int(d["realizations"]),
             master_seed=int(d["master_seed"]),
             radii=tuple(float(r) for r in d.get("radii", [])),
@@ -229,7 +231,6 @@ class EnsembleReport:
     config: EnsembleConfig
     report: dict
     psi: EmpiricalCdf
-    boundary: EmpiricalCdf
     ns: NsEstimate | None
     output_dir: Path
     # the census records the report folded, in index order, each with its "index"
@@ -508,8 +509,7 @@ def _assemble(
         ]
         write_text(outdir / "sandwich.csv", sandwich_csv(verdicts))
     return EnsembleReport(
-        config=config, report=report, psi=psi, boundary=boundary, ns=ns, output_dir=outdir,
-        records=ordered,
+        config=config, report=report, psi=psi, ns=ns, output_dir=outdir, records=ordered
     )
 
 

@@ -241,12 +241,27 @@ class LatLongSphere:
 GridSpec = PlanarWindow | Torus | LatLongSphere
 
 
-def grid_from_dict(d: dict) -> GridSpec:
-    kind = d.get("type")
+def json_object(obj, where, *keys) -> dict:
+    """`obj`, a JSON value read from `where`, when it is an object holding
+    every one of `keys`; else ValueError naming `where` and what it lacks."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{where} lacks {key!r}")
+    return obj
+
+
+def grid_from_dict(d: dict, where: str = "grid") -> GridSpec:
+    """The grid `d` describes; ValueError naming `where` if `d` is malformed."""
+    kind = json_object(d, where).get("type")
     if kind == "planar":
+        json_object(d, where, "side", "spacing")
         return PlanarWindow(side=float(d["side"]), spacing=float(d["spacing"]))
     if kind == "torus":
+        json_object(d, where, "side", "spacing")
         return Torus(side=float(d["side"]), spacing=float(d["spacing"]), dim=int(d.get("dim", 2)))
     if kind == "sphere":
+        json_object(d, where, "n_lat", "n_lon")
         return LatLongSphere(n_lat=int(d["n_lat"]), n_lon=int(d["n_lon"]))
     raise ValueError(f"unknown grid type {kind!r}")

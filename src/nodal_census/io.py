@@ -8,8 +8,8 @@ layouts: the compact hashing form, `canonical_json` (config hashes,
 container headers, sidecar payloads), and the stdlib's two-space
 indented layout, `json_text`, which `write_json` writes for every JSON file
 (reports, sidecars, manifests, comparisons, container sidecars).  The
-emitter formats each list of plain floats, and each list of plain bools, in
-one join rather than one call per element.
+emitter formats each list of plain floats in one join rather than one call
+per element.
 
 A domain table has one writer, `domain_table_csv`, and one reader,
 `read_domain_table`, which gives back the census record's per-domain columns
@@ -17,15 +17,16 @@ bit for bit: each float is written as its shortest round-trip `repr`.
 
 Each float that `report.json`, `psi.csv` and `joint.csv` print is rendered
 once.  A `FloatColumn` is a list of floats that carries their text, and
-`psi_csv`, `joint_csv` and the emitter join that text.  One function,
-`_rendered`, renders every such column: it keys the values on their float64
-bits, renders each distinct pattern once and hands every value its
-pattern's text.  The engine builds all eight columns the three files print
-(the breakpoints, fractions and stderrs of the psi and boundary CDFs, and
-the joint sample's areas and perimeters) in one `float_columns` call, so a
-value that occurs in several columns, as every joint value and nearly every
-boundary fraction does, is rendered once; each CSV is a row-by-row join of
-its columns' text.
+`psi_csv`, `joint_csv` and the emitter join that text.  `float_columns` is
+the only way to build one: it renders its columns in one `_rendered` pass,
+which keys the values on their float64 bits, renders each distinct pattern
+once and hands every value its pattern's text.  The engine builds all eight
+columns the three files print (the breakpoints, fractions and stderrs of the
+psi and boundary CDFs, and the joint sample's areas and perimeters) in one
+`float_columns` call, so a value that occurs in several columns, as every
+joint value and nearly every boundary fraction does, is rendered once; each
+CSV is a row-by-row join of its columns' text.  Every all-float CSV export,
+`ns_csv` too, is such a join (`_joined`).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import grid_from_dict
+from .grids import grid_from_dict, json_object
 from .nodal import measure_domains
 from .sampler import FieldSample, RngStream, evaluate_at, model_from_dict
 
@@ -122,20 +123,17 @@ def _rendered(arrays: list[np.ndarray]) -> list[list[str]]:
 class FloatColumn(list):
     """A list of plain floats that carries their text, the shortest
     round-trip `repr` of each, from `_rendered`, the one rendering every
-    float export shares.  `FloatColumn(values)` renders its values;
-    `float_columns` builds several columns from one rendering, passing each
-    its share as `text`, so each distinct float among them is rendered once
-    and its text shared.  Every reader, the stdlib encoder included, sees
-    the floats; `_emit_json`, `psi_csv` and `joint_csv` join `text` instead
-    of rendering each float again.  Treat it as read-only, and set `text` to
-    None once the files that share it are written."""
+    float export shares; `float_columns` builds it.  Every reader, the
+    stdlib encoder included, sees the floats; `_emit_json`, `psi_csv` and
+    `joint_csv` join `text` instead of rendering each float again.  Treat it
+    as read-only, and set `text` to None once the files that share it are
+    written."""
 
     __slots__ = ("text",)
 
-    def __init__(self, values, text=None):
-        values = np.asarray(values, dtype=np.float64)
+    def __init__(self, values: np.ndarray, text: list[str]):
         super().__init__(values.tolist())
-        self.text = _rendered([values])[0] if text is None else text
+        self.text = text
 
 
 def float_columns(*columns) -> list[FloatColumn]:
@@ -146,17 +144,14 @@ def float_columns(*columns) -> list[FloatColumn]:
     return list(map(FloatColumn, arrays, _rendered(arrays)))
 
 
-_BOOL_TEXT = {True: "true", False: "false"}
-
-
 def _emit_json(obj, pad: str | None, out: list) -> None:
     """Append the JSON text of `obj` to `out`: keys sorted and stringified,
     tuples and arrays as lists, ASCII only, floats as their shortest
     round-trip `repr`, infinities spelled "inf"/"-inf" and NaN refused.
     `pad` is the indent of the line `obj` starts on in the stdlib's
     two-space layout, or None for the compact layout.  A list of finite
-    plain floats, or of plain bools, is rendered in one join; a
-    `FloatColumn` lends its text to that join."""
+    plain floats is rendered in one join; a `FloatColumn` lends its text to
+    that join."""
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
         if math.isnan(x):
@@ -183,10 +178,8 @@ def _emit_json(obj, pad: str | None, out: list) -> None:
             out.append(end + "}")
         elif isinstance(obj, FloatColumn) and obj.text is not None and all(map(math.isfinite, obj)):
             out.append("[" + brk + ("," + brk).join(obj.text) + end + "]")
-        elif (kinds := set(map(type, obj))) == {float} and all(map(math.isfinite, obj)):
+        elif set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
             out.append("[" + brk + ("," + brk).join(map(float.__repr__, obj)) + end + "]")
-        elif kinds == {bool}:
-            out.append("[" + brk + ("," + brk).join(map(_BOOL_TEXT.__getitem__, obj)) + end + "]")
         else:
             sep = "[" + brk
             for value in obj:
@@ -233,17 +226,6 @@ def write_json(path, obj) -> None:
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
-
-
-def json_object(obj, where, *keys) -> dict:
-    """`obj`, a JSON value read from `where`, when it is an object holding
-    every one of `keys`; else ValueError naming `where` and what it lacks."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} is not a JSON object")
-    for key in keys:
-        if key not in obj:
-            raise ValueError(f"{where} lacks {key!r}")
-    return obj
 
 
 def write_field(sample: FieldSample, path) -> None:
@@ -311,7 +293,7 @@ def load_field(path) -> FieldSample:
             json_object(seed, f"{path}: header seed", "master_seed", "stream_id")
         if header["dtype"] != "<f8":
             raise ValueError(f"unsupported dtype {header['dtype']}")
-        grid = grid_from_dict(header["grid"])
+        grid = grid_from_dict(header["grid"], f"{path}: header grid")
         shape = tuple(header["shape"])
         if shape != grid.shape:
             raise ValueError(f"{path}: header shape {shape} does not match the grid's {grid.shape}")
@@ -322,7 +304,8 @@ def load_field(path) -> FieldSample:
             raise ValueError(f"{path}: bytes after the value payload")
     if hashlib.sha256(values.data).hexdigest() != header["values_sha256"]:
         raise ValueError(f"{path}: values do not match the header's values_sha256 checksum")
-    model = model_from_dict(header["model"]) if header["model"] is not None else None
+    model = None if header["model"] is None else model_from_dict(
+        header["model"], f"{path}: header model")
     stream = RngStream(seed["master_seed"], seed["stream_id"]) if seed is not None else None
     sample = FieldSample(values=values, grid=grid, model=model, stream=stream)
     if model is not None and stream is not None:
@@ -404,10 +387,8 @@ def psi_csv(breakpoints, fractions, stderr) -> str:
 
 
 def ns_csv(est) -> str:
-    lines = ["R,ratio_mean,ratio_stderr"]
-    for r, m, e in zip(est.radii, est.ratio_means, est.ratio_stderrs):
-        lines.append(f"{r!r},{m!r},{e!r}")
-    return "\n".join(lines) + "\n"
+    """One row per radius of an `NsEstimate`: R, ratio_mean and ratio_stderr."""
+    return _joined("R,ratio_mean,ratio_stderr", est.radii, est.ratio_means, est.ratio_stderrs)
 
 
 def joint_csv(areas, perimeters) -> str:

@@ -36,8 +36,10 @@ the fraction each segment cuts off and the corners that take the area
 shares, and two marching paths read it.  The sign pattern of every cell
 and the saddle resolution (one `evaluate_at` call on all saddle centers,
 whose radial factors the samplers gather from their cell-center tables)
-are found once for the whole field.  At `_TABLE_MIN_CELLS` crossing cells
-and above, `_march_table` takes the cells in bands of whole cell rows of
+are found once for the whole field, by `_cell_signs`, and every caller of
+the cell builders (`measure_domains`, and the refined-area pass of
+`perturbation_stability`) hands them in.  At `_TABLE_MIN_CELLS` crossing
+cells and above, `_march_table` takes the cells in bands of whole cell rows of
 about `_BAND_CELLS` cells, so every per-cell and per-segment temporary has
 the size of one band.  It expands a band's crossing cells into segment
 rows (two for a saddle, one for any other crossing cell), in cell order,
@@ -356,7 +358,7 @@ class _Cells(NamedTuple):
     that edge and is shared with the neighbouring cell.  The id of the edge
     from node v to its +i neighbour is 2v, to its +j neighbour 2v + 1, so
     the edges of each node row fill one stretch of 2 n1 ids, n1 the row's
-    node count (`nodes` is the node shape).  Edge ids lie below `n_edges`.
+    node count (`nodes` is the node shape), so they lie below 2 n0 n1.
     Cells without a crossing only add their area to the label of their
     corners: `uniform_labels` is the band's label image in row-major cell
     order, the label of corner A on a uniform cell and k on a crossing one,
@@ -376,10 +378,6 @@ class _Cells(NamedTuple):
     d0: np.ndarray
     d1: np.ndarray
     area: np.ndarray
-
-    @property
-    def n_edges(self) -> int:
-        return 2 * self.nodes[0] * self.nodes[1]
 
 
 class _Geometry(NamedTuple):
@@ -461,15 +459,13 @@ def _cell_signs(dec: NodalDecomposition) -> _Signs:
 
 
 def _crossing_cells(
-    dec: NodalDecomposition, signs: _Signs | None = None, first: int = 0, last: int | None = None
+    dec: NodalDecomposition, signs: _Signs, first: int = 0, last: int | None = None
 ) -> _Cells:
     """The crossing cells of cell rows first..last - 1 (default all rows) of
     a 2-D decomposition, and the label image and row areas of the band,
-    given the field's `_cell_signs` (found when not given).  The corner node
-    ids add the grid's wrapping node tables at a cell's row and column and
-    the next ones, so no per-cell index is taken modulo."""
-    if signs is None:
-        signs = _cell_signs(dec)
+    given the field's `_cell_signs`.  The corner node ids add the grid's
+    wrapping node tables at a cell's row and column and the next ones, so no
+    per-cell index is taken modulo."""
     values = np.asarray(dec.sample.values, dtype=np.float64)
     k = len(dec.domains)
     d0_row, d1_row, area_row, _, _, node_i, node_j = _cell_tables(dec.sample.grid)
@@ -513,11 +509,10 @@ def _crossing_cells(
     )
 
 
-def _cell_bands(dec: NodalDecomposition, signs: _Signs | None = None) -> Iterator[_Cells]:
-    """The crossing cells of a 2-D decomposition in bands of whole cell rows
-    of about `_BAND_CELLS` cells, in row order, each made when it is needed."""
-    if signs is None:
-        signs = _cell_signs(dec)
+def _cell_bands(dec: NodalDecomposition, signs: _Signs) -> Iterator[_Cells]:
+    """The crossing cells of a 2-D decomposition, given its `_cell_signs`,
+    in bands of whole cell rows of about `_BAND_CELLS` cells, in row order,
+    each made when it is needed."""
     rows, cols = signs.pattern.shape
     step = max(1, _BAND_CELLS // cols)
     for first in range(0, rows, step):
@@ -1023,7 +1018,7 @@ def perturbation_stability(
     if pert.labels.ndim == 3:  # face counting: the refined area is the count area
         pert_areas = [rec.area for rec in pert.domains]
     else:
-        pert_areas = _refined_areas(_cell_bands(pert)).tolist()
+        pert_areas = _refined_areas(_cell_bands(pert, _cell_signs(pert))).tolist()
 
     k2 = len(pert.domains)
     pairs = base.labels.ravel().astype(np.int64) * k2 + pert.labels.ravel()

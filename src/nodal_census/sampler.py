@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridSpec, LatLongSphere, PlanarWindow, Torus
+from .grids import GridSpec, LatLongSphere, PlanarWindow, Torus, json_object
 from .specfn import bessel_j_orders
 
 __all__ = [
@@ -547,14 +547,15 @@ class SphericalHarmonic:
 SpectralModel = PlaneWave2D | BandLimitedTorus | SphericalHarmonic
 
 
-def model_from_dict(d: dict) -> SpectralModel:
-    kind = d.get("type")
+def model_from_dict(d: dict, where: str = "model") -> SpectralModel:
+    """The model `d` describes; ValueError naming `where` if `d` is malformed."""
+    kind = json_object(d, where).get("type")
     if kind == "plane_wave":
         return PlaneWave2D()
     if kind == "band_limited":
         return BandLimitedTorus(dim=int(d.get("dim", 2)), alpha=float(d.get("alpha", 0.0)))
     if kind == "spherical_harmonic":
-        return SphericalHarmonic(degree=int(d["degree"]))
+        return SphericalHarmonic(degree=int(json_object(d, where, "degree")["degree"]))
     raise ValueError(f"unknown model type {kind!r}")
 
 
@@ -653,10 +654,10 @@ def helmholtz_residual(sample: FieldSample) -> float:
     return float(np.linalg.norm(res)) / ref
 
 
-def spherical_laplacian_residual(sample: FieldSample, min_sin: float = 0.2) -> float:
+def spherical_laplacian_residual(sample: FieldSample) -> float:
     """Relative residual ||lap_S f + l(l+1) f|| / (l(l+1) ||f||).
 
-    Flux-form finite differences on colatitude rows with sin(theta) >= min_sin
+    Flux-form finite differences on colatitude rows with sin(theta) >= 0.2
     (near-pole rows are excluded: the 1/sin^2 longitude term amplifies their
     truncation error and would mask the second-order convergence).
     """
@@ -679,7 +680,7 @@ def spherical_laplacian_residual(sample: FieldSample, min_sin: float = 0.2) -> f
         dph * dph * sin_c * sin_c
     )
     res = d_theta + d_phi + lam * f[1:-1, :]
-    band = (sin_c >= min_sin).ravel()
+    band = (sin_c >= 0.2).ravel()
     ref = float(np.linalg.norm(f[1:-1, :][band, :]))
     if ref == 0.0:
         raise ValueError("field has zero norm; residual undefined")

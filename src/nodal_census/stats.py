@@ -66,7 +66,7 @@ from itertools import compress
 
 import numpy as np
 
-from .grids import LatLongSphere, PlanarWindow, Torus
+from .grids import LatLongSphere, PlanarWindow, Torus, json_object
 from .nodal import NodalDecomposition, domain_max_distance, measure_domains
 from .sampler import FieldSample
 from .specfn import faber_krahn_floor
@@ -120,16 +120,10 @@ class EmpiricalCdf:
         out = np.where(idx >= 0, self.fractions[np.maximum(idx, 0)], 0.0)
         return float(out) if np.isscalar(t) else out
 
-    def to_dict(self) -> dict:
-        return {
-            "breakpoints": self.breakpoints.tolist(),
-            "fractions": self.fractions.tolist(),
-            "total_count": self.total_count,
-            "stderr": self.stderr.tolist(),
-        }
-
     @classmethod
-    def from_dict(cls, d: dict) -> "EmpiricalCdf":
+    def from_dict(cls, d: dict, where: str = "CDF") -> "EmpiricalCdf":
+        """The CDF a report holds as `d`; ValueError naming `where` if it is malformed."""
+        json_object(d, where, "breakpoints", "fractions", "total_count", "stderr")
         return cls(
             breakpoints=np.asarray(d["breakpoints"], dtype=np.float64),
             fractions=np.asarray(d["fractions"], dtype=np.float64),

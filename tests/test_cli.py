@@ -6,7 +6,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import nodal_census
@@ -23,10 +25,12 @@ from nodal_census import (
     psi_estimate,
     sample_field,
 )
+from nodal_census import cli
 from nodal_census.cli import main, parse_length
 from nodal_census.io import (
     canonical_json, domain_table_csv, psi_csv, read_json, text_sha256, write_json,
 )
+from nodal_census.stats import EmpiricalCdf
 
 ALL_COMMANDS = (
     "sample", "nodal", "psi", "ns", "sandwich", "faber-krahn", "sphere-compare", "report",
@@ -131,6 +135,27 @@ def test_psi_run_writes_csv_and_svg(tmp_path, capsys):
     assert (again / "psi.csv").exists()
     assert not (again / "psi.svg").exists()
     assert (again / "psi.csv").read_bytes() == (out / "psi.csv").read_bytes()
+
+
+SVG_CDFS = {
+    "single": [3.5],
+    "ties": [1.0] * 40 + [2.0] * 25 + [2.5] * 20 + [7.25] * 15,
+    "gamma": np.random.default_rng(11).gamma(2.0, 12.0, 300).tolist(),
+}
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("single", "d9d2c3807533a8a9669a7e337a524d0a27b0c68d5e5cdcad52f9ed48a8a79208"),
+    ("ties", "ad7a946285284b0c9ab8f98831cb1394b9a2e9c546bf0617ec7f9cc94ccbab09"),
+    ("gamma", "cd0b389fd1a5f64b726bd8649d049dd0f5e2ad37d6b5bf04ac79a98c584830f1"),
+])
+def test_psi_svg_bytes_are_pinned(tmp_path, capsys, monkeypatch, name, digest):
+    # the plot psi writes for a fixed CDF, pinned by the sha256 of its text
+    rep = SimpleNamespace(psi=EmpiricalCdf.from_values(SVG_CDFS[name]), output_dir=tmp_path,
+                          report={"realizations_completed": 1, "psi": {"largest_jump": 0.0}})
+    monkeypatch.setattr(cli, "run_ensemble", lambda cfg: rep)
+    assert main(["psi", "--window", "9pi", "--out", str(tmp_path)]) == 0
+    assert text_sha256((tmp_path / "psi.svg").read_text()) == digest
 
 
 def test_psi_requires_window(tmp_path, capsys):
@@ -249,6 +274,12 @@ def test_report_refuses_a_malformed_manifest(tmp_path, capsys, manifest, reason)
     assert capsys.readouterr().err == f"error: {tmp_path / 'manifest.json'} {reason}\n"
 
 
+def test_report_names_a_key_the_manifest_config_lacks(tmp_path, capsys):
+    write_json(tmp_path / "manifest.json", {"config": {}})
+    assert main(["report", "--dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'manifest.json'}: config lacks 'model'\n"
+
+
 def test_report_json_prints_the_report_file(tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["psi", "--window", "9pi", "--M", "1", "--seed", "3",
@@ -348,6 +379,18 @@ def test_sphere_compare_refuses_a_malformed_report(tmp_path, capsys, report, rea
     assert not (tmp_path / "sphere").exists()
 
 
+@pytest.mark.parametrize("psi, reason", [
+    ({}, "lacks 'breakpoints'"), ([], "is not a JSON object"),
+], ids=["no-breakpoints", "list"])
+def test_sphere_compare_refuses_a_malformed_planar_psi(tmp_path, capsys, psi, reason):
+    write_json(tmp_path / "report.json", {"config": {}, "psi": psi})
+    assert main(["sphere-compare", "--model", "sphere", "--degree", "1", "--M", "1",
+                 "--planar-report", str(tmp_path), "--out", str(tmp_path / "sphere")]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: {tmp_path / 'report.json'}: psi {reason}\n")
+    assert not (tmp_path / "sphere").exists()
+
+
 def test_sphere_compare_rejects_config(tmp_path):
     # sphere-compare builds its own spherical config, so a config file is a
     # usage error rather than a flag it silently ignores.
@@ -395,3 +438,22 @@ def test_runs_without_scipy_or_mpmath(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert (tmp_path / "run" / "psi.csv").exists()
+
+
+@pytest.mark.parametrize("config, reason", [
+    ({"model": {"type": "plane_wave"}}, " lacks 'grid'"),
+    ({"model": {"type": "spherical_harmonic"}, "grid": {"type": "sphere"},
+      "realizations": 1, "master_seed": 0}, ": model lacks 'degree'"),
+    ({"model": {"type": "plane_wave"}, "grid": {"type": "planar", "side": 30.0},
+      "realizations": 1, "master_seed": 0}, ": grid lacks 'spacing'"),
+    ({"model": 5, "grid": {"type": "planar", "side": 30.0, "spacing": 0.5},
+      "realizations": 1, "master_seed": 0}, ": model is not a JSON object"),
+    ({"model": {"type": "plane_wave"}, "grid": [30.0],
+      "realizations": 1, "master_seed": 0}, ": grid is not a JSON object"),
+], ids=["no-grid", "model-no-degree", "grid-no-spacing", "model-number", "grid-list"])
+def test_psi_refuses_a_malformed_config_file(tmp_path, capsys, config, reason):
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, config)
+    assert main(["psi", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}{reason}\n"
+    assert not (tmp_path / "run").exists()

@@ -606,10 +606,13 @@ def test_report_folds_like_the_library(tmp_path):
     decs = [measure_domains(label_domains(sample)) for sample in samples]
     window = (GRID.center, config.effective_psi_radius())
 
-    psi = psi_estimate(decs, window=window).to_dict()
-    assert {key: report["psi"][key] for key in psi} == psi
     perimeters, pairs = boundary_and_joint_distributions(decs, window=window)
-    assert report["boundary"] == perimeters.to_dict()
+    for key, cdf in (("psi", psi_estimate(decs, window=window)), ("boundary", perimeters)):
+        assert report[key]["total_count"] == cdf.total_count
+        for name in ("breakpoints", "fractions", "stderr"):
+            assert report[key][name] == getattr(cdf, name).tolist()
+    assert report["boundary"] == {"total_count": perimeters.total_count, **{
+        name: getattr(perimeters, name).tolist() for name in ("breakpoints", "fractions", "stderr")}}
     assert (a / "joint.csv").read_text() == joint_csv(*pairs.T)
     assert report["ns"] == ns_constant_estimate(decs, config.radii).to_dict()
     mean, stderr = nodal_length_density(decs)

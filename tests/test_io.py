@@ -49,6 +49,7 @@ from nodal_census.io import (
 )
 from nodal_census.stats import (
     EmpiricalCdf,
+    NsEstimate,
     boundary_and_joint_distributions,
     census_record,
     ns_constant_estimate,
@@ -148,7 +149,7 @@ def test_canonical_json_matches_the_stdlib(tmp_path, obj):
 
 
 NAN_OBJECTS = [math.nan, [1.0, math.nan], {"x": np.float64(math.nan)}, np.array([0.5, math.nan]),
-               FloatColumn([0.5, math.nan])]
+               *float_columns([0.5, math.nan])]
 
 
 def _refuses_nan(obj, layout, tmp_path):
@@ -177,7 +178,7 @@ FLOAT_COLUMNS = [[], [0.1], [-0.0, 5e-324, 1e300, -1e300, 1.0, 0.1], [1.0, math.
 def test_float_column_emits_like_its_floats(tmp_path, values, layout):
     # a pre-rendered column gives the float path's bytes, with its text or
     # after the text is released, and with infinities spelled out
-    column = FloatColumn(values)
+    (column,) = float_columns(values)
     expected = _emitted({"c": values, "n": [values, 2.5]}, layout, tmp_path)
     assert _emitted({"c": column, "n": [column, 2.5]}, layout, tmp_path) == expected
     assert expected == _reference_json({"c": values, "n": [values, 2.5]}, layout).encode("ascii")
@@ -204,7 +205,7 @@ def test_float_columns_share_one_rendering(tmp_path):
     assert len({(bits, id(t)) for bits, t in text}) == 9
     assert [column.text for column in float_columns([0.5, -0.0], [], [0.0])] == [
         ["0.5", "-0.0"], [], ["0.0"]]
-    assert FloatColumn(values[0]).text == columns[0].text
+    assert float_columns(values[0])[0].text == columns[0].text
     for layout in LAYOUTS:
         expected = _reference_json(dict(zip("abcd", values)), layout).encode("ascii")
         assert _emitted(dict(zip("abcd", columns)), layout, tmp_path) == expected
@@ -616,6 +617,17 @@ def test_stat_csv_exports(mini_ensemble):
     assert parsed == sorted(parsed)
 
 
+def test_ns_csv_matches_the_scalar_rendering():
+    # one row per radius, each float its repr: -0.0 apart from 0.0, the
+    # smallest subnormal and a huge value
+    est = NsEstimate(radii=[5e-324, 10.0, 1e300], ratio_means=[-0.0, 0.0, 1 / 3],
+                     ratio_stderrs=[0.1, 1e300, 5e-324], pooled=1 / 3, pooled_stderr=5e-324)
+    rows = zip(est.radii, est.ratio_means, est.ratio_stderrs)
+    expected = "R,ratio_mean,ratio_stderr\n" + "".join(f"{r!r},{m!r},{e!r}\n" for r, m, e in rows)
+    assert ns_csv(est) == expected
+    assert ns_csv(est).splitlines()[1] == "5e-324,-0.0,0.1"
+
+
 def _psi_csv_reference(cdf) -> str:
     lines = ["t,psi_hat,stderr"]
     for t, f, e in zip(cdf.breakpoints, cdf.fractions, cdf.stderr):
@@ -662,7 +674,7 @@ def test_exports_take_text_from_float_columns():
     areas.text = ["zero", "third", "x", "y"]
     assert joint_csv(areas, perimeters).splitlines()[1:3] == ["zero,0.0", "third,-0.0"]
     assert joint_csv(areas, list(perimeters)) == _joint_csv_reference(pairs)
-    for empty in (float_columns([], []), ([], []), (FloatColumn([]), np.array([]))):
+    for empty in (float_columns([], []), ([], []), (*float_columns([]), np.array([]))):
         assert joint_csv(*empty) == "area,perimeter\n"
     assert psi_csv([], [], []) == "t,psi_hat,stderr\n"
 

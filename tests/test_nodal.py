@@ -34,6 +34,7 @@ from nodal_census.nodal import (
     _SEG_SIDES,
     _TABLE_MIN_CELLS,
     _cell_bands,
+    _cell_signs,
     _cell_tables,
     _class_tables,
     _components,
@@ -244,7 +245,8 @@ def _assert_marches_agree(cells):
 def _cells(values, grid=None, center_pos=None):
     values = np.asarray(values, dtype=np.float64)
     grid = grid or PlanarWindow(side=0.5 * (values.shape[0] - 1), spacing=0.5)
-    cells = _crossing_cells(label_domains(synthetic_sample(values, grid)))
+    dec = label_domains(synthetic_sample(values, grid))
+    cells = _crossing_cells(dec, _cell_signs(dec))
     if center_pos is not None:
         cells = cells._replace(center_pos=np.full(cells.pattern.shape, center_pos) | ~cells.saddle)
     return cells
@@ -299,7 +301,8 @@ def test_marches_agree_on_sampled_fields(case, desk_grid):
         "torus-2d": (BandLimitedTorus(dim=2, alpha=0.0),
                      Torus(side=40 * math.pi, spacing=2 * math.pi / 8)),
     }[case]
-    cells = _crossing_cells(label_domains(sample_field(model, grid, RngStream(8, 0))))
+    dec = label_domains(sample_field(model, grid, RngStream(8, 0)))
+    cells = _crossing_cells(dec, _cell_signs(dec))
     assert cells.pattern.size > 1000
     _assert_marches_agree(cells)
 
@@ -378,7 +381,7 @@ def test_bands_match_one_band(desk_grid, monkeypatch):
             bands = list(_cell_bands(dec, signs))
             monkeypatch.undo()
             assert len(bands) == -(-rows // band_rows)
-            assert all(band.k == whole.k and band.n_edges == whole.n_edges for band in bands)
+            assert all(band.k == whole.k and band.nodes == whole.nodes for band in bands)
             for name in whole._fields[2:]:
                 got = np.concatenate([getattr(band, name) for band in bands], axis=-1)
                 np.testing.assert_array_equal(got, getattr(whole, name), err_msg=name)
@@ -430,7 +433,7 @@ def test_contours_match_union_find_oracle(monkeypatch):
                             (torus, 3 * n + 1)):
         if band_cells is not None:
             monkeypatch.setattr(nodal, "_BAND_CELLS", band_cells)
-        bands = list(_cell_bands(dec))
+        bands = list(_cell_bands(dec, _cell_signs(dec)))
         monkeypatch.undo()
         band_ends, contour = _recorded_contours(monkeypatch, _march_table, bands)
         ends = np.concatenate(band_ends)
@@ -518,7 +521,7 @@ def test_hypot_matches_math_hypot_bits_on_seeded_pairs():
 def test_hypot_matches_math_hypot_bits_on_sphere_segments(monkeypatch):
     grid = LatLongSphere(n_lat=400, n_lon=800)
     dec = label_domains(sample_field(SphericalHarmonic(degree=80), grid, RngStream(7, 0)))
-    du, dv = _table_pairs(monkeypatch, _crossing_cells(dec))
+    du, dv = _table_pairs(monkeypatch, _crossing_cells(dec, _cell_signs(dec)))
     assert du.size > 50_000
     _assert_hypot_bits(du, dv)
 
@@ -588,7 +591,7 @@ def test_crossing_cells_match_per_cell_oracle(case):
     saddles = 0
     for sample in samples:
         dec = label_domains(sample)
-        cells = _crossing_cells(dec)
+        cells = _crossing_cells(dec, _cell_signs(dec))
         expected = oracles.crossing_cells(dec)
         assert list(expected) == list(cells._fields)
         for name, want in expected.items():
@@ -622,7 +625,7 @@ def test_class_rows_match_cell_geometry_oracle(march, magnitude):
         pattern, center_pos = cls % 16, cls >= 16
         values = np.where(pattern & bits, magnitude, -np.asarray(magnitude))
         dec = label_domains(synthetic_sample(values, PlanarWindow(side=0.5, spacing=0.5)))
-        cells = _crossing_cells(dec)
+        cells = _crossing_cells(dec, _cell_signs(dec))
         n, m = cells.pattern.size, cells.uniform_areas.size
         cells = cells._replace(d0=np.full(n, d0), d1=np.full(n, d1), area=np.full(n, d0 * d1),
                                uniform_areas=np.full(m, d0 * d1),
@@ -641,7 +644,7 @@ def test_class_rows_match_cell_geometry_oracle(march, magnitude):
 
 
 def _refined_only(dec):
-    return _refined_areas(_cell_bands(dec)).tolist()
+    return _refined_areas(_cell_bands(dec, _cell_signs(dec))).tolist()
 
 
 @pytest.mark.parametrize("case, table", [
@@ -657,7 +660,7 @@ def test_refined_areas_match_measure_on_sampled_fields(case, table, desk_grid, m
     }[case]
     # seed 43 puts a saddle among the 65 crossing cells of the 3pi window
     dec = label_domains(sample_field(model, grid, RngStream(43, 0)))
-    cells = _crossing_cells(dec)
+    cells = _crossing_cells(dec, _cell_signs(dec))
     # the table pass measures at _TABLE_MIN_CELLS crossing cells, the loop below
     assert (cells.pattern.size >= _TABLE_MIN_CELLS) == table
     assert np.any(cells.saddle)
@@ -711,7 +714,7 @@ def test_refined_areas_match_measure_on_synthetic_saddles():
     for _ in range(200):
         values = rng.choice([-1.0, 1.0], size=(12, 12)) * rng.uniform(0.1, 1.0, size=(12, 12))
         dec = label_domains(synthetic_sample(values, grid))
-        saddles += int(np.count_nonzero(_crossing_cells(dec).saddle))
+        saddles += int(np.count_nonzero(_crossing_cells(dec, _cell_signs(dec)).saddle))
         assert _refined_only(dec) == [d.refined_area for d in measure_domains(dec).domains]
     assert saddles > 1000
 

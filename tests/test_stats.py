@@ -8,14 +8,17 @@ import oracles
 from nodal_census import (
     BandLimitedTorus,
     EmpiricalCdf,
+    LatLongSphere,
     PlanarWindow,
     PlaneWave2D,
     RngStream,
+    SphericalHarmonic,
     Torus,
     boundary_and_joint_distributions,
     faber_krahn_check,
     ks_distance,
     label_domains,
+    measure_domains,
     nodal_length_density,
     ns_constant_estimate,
     psi_estimate,
@@ -24,6 +27,7 @@ from nodal_census import (
     synthetic_sample,
 )
 from nodal_census.engine import DEFAULT_SANDWICH_GEOMETRIES
+from nodal_census.sampler import torus_modes
 from nodal_census.stats import _lattice_offsets, _row_runs, census_record, fold_boundary
 
 FK_FLOOR = 18.168414535536805
@@ -63,9 +67,12 @@ class TestEmpiricalCdf:
 
     def test_dict_round_trip(self):
         cdf = EmpiricalCdf.from_values([0.5, 0.5, 4.0])
-        back = EmpiricalCdf.from_dict(cdf.to_dict())
+        d = {"breakpoints": [0.5, 4.0], "fractions": [2 / 3, 1.0], "total_count": 3,
+             "stderr": cdf.stderr.tolist()}
+        back = EmpiricalCdf.from_dict(d)
         assert np.array_equal(back.breakpoints, cdf.breakpoints)
         assert np.array_equal(back.fractions, cdf.fractions)
+        assert np.array_equal(back.stderr, cdf.stderr)
         assert back.total_count == cdf.total_count
 
     def test_empty_rejected(self):
@@ -311,7 +318,10 @@ def test_fold_boundary_pairs_sort_like_sorted(radius, mini_ensemble):
     assert pairs == expected
     assert [tuple(map(float.__repr__, p)) for p in pairs] == [
         tuple(map(float.__repr__, p)) for p in expected]
-    assert perimeters.to_dict() == EmpiricalCdf.from_values([p for _, p in expected]).to_dict()
+    expected_cdf = EmpiricalCdf.from_values([p for _, p in expected])
+    assert perimeters.total_count == expected_cdf.total_count
+    for name in ("breakpoints", "fractions", "stderr"):
+        assert np.array_equal(getattr(perimeters, name), getattr(expected_cdf, name))
     assert len(pairs) > len(_sorted_pairs(records[:2], radius))  # and the mini ensemble's
     ones = [(1.0, 4.0), (1.0, 4.5), (1.0, 4.5)] if radius is None else [(1.0, 4.0), (1.0, 4.5)]
     assert pairs[:len(ones) + 6] == [(0.0, -0.0), (-0.0, 0.0), *ones,
@@ -368,3 +378,47 @@ def test_domain_density_below_critical_density(mini_ensemble):
     crit = np.mean([oracles.critical_cells_brute_force(d.sample.values, d.sample.grid) / side**2
                     for d in mini_ensemble])
     assert 0.0 < est.pooled <= crit
+
+
+def _scaled_areas(model, grid, seed, fields, scale, drop_largest):
+    """Refined and count areas of `fields` seeded fields, times `scale`, one
+    array pair per field; `drop_largest` leaves out each field's domain of
+    most nodes (on a torus, the one that may wrap round)."""
+    out = []
+    for i in range(fields):
+        domains = measure_domains(label_domains(sample_field(model, grid, RngStream(seed, i)))).domains
+        largest = max(domains, key=lambda d: d.node_count) if drop_largest else None
+        domains = [d for d in domains if d is not largest]
+        out.append((scale * np.array([d.refined_area for d in domains]),
+                    scale * np.array([d.area for d in domains])))
+    return out
+
+
+def _pooled(fields, column):
+    return EmpiricalCdf.from_values(np.concatenate([f[column] for f in fields]))
+
+
+def test_flat_torus_and_sphere_share_one_area_law():
+    # The law is independent of the manifold: on the 160pi 2-D torus with
+    # areas times lambda = mean |xi|^2 of its modes, and on the degree-160
+    # sphere with areas times l(l+1), refined areas give one CDF to within
+    # the noise between two halves of one seed's torus fields.  The count
+    # areas, quantized differently on the two lattices, do not.
+    grid = Torus(side=160 * math.pi, spacing=2 * math.pi / 10)
+    xi = torus_modes(grid, 1.0)[0] * (2 * math.pi / grid.side)
+    lam = float(np.mean(np.sum(xi**2, axis=1)))
+    assert lam == pytest.approx(0.9862, abs=1e-4)
+    degree = 160
+    sphere = _scaled_areas(SphericalHarmonic(degree=degree),
+                           LatLongSphere(n_lat=5 * degree, n_lon=10 * degree), 0, 10,
+                           degree * (degree + 1.0), False)
+    sphere_cdf = [_pooled(sphere, column) for column in (0, 1)]
+    gaps, halves, count_gaps = [], [], []
+    for seed in (5, 6, 7):
+        torus = _scaled_areas(BandLimitedTorus(dim=2, alpha=1.0), grid, seed, 8, lam, True)
+        gaps.append(ks_distance(_pooled(torus, 0), sphere_cdf[0]))
+        halves.append(ks_distance(_pooled(torus[:4], 0), _pooled(torus[4:], 0)))
+        count_gaps.append(ks_distance(_pooled(torus, 1), sphere_cdf[1]))
+    bound = max(halves)
+    assert max(gaps) <= bound, f"torus-sphere KS {gaps} against halves {halves}"
+    assert min(count_gaps) >= 1.5 * bound, f"count-area KS {count_gaps}, halves {halves}"
